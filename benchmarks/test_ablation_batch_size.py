@@ -28,7 +28,10 @@ def test_ablation_batch_size(benchmark):
                 kw = dict(FAST_PAMO_KWARGS)
                 kw.update(batch_size=b, n_iterations=total_budget // b, delta=1e-9)
                 out = PaMOPlus(
-                    problem, DecisionMaker(pref, rng=seed), rng=seed, **kw
+                    problem,
+                    decision_maker=DecisionMaker(pref, rng=seed),
+                    rng=seed,
+                    **kw,
                 ).optimize()
                 vals.append(float(pref.value(out.decision.outcome)))
             rows.append((b, float(np.mean(vals))))
@@ -63,7 +66,10 @@ def test_ablation_mc_samples(benchmark):
                 kw = dict(FAST_PAMO_KWARGS)
                 kw.update(n_mc_samples=n_mc)
                 out = PaMOPlus(
-                    problem, DecisionMaker(pref, rng=seed), rng=seed, **kw
+                    problem,
+                    decision_maker=DecisionMaker(pref, rng=seed),
+                    rng=seed,
+                    **kw,
                 ).optimize()
                 vals.append(float(pref.value(out.decision.outcome)))
             rows.append((n_mc, float(np.mean(vals))))

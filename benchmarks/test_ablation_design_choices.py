@@ -9,6 +9,7 @@ by measuring the alternatives:
 * GP outcome models vs the parametric θ(r)·ε(s) regression of Eq. 2–3.
 """
 
+import math
 import time
 
 import numpy as np
@@ -21,6 +22,7 @@ from repro.sched import (
     AnnealedScheduler,
     InfeasibleScheduleError,
     PeriodicStream,
+    clear_assignment_cache,
     communication_latency,
     exact_grouping,
     group_streams,
@@ -74,54 +76,60 @@ def test_ablation_grouping_solvers(benchmark):
     """Algorithm 1 vs exact B&B vs simulated annealing on 30 instances.
 
     Expected shape: the exact solver solves a superset of instances but
-    costs orders of magnitude more time; Algorithm 1 solves nearly as
-    many at microsecond cost with comparable communication latency; SA
-    sits in between on both axes.
+    its search is exponential in M; Algorithm 1 solves nearly as many at
+    microsecond cost with comparable communication latency and is never
+    slower; SA solves fewer at far higher cost.
     """
 
     def run():
         gen = as_generator(0)
         bw = [10.0, 20.0, 30.0]
+        n_instances = 30
+        instances = [
+            _random_streams(gen, int(gen.integers(3, 7)))
+            for _ in range(n_instances)
+        ]
         stats = {
-            m: {"feasible": 0, "time": 0.0, "comm": []}
+            m: {"feasible": 0, "time": math.inf, "comm": []}
             for m in ("algorithm1", "exact", "anneal")
         }
-        n_instances = 30
-        for k in range(n_instances):
-            streams = _random_streams(gen, int(gen.integers(3, 7)))
+        # Each solver runs whole passes from a cold assignment memo;
+        # interleaving them per instance would favour whichever runs
+        # second (memoized Hungarian solves, warm interpreter caches).
+        # Passes alternate and the fastest counts, so a burst of load
+        # on the host does not land on one solver only.
+        solvers = {
+            "algorithm1": lambda s: group_streams(s, len(bw)),
+            "exact": lambda s: exact_grouping(s, len(bw), bandwidths_mbps=bw),
+        }
+        for _ in range(5):
+            for name, grouping in solvers.items():
+                clear_assignment_cache()
+                feasible, comm = 0, []
+                t0 = time.perf_counter()
+                for streams in instances:
+                    try:
+                        q = resolve_assignment(grouping(streams), bw, streams)
+                        feasible += 1
+                        comm.append(communication_latency(streams, q, bw))
+                    except InfeasibleScheduleError:
+                        pass
+                elapsed = time.perf_counter() - t0
+                stats[name] = {
+                    "feasible": feasible,
+                    "time": min(stats[name]["time"], elapsed),
+                    "comm": comm,
+                }
 
-            t0 = time.perf_counter()
-            try:
-                g = group_streams(streams, len(bw))
-                q = resolve_assignment(g, bw, streams)
-                stats["algorithm1"]["feasible"] += 1
-                stats["algorithm1"]["comm"].append(
-                    communication_latency(streams, q, bw)
-                )
-            except InfeasibleScheduleError:
-                pass
-            stats["algorithm1"]["time"] += time.perf_counter() - t0
-
-            t0 = time.perf_counter()
-            try:
-                g = exact_grouping(streams, len(bw), bandwidths_mbps=bw)
-                q = resolve_assignment(g, bw, streams)
-                stats["exact"]["feasible"] += 1
-                stats["exact"]["comm"].append(
-                    communication_latency(streams, q, bw)
-                )
-            except InfeasibleScheduleError:
-                pass
-            stats["exact"]["time"] += time.perf_counter() - t0
-
-            t0 = time.perf_counter()
+        t0 = time.perf_counter()
+        for k, streams in enumerate(instances):
             res = AnnealedScheduler(rng=k, n_iters=1500).solve(streams, bw)
             if res.feasible:
                 stats["anneal"]["feasible"] += 1
                 stats["anneal"]["comm"].append(
                     communication_latency(streams, res.assignment, bw)
                 )
-            stats["anneal"]["time"] += time.perf_counter() - t0
+        stats["anneal"]["time"] = time.perf_counter() - t0
         return n_instances, stats
 
     n, stats = run_once(benchmark, run)

@@ -42,10 +42,16 @@ def test_pricing_rule_scheduling(benchmark):
                 return float(pref.value(y))
 
             pamo = PaMO(
-                problem, DecisionMaker(pref, rng=seed), rng=seed, **FAST_PAMO_KWARGS
+                problem,
+                decision_maker=DecisionMaker(pref, rng=seed),
+                rng=seed,
+                **FAST_PAMO_KWARGS,
             ).optimize()
             plus = PaMOPlus(
-                problem, DecisionMaker(pref, rng=seed), rng=seed, **FAST_PAMO_KWARGS
+                problem,
+                decision_maker=DecisionMaker(pref, rng=seed),
+                rng=seed,
+                **FAST_PAMO_KWARGS,
             ).optimize()
             jcab = JCAB(problem, rng=seed).optimize()
             fact = FACT(problem).optimize()

@@ -12,7 +12,7 @@ MOO toolkit) live in their subpackages:
 >>> from repro import EVAProblem, PaMO, make_preference, DecisionMaker
 >>> problem = EVAProblem(n_streams=4, bandwidths_mbps=[10, 20])
 >>> pref = make_preference(problem)
->>> result = PaMO(problem, DecisionMaker(pref, rng=0), rng=0).optimize()
+>>> result = PaMO(problem, decision_maker=DecisionMaker(pref, rng=0), rng=0).optimize()
 """
 
 from repro._version import __version__

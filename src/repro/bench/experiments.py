@@ -479,12 +479,7 @@ def fig10b_threshold_sensitivity(
 ) -> list[dict]:
     """Fig. 10(b): benefit vs termination threshold δ for all methods."""
     records = []
-    kw = dict(FAST_PAMO_KWARGS)
-    if pamo_kwargs:
-        extra = dict(pamo_kwargs)
-        if "max_iters" in extra and "n_iterations" not in extra:
-            extra["n_iterations"] = extra.pop("max_iters")
-        kw.update(extra)
+    kw = {**FAST_PAMO_KWARGS, **(pamo_kwargs or {})}
     for n_srv, n_vid in configs:
         tag = f"n{n_srv}v{n_vid}"
         for seed in seeds:

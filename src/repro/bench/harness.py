@@ -96,12 +96,7 @@ def run_method(
     with telemetry enabled, the arm's own counter/span deltas land in
     ``extras['telemetry']`` so parallel sweeps can merge them.
     """
-    kw = dict(FAST_PAMO_KWARGS)
-    if pamo_kwargs:
-        extra = dict(pamo_kwargs)
-        if "max_iters" in extra and "n_iterations" not in extra:
-            extra["n_iterations"] = extra.pop("max_iters")
-        kw.update(extra)
+    kw = {**FAST_PAMO_KWARGS, **(pamo_kwargs or {})}
 
     key = name.lower()
     if key == "jcab":

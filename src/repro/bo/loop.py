@@ -6,7 +6,7 @@ runs a configuration batch through the real system (profiling +
 Algorithm 1, line 16), and a *candidate* callable producing the pool
 the acquisition searches over each iteration.  Convergence follows the
 paper: stop when the best benefit of an iteration moves less than δ,
-or after ``max_iters`` iterations.
+or after ``n_iterations`` iterations.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import numpy as np
 from repro.bo.acquisition import AcquisitionFunction, QNEI
 from repro.obs import telemetry
 from repro.utils import as_generator, check_positive
-from repro.utils.compat import resolve_deprecated
 from repro.utils.rng import RngLike
 
 
@@ -98,8 +97,7 @@ class BOLoop:
     delta:
         Convergence threshold δ on the change of the iteration-best z.
     n_iterations:
-        Hard iteration cap (MaxIterNum); ``max_iters`` is the deprecated
-        alias.
+        Hard iteration cap (MaxIterNum).
     on_iteration:
         Optional diagnostics hook ``on_iteration(n_iter)`` invoked after
         each model update — but only while telemetry is enabled, so
@@ -122,17 +120,12 @@ class BOLoop:
         acquisition: AcquisitionFunction | None = None,
         batch_size: int = 4,
         delta: float = 0.02,
-        n_iterations: int | None = None,
-        max_iters: int | None = None,
+        n_iterations: int = 20,
         on_iteration: Callable[[int], None] | None = None,
         checkpoint_every: int = 0,
         on_checkpoint: Callable[["BOLoopState"], None] | None = None,
         rng: RngLike = None,
     ) -> None:
-        n_iterations = resolve_deprecated(
-            "BOLoop", "max_iters", max_iters, "n_iterations", n_iterations,
-            default=20,
-        )
         self.adapter = adapter
         self.observe = observe
         self.benefit_of = benefit_of
@@ -153,11 +146,6 @@ class BOLoop:
         self.checkpoint_every = int(checkpoint_every)
         self.on_checkpoint = on_checkpoint
         self._rng = as_generator(rng)
-
-    @property
-    def max_iters(self) -> int:
-        """Deprecated alias of :attr:`n_iterations`."""
-        return self.n_iterations
 
     def run(
         self,

@@ -43,7 +43,6 @@ from repro.pref.decision_maker import DecisionMaker, TruePreference
 from repro.pref.learner import PreferenceLearner
 from repro.sched.grouping import InfeasibleScheduleError
 from repro.utils import as_generator, check_positive
-from repro.utils.compat import absorb_positional, resolve_deprecated
 from repro.utils.rng import RngLike
 
 
@@ -153,9 +152,7 @@ class _BenefitSurrogate:
 class PaMO(SchedulerMixin):
     """Preference-aware Multi-Objective scheduler (the paper's system).
 
-    All configuration after ``problem`` is keyword-only (legacy
-    positional ``decision_maker`` and the ``max_iters`` alias still work
-    with a :class:`DeprecationWarning`).
+    All configuration after ``problem`` is keyword-only.
 
     Parameters
     ----------
@@ -192,8 +189,8 @@ class PaMO(SchedulerMixin):
     def __init__(
         self,
         problem: EVAProblem,
-        *args,
-        decision_maker: DecisionMaker | None = None,
+        *,
+        decision_maker: DecisionMaker,
         acquisition: str | AcquisitionFunction = "qNEI",
         n_profile: int = 60,
         n_outcome_space: int = 30,
@@ -201,8 +198,7 @@ class PaMO(SchedulerMixin):
         n_pref_queries: int = 15,
         batch_size: int = 4,
         delta: float = 0.02,
-        n_iterations: int | None = None,
-        max_iters: int | None = None,
+        n_iterations: int = 12,
         n_mc_samples: int = 32,
         n_pool: int = 24,
         profile_noise: float = 0.02,
@@ -211,20 +207,6 @@ class PaMO(SchedulerMixin):
         checkpoint_every: int = 0,
         rng: RngLike = None,
     ) -> None:
-        shim = absorb_positional(
-            type(self).__name__, args, ("decision_maker",),
-            {"decision_maker": decision_maker},
-        )
-        decision_maker = shim["decision_maker"]
-        if decision_maker is None:
-            raise TypeError(
-                f"{type(self).__name__}() missing required keyword argument "
-                "'decision_maker'"
-            )
-        n_iterations = resolve_deprecated(
-            type(self).__name__, "max_iters", max_iters,
-            "n_iterations", n_iterations, default=12,
-        )
         self.problem = problem
         self.decision_maker = decision_maker
         if isinstance(acquisition, str):
@@ -259,11 +241,6 @@ class PaMO(SchedulerMixin):
         self._incumbent: tuple[float, np.ndarray] | None = None
         self._incumbent_outcome: np.ndarray | None = None
         self._last_observed: tuple[np.ndarray, np.ndarray] | None = None
-
-    @property
-    def max_iters(self) -> int:
-        """Deprecated alias of :attr:`n_iterations`."""
-        return self.n_iterations
 
     # ------------------------------------------------------------------
     # Phase 1: outcome-function fitting

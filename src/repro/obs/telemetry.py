@@ -47,6 +47,7 @@ import time
 import uuid
 from typing import Any
 
+from repro.obs.metrics import percentile
 from repro.obs.sinks import EventSink, JsonlSink, MemorySink, NullSink
 
 __all__ = ["Telemetry", "telemetry", "get_telemetry", "new_trace_id", "new_span_id"]
@@ -63,19 +64,6 @@ def new_trace_id() -> str:
 def new_span_id() -> str:
     """Fresh 16-hex-char span identifier."""
     return uuid.uuid4().hex[:16]
-
-
-def _percentile(sorted_values: list[float], q: float) -> float:
-    """Linear-interpolated percentile of an already-sorted list."""
-    if not sorted_values:
-        return 0.0
-    if len(sorted_values) == 1:
-        return sorted_values[0]
-    pos = q * (len(sorted_values) - 1)
-    lo = int(pos)
-    hi = min(lo + 1, len(sorted_values) - 1)
-    frac = pos - lo
-    return sorted_values[lo] * (1.0 - frac) + sorted_values[hi] * frac
 
 
 class _NullSpan:
@@ -437,8 +425,8 @@ class Telemetry:
         for k, st in snap["spans"].items():
             res = sorted(samples.get(k, ()))
             if res:
-                st["p50_s"] = _percentile(res, 0.50)
-                st["p95_s"] = _percentile(res, 0.95)
+                st["p50_s"] = percentile(res, 0.50)
+                st["p95_s"] = percentile(res, 0.95)
                 st["sample"] = res
         if since is not None:
             base_c = since.get("counters", {})

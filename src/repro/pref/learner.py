@@ -23,7 +23,6 @@ from repro.gp.preference import ComparisonData, PreferenceGP
 from repro.obs import telemetry
 from repro.pref.decision_maker import DecisionMaker
 from repro.utils import as_generator, check_array_2d, normalize_minmax
-from repro.utils.compat import absorb_positional
 from repro.utils.rng import RngLike
 
 
@@ -47,23 +46,13 @@ class PreferenceLearner:
     def __init__(
         self,
         outcome_space,
-        *args,
-        decision_maker: DecisionMaker | None = None,
+        *,
+        decision_maker: DecisionMaker,
         noise_scale: float = 0.05,
         lengthscale: float = 1.5,
         n_eubo_candidates: int = 150,
         rng: RngLike = None,
     ) -> None:
-        shim = absorb_positional(
-            "PreferenceLearner", args, ("decision_maker",),
-            {"decision_maker": decision_maker},
-        )
-        decision_maker = shim["decision_maker"]
-        if decision_maker is None:
-            raise TypeError(
-                "PreferenceLearner() missing required keyword argument "
-                "'decision_maker'"
-            )
         self.outcome_space = check_array_2d("outcome_space", outcome_space)
         if self.outcome_space.shape[0] < 2:
             raise ValueError("outcome space needs at least two vectors")

@@ -94,10 +94,21 @@ def save_checkpoint(path, *, scheduler, bo_state, **meta) -> Path:
 
 
 def load_checkpoint(path) -> CheckpointData:
-    """Load a checkpoint written by :func:`save_checkpoint`."""
+    """Load a checkpoint written by :func:`save_checkpoint`.
+
+    A checkpoint naming a class (or slot) this build no longer has was
+    written before a refactor of the pickled objects; it raises
+    ``ValueError`` instead of surfacing the unpickler's ``AttributeError``.
+    """
     path = Path(path)
     with path.open("rb") as fh:
-        payload = pickle.load(fh)
+        try:
+            payload = pickle.load(fh)
+        except (AttributeError, ImportError) as exc:
+            raise ValueError(
+                f"checkpoint {path} was written by an incompatible build "
+                f"({exc}); a serve run can be rebuilt from its WAL alone"
+            ) from exc
     version = payload.get("version")
     if version != CHECKPOINT_VERSION:
         raise ValueError(

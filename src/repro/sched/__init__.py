@@ -18,6 +18,7 @@ from repro.sched.theory import (
 from repro.sched.theory import stagger_offsets, diagnose_infeasibility
 from repro.sched.grouping import (
     GroupingResult,
+    ZeroJitterGroup,
     group_streams,
     divisor_priorities,
     InfeasibleScheduleError,
@@ -55,6 +56,7 @@ __all__ = [
     "diagnose_infeasibility",
     "GroupingResult",
     "group_streams",
+    "ZeroJitterGroup",
     "divisor_priorities",
     "InfeasibleScheduleError",
     "assign_groups_to_servers",

@@ -13,18 +13,30 @@ Implements the paper's Algorithm 1 lines 1–19:
    stays within that minimum.
 
 Feasible groupings satisfy Const2 (hence Const1 and zero jitter).
+
+:class:`ZeroJitterGroup` is the single holder of that per-group
+invariant.  Every Algorithm-1 user places through it: the batch
+:func:`group_streams` (divisor-priority order, first fit),
+:func:`repro.sched.solvers.exact_grouping` (branch-and-bound with
+``add``/``remove``), and the serve loop's
+:class:`repro.serve.engine.IncrementalPlanner` (benefit-ranked
+admission under churn).  Only the ordering policies differ.
+:func:`repro.sched.theory.theorem3_conditions` stays the reference
+predicate the group is tested against.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from repro.sched.streams import PeriodicStream
 from repro.sched.theory import theorem3_conditions
 
-#: Slack for float capacity comparisons.
+#: Slack for float capacity / integer-multiple comparisons.
 _EPS = 1e-9
 
 
@@ -65,20 +77,89 @@ def divisor_priorities(streams: Sequence[PeriodicStream]) -> list[int]:
     Uses exact rational arithmetic: T_i mod T_j == 0 iff T_i / T_j is an
     integer.  Input must already be sorted by period ascending.
     """
-    periods = [Fraction(s.period).limit_denominator(1_000_000) for s in streams]
-    out: list[int] = []
-    for i, ti in enumerate(periods):
-        count = 0
-        for tj in periods[:i]:
-            if (ti / tj).denominator == 1:
-                count += 1
-        out.append(count)
-    return out
+    periods = [s.period for s in streams]
+    return [
+        sum(1 for tj in periods[:i] if _is_multiple(ti, tj))
+        for i, ti in enumerate(periods)
+    ]
 
 
-def _fits(group: list[PeriodicStream], candidate: PeriodicStream) -> bool:
-    """Would the group still satisfy Theorem 3 with ``candidate`` added?"""
-    return theorem3_conditions([*group, candidate])
+@lru_cache(maxsize=4096)
+def _is_multiple(period: float, base: float) -> bool:
+    """Is ``period`` an integer multiple of ``base`` (exact rationals)?
+
+    Cached because periods come from a small knob set: the rational
+    conversion otherwise dominates Algorithm 1's cost.
+    """
+    ratio = Fraction(period).limit_denominator(1_000_000) / Fraction(
+        base
+    ).limit_denominator(1_000_000)
+    return ratio.denominator == 1
+
+
+def _period_key(period: float) -> float:
+    """Canonical dict key for a float period."""
+    return round(period, 12)
+
+
+class ZeroJitterGroup:
+    """One server group kept under Theorem 3 as members come and go.
+
+    Members are any objects exposing ``period``, ``processing_time`` and
+    ``rate`` (bits/s) — :class:`PeriodicStream` or the serve engine's
+    sub-streams.  The group keeps its distinct periods, total processing
+    time, running bit-rate and minimum period, so :meth:`fits` costs
+    O(distinct periods) instead of a rescan of every member.
+    """
+
+    __slots__ = ("members", "periods", "total_p", "rate", "pmin")
+
+    def __init__(self) -> None:
+        self.members: list = []
+        self.periods: dict[float, int] = {}  # period key -> member count
+        self.total_p = 0.0
+        self.rate = 0.0  # Σ member rate (bits/s)
+        self.pmin = math.inf
+
+    def fits(self, candidate) -> bool:
+        """Would Theorem 3 still hold with ``candidate`` added?"""
+        period = candidate.period
+        pmin = min(self.pmin, period)
+        if self.total_p + candidate.processing_time > pmin + _EPS:
+            return False
+        for q in self.periods:
+            ratio = q / pmin
+            if abs(ratio - round(ratio)) > _EPS:
+                return False
+        ratio = period / pmin
+        return abs(ratio - round(ratio)) <= _EPS
+
+    def add(self, member) -> None:
+        """Place ``member`` unchecked (best-effort overflow relies on this)."""
+        key = _period_key(member.period)
+        self.members.append(member)
+        self.periods[key] = self.periods.get(key, 0) + 1
+        self.total_p += member.processing_time
+        self.rate += member.rate
+        self.pmin = min(self.pmin, member.period)
+
+    def remove(self, member) -> None:
+        """Take ``member`` out, restoring the running sums and ``pmin``."""
+        key = _period_key(member.period)
+        self.members.remove(member)
+        count = self.periods[key] - 1
+        if count:
+            self.periods[key] = count
+        else:
+            del self.periods[key]
+        self.total_p -= member.processing_time
+        self.rate -= member.rate
+        if not self.members:
+            self.total_p = 0.0
+            self.rate = 0.0
+            self.pmin = math.inf
+        elif key == _period_key(self.pmin):
+            self.pmin = min(m.period for m in self.members)
 
 
 def group_streams(
@@ -114,22 +195,20 @@ def group_streams(
     order = sorted(range(len(by_period)), key=lambda i: prios[i])
     final = [by_period[i] for i in order]
 
-    groups: list[list[PeriodicStream]] = [[] for _ in range(n_servers)]
+    groups = [ZeroJitterGroup() for _ in range(n_servers)]
     for s in final:
-        placed = False
         for grp in groups:
-            if not grp or _fits(grp, s):
-                grp.append(s)
-                placed = True
+            if not grp.members or grp.fits(s):
+                grp.add(s)
                 break
-        if not placed:
+        else:
             if strict:
                 raise InfeasibleScheduleError(
                     f"stream {s.stream_id} (T={s.period:.4f}s, p={s.processing_time:.4f}s) "
                     f"fits in none of {n_servers} groups"
                 )
             # Best effort: least-loaded group.
-            loads = [sum(x.load for x in g) for g in groups]
-            groups[loads.index(min(loads))].append(s)
+            loads = [sum(x.load for x in g.members) for g in groups]
+            groups[loads.index(min(loads))].add(s)
 
-    return GroupingResult(groups=groups)
+    return GroupingResult(groups=[g.members for g in groups])

@@ -23,10 +23,14 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.sched.grouping import GroupingResult, InfeasibleScheduleError, _fits
+from repro.sched.grouping import (
+    GroupingResult,
+    InfeasibleScheduleError,
+    ZeroJitterGroup,
+)
 from repro.sched.streams import PeriodicStream
 from repro.sched.theory import theorem3_conditions
-from repro.utils import as_generator, check_array_1d, gcd_many
+from repro.utils import as_generator, check_array_1d
 from repro.utils.rng import RngLike
 
 
@@ -72,35 +76,42 @@ def exact_grouping(
         if bandwidths_mbps is not None
         else None
     )
-    # Place long-period, heavy streams first: fails fast.
+    # Shortest period first (heaviest first within a period).  Theorem 3
+    # is not closed under subsets — {T=0.5, T=0.2} violates it while
+    # {T=0.5, T=0.2, T=0.1} holds — but a group's shortest-period
+    # members always satisfy it when the whole group does, so pruning
+    # partial groups is exact only in this order.
     order = sorted(
         range(len(streams)),
-        key=lambda i: (-streams[i].processing_time, streams[i].period),
+        key=lambda i: (streams[i].period, -streams[i].processing_time),
     )
     best: tuple[float, list[list[PeriodicStream]]] | None = None
     nodes = 0
 
-    def dfs(pos: int, groups: list[list[PeriodicStream]]) -> None:
+    def dfs(pos: int, groups: list[ZeroJitterGroup]) -> None:
         nonlocal best, nodes
         nodes += 1
         if nodes > max_nodes:
             raise RuntimeError(f"search budget exceeded ({max_nodes} nodes)")
         if pos == len(streams):
-            cost = _comm_cost(groups, bw) if bw is not None else 0.0
+            members = [g.members for g in groups]
+            cost = _comm_cost(members, bw) if bw is not None else 0.0
             if best is None or cost < best[0]:
-                best = (cost, [list(g) for g in groups])
+                best = (cost, [list(m) for m in members])
             return
         if best is not None and bw is None:
             return  # feasibility-only: first solution wins
         s = streams[order[pos]]
         opened = len(groups)
         for j in range(opened):
-            if _fits(groups[j], s):
-                groups[j].append(s)
+            if groups[j].fits(s):
+                groups[j].add(s)
                 dfs(pos + 1, groups)
-                groups[j].pop()
+                groups[j].remove(s)
         if opened < n_servers:
-            groups.append([s])
+            fresh = ZeroJitterGroup()
+            fresh.add(s)
+            groups.append(fresh)
             dfs(pos + 1, groups)
             groups.pop()
 

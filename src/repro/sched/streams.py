@@ -65,9 +65,21 @@ class PeriodicStream:
         return self.processing_time * self.fps
 
     @property
+    def rate(self) -> float:
+        """Encoded bit-rate θ_bit(r_i) · s_i (bits/s)."""
+        return self.bits_per_frame * self.fps
+
+    @property
     def is_high_rate(self) -> bool:
         """True when p_i > T_i, i.e. the stream self-contends on one server."""
         return self.processing_time > self.period + 1e-12
+
+
+def split_count(fps: float, processing_time: float) -> int:
+    """Sub-streams ⌈s·p⌉ a stream splits into (1 when it does not self-contend)."""
+    if processing_time <= 1.0 / fps + 1e-12:
+        return 1
+    return max(1, math.ceil(fps * processing_time - 1e-12))
 
 
 def split_high_rate_streams(
@@ -90,10 +102,7 @@ def split_high_rate_streams(
     next_id = id_start
     out: list[PeriodicStream] = []
     for s in streams:
-        if not s.is_high_rate:
-            out.append(s)
-            continue
-        k = math.ceil(s.fps * s.processing_time - 1e-12)
+        k = split_count(s.fps, s.processing_time)
         if k < 2:
             out.append(s)
             continue

@@ -2,50 +2,41 @@
 
 A batch optimizer answers "what is the best decision for this problem";
 the serve loop needs "how does the current decision change when one
-stream joins".  Re-running Algorithm 1 end to end per event is
-O(M²) in the divisor-priority pass alone — at M=1000 streams a single
-``EVAProblem.evaluate`` takes seconds, which no per-event path can
-afford.  :class:`IncrementalPlanner` instead *maintains* the schedule:
+stream joins".  Re-running Algorithm 1 end to end per event repeats its
+O(M²) divisor-priority pass on every join and leave.
+:class:`IncrementalPlanner` instead *maintains* the schedule:
 
-* groups are live objects holding their distinct periods, total
-  processing time, and bit-rate, so the Theorem-3 admission check for
-  one sub-stream is O(distinct periods) ≈ O(1);
+* groups are :class:`repro.sched.grouping.ZeroJitterGroup` objects —
+  the same Theorem-3 holder batch Algorithm 1 and ``exact_grouping``
+  place through — so the admission check for one sub-stream is
+  O(distinct periods);
 * per-stream outcome contributions (Eq. 2–4 terms) are kept as running
   sums, so the outcome vector after a delta costs O(sub-streams) for
   the latency term and O(1) for the rest;
 * the group→server Hungarian solve reuses the memoized
   :func:`repro.sched.assignment.solve_group_assignment`.
 
-Every mutation is transactional: a failed insertion rolls back to the
+Only the ordering policy is the engine's own: joins are placed at their
+benefit-ranked knob pair, first fit over the live groups.  Every
+mutation is transactional: a failed insertion rolls back to the
 pre-call state, so the service can try candidates best-first and fall
-back cleanly.  The invariant — every group satisfies Theorem 3 (hence
-Const2, hence zero jitter) — is exactly the one Algorithm 1 maintains,
-which the engine/Algorithm-1 equivalence tests check with
-:func:`repro.sched.theory.const2_satisfied`.
+back cleanly.  The engine/Algorithm-1 equivalence tests check the
+invariant with :func:`repro.sched.theory.const2_satisfied`.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
+from repro.core.benefit import LOWER_IS_BETTER
 from repro.core.problem import ConfigSpace, EVAProblem
 from repro.outcomes.functions import OutcomeFunctions
 from repro.pref.decision_maker import LinearL1Preference
 from repro.sched.assignment import solve_group_assignment
-from repro.sched.grouping import InfeasibleScheduleError
-from repro.sched.streams import PeriodicStream
+from repro.sched.grouping import InfeasibleScheduleError, ZeroJitterGroup
+from repro.sched.streams import PeriodicStream, split_count
 
 __all__ = ["IncrementalPlanner", "approx_preference"]
-
-#: Slack for float capacity / integer-multiple comparisons (matches
-#: the tolerances in repro.sched).
-_EPS = 1e-9
-
-#: Objectives where lower raw values are better (canonical order);
-#: duplicated from repro.core.benefit to avoid a core<->serve cycle.
-_LOWER_IS_BETTER = np.array([True, False, True, True, True])
 
 
 def approx_preference(problem: EVAProblem, weights=None) -> LinearL1Preference:
@@ -92,81 +83,35 @@ def approx_preference(problem: EVAProblem, weights=None) -> LinearL1Preference:
         weights = np.ones(k)
     return LinearL1Preference(
         weights=np.asarray(weights, dtype=float),
-        utopia=np.where(_LOWER_IS_BETTER, lo, hi),
+        utopia=np.where(LOWER_IS_BETTER, lo, hi),
         lo=lo,
         hi=hi,
     )
 
 
-def _period_key(period: float) -> float:
-    """Canonical dict key for a float period."""
-    return round(period, 12)
-
-
-class _Group:
-    """One zero-jitter server group (Theorem-3 invariant holder)."""
-
-    __slots__ = ("subs", "periods", "total_p", "rate", "pmin")
-
-    def __init__(self) -> None:
-        self.subs: list[_Sub] = []
-        self.periods: dict[float, int] = {}  # period key -> sub count
-        self.total_p = 0.0
-        self.rate = 0.0  # Σ bits_per_frame · fps (bits/s)
-        self.pmin = math.inf
-
-    def fits(self, period: float, ptime: float) -> bool:
-        """Would Theorem 3 still hold with a sub of this shape added?"""
-        pmin = min(self.pmin, period)
-        if self.total_p + ptime > pmin + _EPS:
-            return False
-        for q in self.periods:
-            ratio = q / pmin
-            if abs(ratio - round(ratio)) > _EPS:
-                return False
-        ratio = period / pmin
-        return abs(ratio - round(ratio)) <= _EPS
-
-    def add(self, sub: "_Sub") -> None:
-        key = _period_key(sub.period)
-        self.subs.append(sub)
-        self.periods[key] = self.periods.get(key, 0) + 1
-        self.total_p += sub.ptime
-        self.rate += sub.rate
-        self.pmin = min(self.pmin, sub.period)
-        sub.group = self
-
-    def remove(self, sub: "_Sub") -> None:
-        key = _period_key(sub.period)
-        self.subs.remove(sub)
-        count = self.periods[key] - 1
-        if count:
-            self.periods[key] = count
-        else:
-            del self.periods[key]
-        self.total_p -= sub.ptime
-        self.rate -= sub.rate
-        if not self.subs:
-            self.total_p = 0.0
-            self.rate = 0.0
-            self.pmin = math.inf
-        elif _period_key(sub.period) == _period_key(self.pmin):
-            self.pmin = min(s.period for s in self.subs)
-        sub.group = None
-
-
 class _Sub:
     """One (possibly split) sub-stream as placed in a group."""
 
-    __slots__ = ("owner", "period", "ptime", "bits", "rate", "group")
+    __slots__ = ("owner", "period", "processing_time", "bits", "rate", "group")
 
-    def __init__(self, owner: int, period: float, ptime: float, bits: float) -> None:
+    def __init__(self, owner: int, period: float, processing_time: float,
+                 bits: float) -> None:
         self.owner = owner
         self.period = period
-        self.ptime = ptime
+        self.processing_time = processing_time
         self.bits = bits  # textured encoded bits per frame
         self.rate = bits / period  # bits/s
-        self.group: _Group | None = None
+        self.group: ZeroJitterGroup | None = None
+
+    def attach(self, group: ZeroJitterGroup) -> None:
+        group.add(self)
+        self.group = group
+
+    def detach(self) -> None:
+        """Leave the current group (no-op when unplaced)."""
+        if self.group is not None:
+            self.group.remove(self)
+            self.group = None
 
 
 class _Entry:
@@ -223,7 +168,7 @@ class IncrementalPlanner:
         n = self.nominal_bw.size
         self.alive = [True] * n
         self.factor = [1.0] * n
-        self.groups: list[_Group] = [_Group() for _ in range(n)]
+        self.groups = [ZeroJitterGroup() for _ in range(n)]
         self.entries: dict[int, _Entry] = {}
         # Running Eq. 2–4 sums (acc is a sum of per-stream terms; the
         # mean is taken in outcome()).
@@ -307,7 +252,7 @@ class IncrementalPlanner:
         if self.alive[server]:
             return False
         self.alive[server] = True
-        self.groups.append(_Group())
+        self.groups.append(ZeroJitterGroup())
         return True
 
     def server_down(self, server: int, *, priority_of=None) -> dict:
@@ -338,12 +283,12 @@ class IncrementalPlanner:
             key=lambda i: (self.groups[i].total_p, i),
         )
         group = self.groups.pop(victim)
-        affected = sorted({sub.owner for sub in group.subs})
+        affected = sorted({sub.owner for sub in group.members})
         if priority_of is not None:
             affected.sort(key=lambda sid: (-priority_of(sid), sid))
         # Detach the dissolved group's subs; their owners re-place fully.
-        for sub in list(group.subs):
-            group.remove(sub)
+        for sub in list(group.members):
+            sub.detach()
         min_r = min(self.config_space.resolutions)
         min_s = min(self.config_space.fps_values)
         for sid in affected:
@@ -351,8 +296,7 @@ class IncrementalPlanner:
             # Pull the stream's surviving subs out too: it re-places as
             # a unit so split counts stay consistent.
             for sub in entry.subs:
-                if sub.group is not None:
-                    sub.group.remove(sub)
+                sub.detach()
             entry.subs = []
             if self._place_entry(entry, entry.resolution, entry.fps):
                 stats["migrated"] += 1
@@ -372,29 +316,24 @@ class IncrementalPlanner:
         """Split a (r, s) stream into its placeable subs (plus ptime, bits)."""
         ptime = self.outcomes.profile.processing_time(r)
         bits = self.outcomes.encoder.bits_per_frame(r, texture=texture)
-        k = 1
-        if ptime > 1.0 / s + 1e-12:
-            k = max(1, math.ceil(s * ptime - 1e-12))
-        sub_fps = s / k if k >= 2 else s
-        period = 1.0 / sub_fps
-        return (
-            [_Sub(sid, period, ptime, bits) for _ in range(max(k, 1))],
-            ptime,
-            bits,
-        )
+        k = split_count(s, ptime)
+        # 1 / (s / k), not k / s: the same float as the period of a
+        # split_high_rate_streams sub-stream (fps = s / k).
+        period = 1.0 / (s / k)
+        return [_Sub(sid, period, ptime, bits) for _ in range(k)], ptime, bits
 
     def _try_place(self, subs: list[_Sub]) -> bool:
         """First-fit each sub into the groups; all-or-nothing."""
         placed: list[_Sub] = []
         for sub in subs:
             for group in self.groups:
-                if group.fits(sub.period, sub.ptime):
-                    group.add(sub)
+                if group.fits(sub):
+                    sub.attach(group)
                     placed.append(sub)
                     break
             else:
                 for p in placed:
-                    p.group.remove(p)
+                    p.detach()
                 return False
         return True
 
@@ -429,8 +368,7 @@ class IncrementalPlanner:
 
     def _drop_entry(self, entry: _Entry) -> None:
         for sub in entry.subs:
-            if sub.group is not None:
-                sub.group.remove(sub)
+            sub.detach()
         self._sub_sums(entry, -1.0)
         del self.entries[entry.sid]
 
@@ -467,13 +405,13 @@ class IncrementalPlanner:
         old_subs = entry.subs
         old_groups = [sub.group for sub in old_subs]
         for sub in old_subs:
-            sub.group.remove(sub)
+            sub.detach()
         entry.subs = []
         if self._place_entry(entry, r, s):
             return True
         # Roll back: the old subs fit their old groups by construction.
         for sub, group in zip(old_subs, old_groups):
-            group.add(sub)
+            sub.attach(group)
         entry.subs = old_subs
         return False
 
@@ -567,9 +505,7 @@ class IncrementalPlanner:
         )
         benefit_all = float(self.preference.value(row_all))
         if n == 1:
-            sid = sids[0]
-            util = max(self.utilization_of(sid), _EPS)
-            return {sid: benefit_all / util}
+            return {sids[0]: benefit_all / self.utilization_of(sids[0])}
         rows = np.empty((n, 5))
         for i, sid in enumerate(sids):
             e = self.entries[sid]
@@ -584,14 +520,14 @@ class IncrementalPlanner:
         benefit_without = np.asarray(self.preference.value(rows), dtype=float)
         return {
             sid: (benefit_all - float(benefit_without[i]))
-            / max(self.utilization_of(sid), _EPS)
+            / self.utilization_of(sid)
             for i, sid in enumerate(sids)
         }
 
     # -- full solves -------------------------------------------------------
     def clear_streams(self) -> None:
         """Drop every stream (server state and caches survive)."""
-        self.groups = [_Group() for _ in range(self.n_alive)]
+        self.groups = [ZeroJitterGroup() for _ in range(self.n_alive)]
         self.entries = {}
         self.acc_sum = self.net_sum = self.com_sum = self.eng_sum = 0.0
         self.ptime_sum = self.bits_sum = 0.0
@@ -735,7 +671,7 @@ class IncrementalPlanner:
                         stream_id=next_id,
                         fps=1.0 / sub.period,
                         resolution=entry.resolution,
-                        processing_time=sub.ptime,
+                        processing_time=sub.processing_time,
                         bits_per_frame=sub.bits,
                         parent_id=sid,
                     )

@@ -20,22 +20,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.obs.metrics import percentile
+
 __all__ = ["ServeSummary", "summarize_serve_run"]
 
 #: Leaf span name of the per-epoch decision timer (matched on the span's
 #: ``name``, not its slash-joined path — serve runs nest it under the
 #: CLI's ``cli.serve`` root span).
 DECISION_SPAN = "serve.decision"
-
-
-def _percentile(ordered: list[float], q: float) -> float:
-    """Linear-interpolation percentile of a pre-sorted list."""
-    if not ordered:
-        return 0.0
-    pos = q * (len(ordered) - 1)
-    lo = int(pos)
-    hi = min(lo + 1, len(ordered) - 1)
-    return ordered[lo] * (1 - (pos - lo)) + ordered[hi] * (pos - lo)
 
 
 @dataclass
@@ -253,9 +245,9 @@ def summarize_serve_run(path) -> ServeSummary:
     # with SchedulerService.summary(): the last DECISION_WINDOW epochs.
     window = sorted(durations[-DECISION_WINDOW:])
     summary.decision_window = len(window)
-    summary.decision_p50_s = _percentile(window, 0.50)
-    summary.decision_p95_s = _percentile(window, 0.95)
-    summary.decision_p99_s = _percentile(window, 0.99)
+    summary.decision_p50_s = percentile(window, 0.50)
+    summary.decision_p95_s = percentile(window, 0.95)
+    summary.decision_p99_s = percentile(window, 0.99)
     summary.decision_max_s = window[-1] if window else 0.0
     summary.decision_mean_s = (
         sum(durations) / len(durations) if durations else 0.0

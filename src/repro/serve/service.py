@@ -62,6 +62,7 @@ import numpy as np
 from repro.core.problem import EVAProblem
 from repro.core.result import ScheduleDecision
 from repro.obs import telemetry
+from repro.obs.metrics import percentile
 from repro.pref.decision_maker import LinearL1Preference
 from repro.sched.grouping import InfeasibleScheduleError
 from repro.serve.admission import AdmissionController
@@ -93,16 +94,6 @@ _COUNTER_KEYS = (
     "shed",
 )
 _FLUSH_EVERY = 4096
-
-
-def _pct(ordered: list[float], q: float) -> float:
-    """Linear-interpolated percentile of a pre-sorted list (0 if empty)."""
-    if not ordered:
-        return 0.0
-    pos = q * (len(ordered) - 1)
-    lo = int(pos)
-    hi = min(lo + 1, len(ordered) - 1)
-    return ordered[lo] * (1 - (pos - lo)) + ordered[hi] * (pos - lo)
 
 
 class _WindowStats:
@@ -197,9 +188,9 @@ def _get_benefit_drop(svc, w: _WindowStats) -> float | None:
 _SLO_GETTERS: dict[str, Callable] = {
     "epoch": lambda svc, w: svc.epoch,
     "window": lambda svc, w: len(w.entries),
-    "decision_p50_s": lambda svc, w: _pct(w.lat_sorted, 0.50),
-    "decision_p95_s": lambda svc, w: _pct(w.lat_sorted, 0.95),
-    "decision_p99_s": lambda svc, w: _pct(w.lat_sorted, 0.99),
+    "decision_p50_s": lambda svc, w: percentile(w.lat_sorted, 0.50),
+    "decision_p95_s": lambda svc, w: percentile(w.lat_sorted, 0.95),
+    "decision_p99_s": lambda svc, w: percentile(w.lat_sorted, 0.99),
     "decision_max_s": lambda svc, w: w.lat_sorted[-1] if w.lat_sorted else 0.0,
     "cache_hit_ratio": _get_cache_hit_ratio,
     "queue_depth": lambda svc, w: len(svc.queue),
@@ -1234,9 +1225,9 @@ class SchedulerService:
         snap: dict = {
             "epoch": self.epoch,
             "window": len(self._window),
-            "decision_p50_s": _pct(lat, 0.50),
-            "decision_p95_s": _pct(lat, 0.95),
-            "decision_p99_s": _pct(lat, 0.99),
+            "decision_p50_s": percentile(lat, 0.50),
+            "decision_p95_s": percentile(lat, 0.95),
+            "decision_p99_s": percentile(lat, 0.99),
             "decision_max_s": lat[-1] if lat else 0.0,
             "cache_hit_ratio": hits / (hits + solved) if hits + solved else 0.0,
             "queue_depth": len(self.queue),
@@ -1470,9 +1461,9 @@ class SchedulerService:
             "benefit_first": benefits[0] if benefits else None,
             "benefit_last": benefits[-1] if benefits else None,
             "decision_window": len(lat),
-            "decision_p50_s": _pct(lat, 0.50),
-            "decision_p95_s": _pct(lat, 0.95),
-            "decision_p99_s": _pct(lat, 0.99),
+            "decision_p50_s": percentile(lat, 0.50),
+            "decision_p95_s": percentile(lat, 0.95),
+            "decision_p99_s": percentile(lat, 0.99),
             "decision_max_s": lat[-1] if lat else 0.0,
             "alerts_fired": sum(
                 1 for a in self.alerts if a.get("event") == "alert.fired"

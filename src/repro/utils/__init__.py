@@ -19,7 +19,6 @@ from repro.utils.mathx import (
     safe_cholesky,
     log1mexp,
 )
-from repro.utils.compat import absorb_positional, resolve_deprecated
 from repro.utils.serialization import to_jsonable
 
 __all__ = [
@@ -36,7 +35,5 @@ __all__ = [
     "normalize_minmax",
     "safe_cholesky",
     "log1mexp",
-    "absorb_positional",
-    "resolve_deprecated",
     "to_jsonable",
 ]

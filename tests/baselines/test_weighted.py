@@ -15,7 +15,7 @@ def problem():
 class TestWeightedSumScheduler:
     @pytest.mark.parametrize("rule", ["equal", "roc", "rs", "pseudo"])
     def test_rules_produce_decisions(self, problem, rule):
-        out = WeightedSumScheduler(problem, rule, n_candidates=20, rng=0).optimize()
+        out = WeightedSumScheduler(problem, rule=rule, n_candidates=20, rng=0).optimize()
         d = out.decision
         assert d.resolutions.shape == (3,)
         assert np.all(np.isfinite(d.outcome))
@@ -25,39 +25,39 @@ class TestWeightedSumScheduler:
 
     def test_explicit_weights(self, problem):
         out = WeightedSumScheduler(
-            problem, [0.2, 0.2, 0.2, 0.2, 0.2], n_candidates=20, rng=0
+            problem, rule=[0.2, 0.2, 0.2, 0.2, 0.2], n_candidates=20, rng=0
         ).optimize()
         np.testing.assert_allclose(out.extras["weights"], 0.2)
 
     def test_chebyshev_variant(self, problem):
         out = WeightedSumScheduler(
-            problem, "equal", scalarization="chebyshev", n_candidates=20, rng=0
+            problem, rule="equal", scalarization="chebyshev", n_candidates=20, rng=0
         ).optimize()
         assert np.isfinite(out.decision.benefit)
 
     def test_rank_emphasis_shifts_decision(self, problem):
         # rank accuracy most important vs energy most important
         acc_first = WeightedSumScheduler(
-            problem, "roc", ranks=[5, 1, 4, 3, 2], n_candidates=40, rng=0
+            problem, rule="roc", ranks=[5, 1, 4, 3, 2], n_candidates=40, rng=0
         ).optimize()
         eng_first = WeightedSumScheduler(
-            problem, "roc", ranks=[2, 5, 4, 3, 1], n_candidates=40, rng=0
+            problem, rule="roc", ranks=[2, 5, 4, 3, 1], n_candidates=40, rng=0
         ).optimize()
         assert acc_first.decision.outcome[1] >= eng_first.decision.outcome[1]
         assert eng_first.decision.outcome[4] <= acc_first.decision.outcome[4]
 
     def test_invalid_inputs(self, problem):
         with pytest.raises(ValueError):
-            WeightedSumScheduler(problem, "equal", scalarization="nope")
+            WeightedSumScheduler(problem, rule="equal", scalarization="nope")
         with pytest.raises(ValueError):
-            WeightedSumScheduler(problem, [1.0, 2.0], rng=0).optimize()
+            WeightedSumScheduler(problem, rule=[1.0, 2.0], rng=0).optimize()
         with pytest.raises(ValueError):
-            WeightedSumScheduler(problem, "bogus", rng=0).optimize()
+            WeightedSumScheduler(problem, rule="bogus", rng=0).optimize()
 
     def test_fixed_weights_trail_true_preference_optimum(self, problem):
         """§1's claim: a fixed rule misses a skewed true preference."""
         skewed = make_preference(problem, weights=[0.2, 5.0, 0.2, 0.2, 0.2])
-        out = WeightedSumScheduler(problem, "equal", n_candidates=60, rng=0).optimize()
+        out = WeightedSumScheduler(problem, rule="equal", n_candidates=60, rng=0).optimize()
         z_equal = skewed.value(out.decision.outcome)
         # oracle pick from the same candidate family under the true pref
         best = max(

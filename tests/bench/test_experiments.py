@@ -28,7 +28,7 @@ TINY_PAMO = dict(
     n_outcome_space=15,
     n_pref_queries=6,
     batch_size=2,
-    max_iters=3,
+    n_iterations=3,
     n_pool=10,
     n_mc_samples=16,
 )

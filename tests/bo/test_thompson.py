@@ -95,7 +95,7 @@ class TestThompsonSampling:
             candidates=lambda rng: rng.uniform(0, 1, (20, 1)),
             acquisition=ThompsonSampling(n_samples=8),
             batch_size=2,
-            max_iters=6,
+            n_iterations=6,
             delta=1e-6,
             rng=0,
         )

@@ -16,7 +16,7 @@ def _make_scheduler_factory(problem):
     pref = make_preference(problem)
 
     def factory(prob, epoch):
-        return RandomSearch(prob, pref.value, n_samples=10, rng=epoch)
+        return RandomSearch(prob, benefit_fn=pref.value, n_iterations=10, rng=epoch)
 
     return factory
 

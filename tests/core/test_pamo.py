@@ -22,12 +22,12 @@ def _small_pamo(problem, dm, cls=PaMO, **kw):
         n_init_comparisons=3,
         n_pref_queries=6,
         batch_size=2,
-        max_iters=5,
+        n_iterations=5,
         n_pool=12,
         rng=0,
     )
     defaults.update(kw)
-    return cls(problem, dm, **defaults)
+    return cls(problem, decision_maker=dm, **defaults)
 
 
 class TestPaMO:
@@ -72,7 +72,7 @@ class TestPaMO:
         for name in ("qEI", "qUCB", "qSR"):
             dm = DecisionMaker(pref, rng=3)
             out = _small_pamo(
-                problem, dm, acquisition=name, max_iters=3, rng=3
+                problem, dm, acquisition=name, n_iterations=3, rng=3
             ).optimize()
             assert np.isfinite(pref.value(out.decision.outcome))
 
@@ -116,8 +116,8 @@ class TestPaMOPlus:
     def test_competitive_with_random_search(self, setup):
         problem, pref = setup
         dm = DecisionMaker(pref, rng=5)
-        out = _small_pamo(problem, dm, cls=PaMOPlus, rng=5, max_iters=8).optimize()
-        rs = RandomSearch(problem, pref.value, n_samples=30, rng=5).optimize()
+        out = _small_pamo(problem, dm, cls=PaMOPlus, rng=5, n_iterations=8).optimize()
+        rs = RandomSearch(problem, benefit_fn=pref.value, n_iterations=30, rng=5).optimize()
         # PaMO+ evaluates ~16-20 configs; random search 30. PaMO+ should
         # be at least close (within 15% of the normalized gap).
         assert pref.value(out.decision.outcome) > rs.true_benefit - 0.35

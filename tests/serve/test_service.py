@@ -148,6 +148,26 @@ class TestDeterminism:
         with pytest.raises((ValueError, KeyError, TypeError, pickle.PickleError)):
             SchedulerService.resume(path)
 
+    @pytest.mark.parametrize("stale", ["removed_class", "renamed_slot"])
+    def test_resume_rejects_older_layout_clearly(self, tmp_path, stale):
+        """Checkpoints from before the engine's group moved to
+        ``sched.grouping`` name a deleted class (``engine._Group``) and
+        a renamed ``_Sub`` slot (``ptime``); both fail with ValueError."""
+        from repro.resilience.checkpoint import save_checkpoint
+        from repro.serve import engine
+
+        class _OldSub:
+            def __reduce__(self):
+                return (object.__new__, (engine._Sub,), (None, {"ptime": 0.01}))
+
+        path = tmp_path / "old.ckpt"
+        if stale == "renamed_slot":
+            save_checkpoint(path, scheduler=_OldSub(), bo_state=None, kind="serve")
+        else:
+            path.write_bytes(b"crepro.serve.engine\n_Group\n.")  # GLOBAL opcode
+        with pytest.raises(ValueError, match="incompatible build"):
+            SchedulerService.resume(path)
+
 
 class TestCacheInvalidation:
     """Each delta kind invalidates exactly the decisions it touches."""
