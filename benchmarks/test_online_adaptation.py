@@ -3,7 +3,7 @@
 §2.1's monitoring loop made quantitative: a deployment runs 12 epochs;
 at epoch 4 every uplink degrades to a fifth of its bandwidth.  Compare
 cumulative true benefit of (a) a fire-and-forget scheduler that never
-re-plans, and (b) the OnlineScheduler with drift detection.  The
+re-plans, and (b) the serve monitoring loop with drift detection.  The
 adaptive system must recover most of the benefit lost to the incident.
 """
 
@@ -12,7 +12,8 @@ import numpy as np
 from conftest import run_once
 from repro.baselines import RandomSearch
 from repro.bench.reporting import format_table
-from repro.core import DriftDetector, EVAProblem, OnlineScheduler, make_preference
+from repro.core import EVAProblem, make_preference
+from repro.serve import DriftDetector, SchedulerService
 
 
 def test_online_drift_recovery(benchmark):
@@ -37,19 +38,21 @@ def test_online_drift_recovery(benchmark):
             float(pref.value(environment(static_dec, e))) for e in range(n_epochs)
         ]
 
-        # (b) adaptive: OnlineScheduler with the same search budget per plan
+        # (b) adaptive: run_epochs with the same search budget per plan
         def factory(prob, epoch):
             return RandomSearch(env_problem(epoch), benefit_fn=pref.value, n_iterations=80, rng=epoch)
 
-        online = OnlineScheduler(
-            normal,
-            factory,
+        service = SchedulerService(
+            normal, preference=pref, scheduler_factory=factory
+        )
+        log = service.run_epochs(
+            n_epochs,
             environment=environment,
             detector=DriftDetector(rel_threshold=0.4, patience=2),
         )
-        log = online.run(n_epochs)
         adaptive_benefit = [float(pref.value(r.observed)) for r in log]
-        return static_benefit, adaptive_benefit, online.n_reoptimizations
+        n_reoptimizations = sum(r.reoptimized for r in log)
+        return static_benefit, adaptive_benefit, n_reoptimizations
 
     static_b, adaptive_b, n_replans = run_once(benchmark, run)
     rows = [

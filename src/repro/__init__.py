@@ -18,9 +18,7 @@ MOO toolkit) live in their subpackages:
 from repro._version import __version__
 from repro.core import (
     ConfigSpace,
-    DriftDetector,
     EVAProblem,
-    OnlineScheduler,
     OptimizationOutcome,
     PaMO,
     PaMOPlus,
@@ -33,9 +31,7 @@ from repro.pref import DecisionMaker, LinearL1Preference, PreferenceLearner, Pri
 __all__ = [
     "__version__",
     "ConfigSpace",
-    "DriftDetector",
     "EVAProblem",
-    "OnlineScheduler",
     "OptimizationOutcome",
     "PaMO",
     "PaMOPlus",

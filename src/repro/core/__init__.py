@@ -21,7 +21,6 @@ from repro.core.benefit import (
 from repro.core.result import ScheduleDecision, OptimizationOutcome
 from repro.core.scheduler import Scheduler, SchedulerMixin
 from repro.core.pamo import PaMO, PaMOPlus
-from repro.core.online import OnlineScheduler, DriftDetector, EpochRecord
 
 __all__ = [
     "EVAProblem",
@@ -37,7 +36,4 @@ __all__ = [
     "SchedulerMixin",
     "PaMO",
     "PaMOPlus",
-    "OnlineScheduler",
-    "DriftDetector",
-    "EpochRecord",
 ]

@@ -32,6 +32,7 @@ from repro.serve.loadgen import ChurnProfile, generate_load
 from repro.serve.report import ServeSummary, summarize_serve_run
 from repro.serve.service import (
     DECISION_WINDOW,
+    DriftDetector,
     RegistryFactory,
     RemediationPolicy,
     SchedulerService,
@@ -54,6 +55,7 @@ __all__ = [
     "AdmissionController",
     "AdmissionOutcome",
     "ChurnProfile",
+    "DriftDetector",
     "EventLog",
     "EventQueue",
     "GreedyScheduler",

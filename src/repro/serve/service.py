@@ -29,6 +29,11 @@ a :class:`RemediationPolicy` turns the attached
 the same actions (enter brownout / shed joins / force a checkpoint)
 instead of only reporting them.
 
+§2.1's fixed-epoch monitoring loop runs on the same service:
+:meth:`SchedulerService.run_epochs` replays the deployed decision
+through a caller-supplied environment each epoch, and a
+:class:`DriftDetector` verdict triggers a fresh batch solve.
+
 Counters: ``serve.replans`` (epoch decisions), ``serve.full_solves``,
 ``serve.cache_hits``, ``serve.events``, ``serve.solved``,
 ``serve.repairs``, ``serve.evictions``, ``serve.admission_rejects``,
@@ -68,9 +73,11 @@ from repro.sched.grouping import InfeasibleScheduleError
 from repro.serve.admission import AdmissionController
 from repro.serve.engine import IncrementalPlanner
 from repro.serve.events import EventQueue, ServeEvent
+from repro.utils import check_positive
 
 __all__ = [
     "DECISION_WINDOW",
+    "DriftDetector",
     "RemediationPolicy",
     "SchedulerService",
     "ServeDecision",
@@ -157,16 +164,6 @@ class _WindowStats:
         """Rolling mean benefit over the window (None before any score)."""
         return self.benefit_sum / self.benefit_n if self.benefit_n else None
 
-    @classmethod
-    def from_entries(
-        cls, entries: Iterable[tuple], maxlen: int = DECISION_WINDOW
-    ) -> "_WindowStats":
-        """Rebuild from raw entry tuples (pre-refactor checkpoints)."""
-        window = cls(maxlen)
-        for entry in entries:
-            window.push(*entry)
-        return window
-
 
 def _get_cache_hit_ratio(svc, w: _WindowStats) -> float:
     total = w.hits + w.solved
@@ -180,11 +177,12 @@ def _get_benefit_drop(svc, w: _WindowStats) -> float | None:
     return max(0.0, (baseline - benefit) / max(abs(baseline), 1e-12))
 
 
-#: ``metric name -> getter(service, window)`` for every documented
-#: :meth:`SchedulerService.health_snapshot` key.  The compiled SLO
-#: probe (:meth:`SchedulerService._build_slo_probe`) evaluates only the
-#: getters the attached rules reference — flat single-call functions,
-#: since this runs every epoch on the hot path.
+#: ``metric name -> getter(service, window)``: THE definition of every
+#: :meth:`SchedulerService.health_snapshot` key, in documented order.
+#: The snapshot evaluates all of them; the compiled SLO probe
+#: (:meth:`SchedulerService._build_slo_probe`) only the getters the
+#: attached rules reference — flat single-call functions, since this
+#: runs every epoch on the hot path.
 _SLO_GETTERS: dict[str, Callable] = {
     "epoch": lambda svc, w: svc.epoch,
     "window": lambda svc, w: len(w.entries),
@@ -350,11 +348,54 @@ class ServeDecision:
 
 
 @dataclass
-class ServeEpochTick:
-    """One monitoring epoch of :meth:`SchedulerService.run_epochs`.
+class DriftDetector:
+    """Flags sustained relative deviation of observed vs expected outcomes.
 
-    Field-compatible with :class:`repro.core.online.EpochRecord` so the
-    legacy ``OnlineScheduler`` shim converts trivially.
+    Tracks, per epoch, the max relative deviation across objectives;
+    drift fires after ``patience`` consecutive epochs above
+    ``rel_threshold``.
+    """
+
+    rel_threshold: float = 0.25
+    patience: int = 2
+    _strikes: int = field(default=0, init=False)
+
+    def __post_init__(self) -> None:
+        check_positive("rel_threshold", self.rel_threshold)
+        if self.patience < 1:
+            raise ValueError(f"patience must be >= 1, got {self.patience}")
+
+    def deviation(self, expected: np.ndarray, observed: np.ndarray) -> float:
+        """Max relative per-objective deviation of observed vs expected."""
+        expected = np.asarray(expected, dtype=float)
+        observed = np.asarray(observed, dtype=float)
+        denom = np.maximum(np.abs(expected), 1e-9)
+        return float(np.max(np.abs(observed - expected) / denom))
+
+    def update(self, expected: np.ndarray, observed: np.ndarray) -> bool:
+        """Feed one epoch's observation; returns True when drift fires."""
+        if self.deviation(expected, observed) > self.rel_threshold:
+            self._strikes += 1
+        else:
+            self._strikes = 0
+        if self._strikes >= self.patience:
+            self._strikes = 0
+            return True
+        return False
+
+    def reset(self) -> None:
+        """Clear accumulated strikes (after a redeploy)."""
+        self._strikes = 0
+
+
+@dataclass
+class ServeEpochTick:
+    """The record :meth:`SchedulerService.run_epochs` returns per epoch.
+
+    ``expected`` is the deployed decision's predicted outcome,
+    ``observed`` what the environment measured, ``deviation`` the
+    detector's max relative gap between them, and ``reoptimized``
+    whether the epoch's drift verdict triggered a fresh solve.
     """
 
     epoch: int
@@ -401,18 +442,16 @@ class SchedulerService:
         System benefit function scoring every epoch decision.
     scheduler_factory:
         Optional ``factory(problem, epoch) -> Scheduler`` for full
-        solves (warm-up and drift).  ``None`` uses the engine's greedy
+        solves (warm-up and drift).  The event loop builds one at
+        warm-up and calls its :meth:`~repro.core.scheduler.Scheduler.
+        replan` afterwards (warm starts); :meth:`run_epochs` builds a
+        fresh one per solve.  ``None`` uses the engine's greedy
         admission as the full solve — the fast path for large fleets.
     epoch_s:
         Epoch clock granularity; same-epoch events batch into one
         decision.
     reoptimize_every:
         Force a full solve every N epochs (0 = never; incremental only).
-    reuse_scheduler:
-        Keep one scheduler across full solves and :meth:`~repro.core.
-        scheduler.Scheduler.replan` it (warm starts).  ``False``
-        re-instantiates per solve — the legacy ``OnlineScheduler``
-        contract.
     admission:
         :class:`~repro.serve.admission.AdmissionController` deciding
         joins.  The default controller admits exactly what the bare
@@ -433,7 +472,6 @@ class SchedulerService:
         scheduler_factory: Callable[..., object] | None = None,
         epoch_s: float = 1.0,
         reoptimize_every: int = 0,
-        reuse_scheduler: bool = True,
         admission: AdmissionController | None = None,
         breaker=None,
         remediation: RemediationPolicy | None = None,
@@ -449,7 +487,6 @@ class SchedulerService:
         self.scheduler_factory = scheduler_factory
         self.epoch_s = float(epoch_s)
         self.reoptimize_every = int(reoptimize_every)
-        self.reuse_scheduler = bool(reuse_scheduler)
         self.admission = admission if admission is not None else AdmissionController()
         self.breaker = breaker
         self.remediation = remediation
@@ -865,12 +902,16 @@ class SchedulerService:
             label += f"x{e.value:g}"
         return label
 
-    def _deploy_batch(self, *, reason: str, epoch: int) -> dict | None:
+    def _deploy_batch(
+        self, *, reason: str, epoch: int, fresh: bool = False
+    ) -> dict | None:
         """Solve the full problem and deploy; no engine re-embedding.
 
-        Returns engine stats on the factory-less path (the greedy solve
-        IS the engine state); ``None`` on the batch-scheduler path,
-        where only ``last_decision`` is updated.
+        The batch scheduler is built by the factory when ``fresh`` or
+        none exists yet, and replanned otherwise.  Returns engine stats
+        on the factory-less path (the greedy solve IS the engine
+        state); ``None`` on the batch-scheduler path, where only
+        ``last_decision`` is updated.
         """
         telemetry.counter("serve.full_solves")
         if self.scheduler_factory is None:
@@ -884,7 +925,7 @@ class SchedulerService:
             raise InfeasibleScheduleError(
                 "no surviving stream/server to solve for"
             )
-        if self.scheduler is None or not self.reuse_scheduler:
+        if fresh or self.scheduler is None:
             self.scheduler = self.scheduler_factory(prob, epoch)
             out = self.scheduler.optimize()
         else:
@@ -1081,7 +1122,7 @@ class SchedulerService:
     def _build_slo_probe(self, monitor) -> Callable[[], dict]:
         """Compile a minimal per-epoch snapshot for ``monitor``'s rules.
 
-        :meth:`health_snapshot` builds all 13 documented keys; the
+        :meth:`health_snapshot` builds all 15 documented keys; the
         attached rules typically read two.  This binds one getter per
         *referenced* key (unknown metrics stay absent, so such rules
         abstain — the same semantics as the full snapshot) and returns
@@ -1209,37 +1250,14 @@ class SchedulerService:
     def health_snapshot(self) -> dict:
         """Windowed SLO inputs: the dict :class:`HealthMonitor` rules see.
 
+        One entry per :data:`_SLO_GETTERS` key, in that order.
         Percentiles and the benefit baseline come from the rolling
         :data:`DECISION_WINDOW` — the same definition :meth:`summary`
         and ``repro serve report`` use — so an alert threshold means
         the same thing everywhere.
         """
         w = self._window
-        lat = w.lat_sorted
-        hits, solved = w.hits, w.solved
-        benefit = w.last_benefit
-        baseline = w.baseline
-        drop = 0.0
-        if benefit is not None and baseline is not None:
-            drop = max(0.0, (baseline - benefit) / max(abs(baseline), 1e-12))
-        snap: dict = {
-            "epoch": self.epoch,
-            "window": len(self._window),
-            "decision_p50_s": percentile(lat, 0.50),
-            "decision_p95_s": percentile(lat, 0.95),
-            "decision_p99_s": percentile(lat, 0.99),
-            "decision_max_s": lat[-1] if lat else 0.0,
-            "cache_hit_ratio": hits / (hits + solved) if hits + solved else 0.0,
-            "queue_depth": len(self.queue),
-            "n_streams": len(self.planner.entries),
-            "n_alive_servers": self.planner.n_alive,
-            "benefit": benefit,
-            "benefit_baseline": baseline,
-            "benefit_drop_ratio": drop if benefit is not None else None,
-            "mode_brownout": 1 if self.mode == "brownout" else 0,
-            "breaker_state": 0 if self.breaker is None else self.breaker.rank,
-        }
-        return snap
+        return {k: g(self, w) for k, g in _SLO_GETTERS.items()}
 
     def health_status(self) -> dict:
         """``/healthz`` document: monitor verdict plus the snapshot."""
@@ -1262,36 +1280,34 @@ class SchedulerService:
             "recent_alerts": self.alerts[-10:],
         }
 
-    # -- monitoring loop (legacy OnlineScheduler semantics) ----------------
+    # -- monitoring loop ---------------------------------------------------
     def run_epochs(
         self,
         n_epochs: int,
         *,
         environment: Callable[[ScheduleDecision, int], np.ndarray],
-        detector=None,
+        detector: DriftDetector | None = None,
     ) -> list[ServeEpochTick]:
         """Fixed-epoch monitoring: observe, detect drift, full-solve.
 
         The environment maps the deployed decision to an observed
         outcome vector; the detector flags sustained deviation; a drift
-        triggers a full solve (a fresh scheduler when
-        ``reuse_scheduler=False`` — the legacy contract).  Epochs are
-        numbered 0..n-1 per call, matching the old loop exactly.
+        triggers a full solve by a fresh scheduler from the factory,
+        built for the drifting epoch (the factory may pick that epoch's
+        problem).  Epochs are numbered 0..n-1 per call.
 
         Deploys here go through :meth:`_deploy_batch`, not the
         incremental planner: the monitoring loop redeploys the batch
-        decision verbatim (the legacy contract keeps every stream even
-        when the engine's first-fit embedding would degrade some).
+        decision verbatim, keeping every stream even when the engine's
+        first-fit embedding would degrade some.
         """
         if n_epochs < 1:
             raise ValueError(f"n_epochs must be >= 1, got {n_epochs}")
         if detector is None:
-            from repro.core.online import DriftDetector
-
             detector = DriftDetector()
         if not self.started:
             self.started = True
-            self._deploy_batch(reason="warmup", epoch=0)
+            self._deploy_batch(reason="warmup", epoch=0, fresh=True)
         ticks: list[ServeEpochTick] = []
         for epoch in range(n_epochs):
             decision = self.deployed_decision()
@@ -1300,7 +1316,7 @@ class SchedulerService:
             dev = detector.deviation(expected, observed)
             drifted = detector.update(expected, observed)
             if drifted:
-                self._deploy_batch(reason="drift", epoch=epoch)
+                self._deploy_batch(reason="drift", epoch=epoch, fresh=True)
                 detector.reset()
                 telemetry.counter("serve.drift_reoptimizations")
             ticks.append(
@@ -1397,36 +1413,9 @@ class SchedulerService:
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        # Checkpoints written before live observability existed.
-        self.__dict__.setdefault("metrics", None)
-        self.__dict__.setdefault("monitor", None)
-        self.__dict__.setdefault("alerts", [])
-        # ... and before overload hardening existed.
-        self.__dict__.setdefault("admission", AdmissionController())
-        self.__dict__.setdefault("breaker", None)
-        self.__dict__.setdefault("remediation", None)
-        self.__dict__.setdefault("mode", "normal")
-        self.__dict__.setdefault("_brownout_reasons", set())
-        self.__dict__.setdefault("_shed_reasons", set())
-        self.__dict__.setdefault("wal", None)
-        self.__dict__.setdefault("wal_seq", 0)
-        self.__dict__.setdefault("_forced_modes", {})
-        self.__dict__.setdefault("_stop", False)
-        self.__dict__.setdefault("_ckpt_path", None)
-        self.__dict__.setdefault("_mhandles", None)
-        self.__dict__.setdefault("_mcounts", None)
-        self.__dict__.setdefault("_mflushed", {})
-        self.__dict__.setdefault("_mpending", [])
-        self.__dict__.setdefault("_mpending_done", 0)
-        self.__dict__["_slo_probe"] = (
+        self._slo_probe = (
             None if self.monitor is None else self._build_slo_probe(self.monitor)
         )
-        window = self.__dict__.get("_window")
-        if window is None:
-            self.__dict__["_window"] = _WindowStats(DECISION_WINDOW)
-        elif not isinstance(window, _WindowStats):
-            # Pre-refactor checkpoints stored a deque of entry tuples.
-            self.__dict__["_window"] = _WindowStats.from_entries(window)
 
     # -- summary -----------------------------------------------------------
     def summary(self) -> dict:

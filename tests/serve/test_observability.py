@@ -100,6 +100,30 @@ class TestServiceWiring:
         assert snap["decision_p95_s"] == s["decision_p95_s"]
         assert snap["decision_p99_s"] == s["decision_p99_s"]
 
+    def test_slo_probe_over_every_key_is_the_health_snapshot(self):
+        """The compiled per-epoch probe and /healthz's snapshot share one
+        definition: with a rule on every key they agree exactly, in the
+        documented key order, at every epoch of a churn run."""
+        keys = [
+            "epoch", "window", "decision_p50_s", "decision_p95_s",
+            "decision_p99_s", "decision_max_s", "cache_hit_ratio",
+            "queue_depth", "n_streams", "n_alive_servers", "benefit",
+            "benefit_baseline", "benefit_drop_ratio", "mode_brownout",
+            "breaker_state",
+        ]
+        svc = _service()
+        svc.attach_observability(
+            monitor=HealthMonitor([SloRule.parse(f"{k} > -1") for k in keys])
+        )
+        svc.submit(_churn())
+        svc.start()
+        while svc.queue:
+            svc.run(max_epochs=1)
+            snap = svc.health_snapshot()
+            assert list(snap) == keys
+            assert svc._slo_probe() == snap
+        assert snap["epoch"] == svc.decisions[-1].epoch > 0
+
     def test_checkpoint_roundtrip_drops_registry_keeps_monitor(self, tmp_path):
         import pickle
 

@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.baselines import RandomSearch
+from repro.core import make_preference
 from repro.core.problem import EVAProblem
 from repro.obs import telemetry
 from repro.serve import (
     ChurnProfile,
+    DriftDetector,
     RegistryFactory,
     SchedulerService,
     ServeEvent,
@@ -296,21 +299,24 @@ class TestFactoryPath:
         assert d.cache_hits == 0
 
     def test_factory_sees_churned_topology(self):
+        """The event loop builds its scheduler once, at warm-up, and a
+        drift solve replans that scheduler on the live topology."""
+        from repro.serve.greedy import GreedyScheduler
+
         problem = _problem()
         seen = []
 
         def factory(prob, epoch=0):
             seen.append(prob)
-            from repro.serve.greedy import GreedyScheduler
-
             return GreedyScheduler(prob, preference=approx_preference(problem))
 
         svc = SchedulerService(
             problem, preference=approx_preference(problem),
-            scheduler_factory=factory, reuse_scheduler=False,
+            scheduler_factory=factory,
         )
         svc.start()
-        assert seen[0] is problem  # pristine topology: original object
+        assert seen == [problem]  # pristine topology: original object
+        warm = svc.scheduler
         svc.submit(
             [
                 ServeEvent(time=0.5, kind="stream_leave", target=0),
@@ -318,8 +324,131 @@ class TestFactoryPath:
             ]
         )
         svc.run()
-        assert seen[1] is not problem
-        assert seen[1].n_streams == problem.n_streams - 1
+        assert len(seen) == 1  # the drift solve built no new scheduler
+        assert svc.scheduler is warm
+        assert svc.scheduler.problem is not problem
+        assert svc.scheduler.problem.n_streams == problem.n_streams - 1
+        assert problem.n_streams == 6  # the original object is untouched
+
+
+class TestDriftDetector:
+    def test_no_drift_on_match(self):
+        d = DriftDetector(rel_threshold=0.2, patience=2)
+        y = np.ones(5)
+        assert not d.update(y, y * 1.05)
+        assert not d.update(y, y * 0.95)
+
+    def test_drift_after_patience(self):
+        d = DriftDetector(rel_threshold=0.2, patience=2)
+        y = np.ones(5)
+        assert not d.update(y, y * 2.0)  # strike 1
+        assert d.update(y, y * 2.0)  # strike 2 -> fire
+
+    def test_strikes_reset_on_good_epoch(self):
+        d = DriftDetector(rel_threshold=0.2, patience=2)
+        y = np.ones(5)
+        d.update(y, y * 2.0)
+        d.update(y, y)  # resets
+        assert not d.update(y, y * 2.0)
+
+    def test_fire_resets_counter(self):
+        d = DriftDetector(rel_threshold=0.2, patience=1)
+        y = np.ones(5)
+        assert d.update(y, y * 2.0)
+        assert not d.update(y, y)
+
+    def test_deviation_metric(self):
+        d = DriftDetector()
+        assert d.deviation(np.array([1.0, 2.0]), np.array([1.0, 3.0])) == pytest.approx(0.5)
+
+    def test_invalid_params(self):
+        with pytest.raises(ValueError):
+            DriftDetector(rel_threshold=0.0)
+        with pytest.raises(ValueError):
+            DriftDetector(patience=0)
+
+
+class TestRunEpochs:
+    """The fixed-epoch monitoring loop: observe, detect drift, re-plan."""
+
+    @pytest.fixture
+    def problem(self):
+        return EVAProblem(n_streams=3, bandwidths_mbps=[10.0, 20.0])
+
+    @staticmethod
+    def _monitor(problem, calls=None):
+        pref = make_preference(problem)
+
+        def factory(prob, epoch):
+            if calls is not None:
+                calls.append(epoch)
+            return RandomSearch(
+                prob, benefit_fn=pref.value, n_iterations=10, rng=epoch
+            )
+
+        return SchedulerService(
+            problem, preference=pref, scheduler_factory=factory
+        )
+
+    @staticmethod
+    def _latency_triples_from(start):
+        def environment(decision, epoch):
+            y = decision.outcome.copy()
+            if epoch >= start:
+                y[0] *= 3.0  # e.g. link degradation
+            return y
+
+        return environment
+
+    def test_stable_environment_never_reoptimizes(self, problem):
+        ticks = self._monitor(problem).run_epochs(
+            5, environment=lambda d, e: d.outcome  # exactly as expected
+        )
+        assert [t.epoch for t in ticks] == list(range(5))
+        assert not any(t.reoptimized for t in ticks)
+
+    def test_drift_triggers_reoptimization(self, problem):
+        ticks = self._monitor(problem).run_epochs(
+            6,
+            environment=self._latency_triples_from(2),
+            detector=DriftDetector(rel_threshold=0.5, patience=2),
+        )
+        assert sum(t.reoptimized for t in ticks) >= 1
+
+    def test_ticks_record_deviations(self, problem):
+        ticks = self._monitor(problem).run_epochs(
+            3, environment=lambda d, e: d.outcome * 1.1
+        )
+        for t in ticks:
+            assert t.deviation == pytest.approx(0.1, abs=1e-9)
+
+    def test_invalid_epochs(self, problem):
+        with pytest.raises(ValueError, match="n_epochs"):
+            self._monitor(problem).run_epochs(
+                0, environment=lambda d, e: d.outcome
+            )
+
+    def test_decision_deployed_after_run(self, problem):
+        svc = self._monitor(problem)
+        svc.run_epochs(1, environment=lambda d, e: d.outcome)
+        decision = svc.deployed_decision()
+        assert decision is svc.last_decision
+        assert decision.resolutions.shape == (3,)
+
+    def test_fresh_scheduler_per_solve(self, problem):
+        """Warm-up and every drift build a new scheduler for their
+        epoch — the factory picks that epoch's problem."""
+        calls = []
+        svc = self._monitor(problem, calls)
+        ticks = svc.run_epochs(
+            8,
+            environment=self._latency_triples_from(2),
+            detector=DriftDetector(rel_threshold=0.5, patience=2),
+        )
+        replans = [t.epoch for t in ticks if t.reoptimized]
+        assert replans
+        assert calls == [0] + replans
+        assert len(calls) == 1 + sum(t.reoptimized for t in ticks)
 
 
 class TestChurnAtScale:
