@@ -16,12 +16,20 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from repro.gp.preference import PreferenceGP
 from repro.obs import telemetry
 from repro.utils import as_generator, check_array_2d
 from repro.utils.rng import RngLike
+
+#: √(2π), as ``scipy.stats.norm.pdf`` divides by it
+_SQRT_2PI = np.sqrt(2 * np.pi)
+
+
+def _norm_pdf(z):
+    """Standard normal density, the expression ``scipy.stats.norm.pdf`` evaluates."""
+    return np.exp(-z**2 / 2.0) / _SQRT_2PI
 
 
 def eubo_closed_form(
@@ -38,7 +46,7 @@ def eubo_closed_form(
         return float(max(mu[0], mu[1]))
     theta = np.sqrt(theta2)
     z = delta / theta
-    return float(mu[0] * norm.cdf(z) + mu[1] * norm.cdf(-z) + theta * norm.pdf(z))
+    return float(mu[0] * ndtr(z) + mu[1] * ndtr(-z) + theta * _norm_pdf(z))
 
 
 def eubo_batch(
@@ -64,7 +72,7 @@ def eubo_batch(
     degenerate = theta2 <= 1e-16
     theta = np.sqrt(np.where(degenerate, 1.0, theta2))
     z = delta / theta
-    vals = mu1 * norm.cdf(z) + mu2 * norm.cdf(-z) + theta * norm.pdf(z)
+    vals = mu1 * ndtr(z) + mu2 * ndtr(-z) + theta * _norm_pdf(z)
     return np.where(degenerate, np.maximum(mu1, mu2), vals)
 
 

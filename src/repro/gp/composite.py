@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.gp.kernels import Kernel
-from repro.utils import check_array_2d
 
 
 class _BinaryKernel(Kernel):
@@ -26,6 +25,9 @@ class _BinaryKernel(Kernel):
         self.right = right
         # Kernel.__init__ intentionally not called: parameters live in
         # the children; the composite only forwards.
+
+    def _profile(self, d2, *, grads):  # pragma: no cover - from_diff is overridden
+        raise NotImplementedError("composites combine their children's from_diff")
 
     @property
     def n_dims(self) -> int:
@@ -60,31 +62,25 @@ class _BinaryKernel(Kernel):
 class SumKernel(_BinaryKernel):
     """k(x, x') = k_left(x, x') + k_right(x, x')."""
 
-    def _k(self, x1, x2):
-        return self.left._k(x1, x2) + self.right._k(x1, x2)
+    def from_diff(self, diff, *, grads=True):
+        kl, gl = self.left.from_diff(diff, grads=grads)
+        kr, gr = self.right.from_diff(diff, grads=grads)
+        return kl + kr, gl + gr
 
     def diag(self, x):
         """Diagonal of k(x, x): sum of children's diagonals."""
         return self.left.diag(x) + self.right.diag(x)
 
-    def gradients(self, x):
-        return self.left.gradients(x) + self.right.gradients(x)
-
 
 class ProductKernel(_BinaryKernel):
     """k(x, x') = k_left(x, x') · k_right(x, x')."""
 
-    def _k(self, x1, x2):
-        return self.left._k(x1, x2) * self.right._k(x1, x2)
+    def from_diff(self, diff, *, grads=True):
+        kl, gl = self.left.from_diff(diff, grads=grads)
+        kr, gr = self.right.from_diff(diff, grads=grads)
+        # product rule: each child's derivative times the other child
+        return kl * kr, [g * kr for g in gl] + [kl * g for g in gr]
 
     def diag(self, x):
         """Diagonal of k(x, x): product of children's diagonals."""
         return self.left.diag(x) * self.right.diag(x)
-
-    def gradients(self, x):
-        x = check_array_2d("x", x, n_cols=self.n_dims)
-        kl = self.left._k(x, x)
-        kr = self.right._k(x, x)
-        grads = [g * kr for g in self.left.gradients(x)]
-        grads += [kl * g for g in self.right.gradients(x)]
-        return grads

@@ -7,9 +7,12 @@ work in an unconstrained space, plus ``gradients`` returning
 
     dL/dθ_j = ½ tr((α αᵀ − K⁻¹) · dK/dθ_j).
 
-Everything is vectorized: squared distances come from the usual
-``‖a‖² + ‖b‖² − 2a·b`` expansion, and per-dimension gradient terms are
-broadcast, never looped over samples.
+Everything is vectorized over an ``(n1, n2, d)`` pairwise-difference
+tensor (:func:`pairwise_diff`): ``from_diff`` turns it into K and, in
+the same pass, the per-dimension gradient terms, never looping over
+samples.  Each kernel supplies only its profile in the scaled squared
+distance (``_profile``); ``__call__`` and ``gradients`` are thin
+wrappers around ``from_diff``.
 """
 
 from __future__ import annotations
@@ -21,13 +24,14 @@ import numpy as np
 from repro.utils import check_array_2d, check_positive
 
 
-def _scaled_diffsq(x1: np.ndarray, x2: np.ndarray, ell: np.ndarray) -> np.ndarray:
-    """Per-dimension squared differences scaled by lengthscales.
+def pairwise_diff(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
+    """Pairwise differences ``x1_i − x2_j`` of shape ``(n1, n2, d)``.
 
-    Returns shape ``(n1, n2, d)`` of ((x1_i − x2_j)/ell)² per dimension.
+    Independent of every hyperparameter, so a marginal-likelihood fit
+    builds it once per training set and hands it to each
+    :meth:`Kernel.from_diff` evaluation.
     """
-    diff = x1[:, None, :] - x2[None, :, :]
-    return (diff / ell) ** 2
+    return x1[:, None, :] - x2[None, :, :]
 
 
 class Kernel(abc.ABC):
@@ -66,38 +70,57 @@ class Kernel(abc.ABC):
     def __call__(self, x1, x2=None) -> np.ndarray:
         x1 = check_array_2d("x1", x1, n_cols=self.n_dims)
         x2 = x1 if x2 is None else check_array_2d("x2", x2, n_cols=self.n_dims)
-        return self._k(x1, x2)
+        return self.from_diff(pairwise_diff(x1, x2), grads=False)[0]
 
     def diag(self, x) -> np.ndarray:
         """Diagonal of k(x, x) — the outputscale for stationary kernels."""
         x = check_array_2d("x", x, n_cols=self.n_dims)
         return np.full(x.shape[0], self.outputscale)
 
-    @abc.abstractmethod
-    def _k(self, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-        """Covariance matrix (n1, n2)."""
+    def gradients(self, x) -> list[np.ndarray]:
+        """[dK/d(log outputscale), dK/d(log ell_1), ...] at K(x, x)."""
+        x = check_array_2d("x", x, n_cols=self.n_dims)
+        return self.from_diff(pairwise_diff(x, x))[1]
+
+    def from_diff(
+        self, diff: np.ndarray, *, grads: bool = True
+    ) -> tuple[np.ndarray, list[np.ndarray]]:
+        """``(K, [dK/dθ_j])`` from a :func:`pairwise_diff` tensor.
+
+        One pass computes the covariance and, when ``grads``, its
+        derivatives in the log-parameters (an empty list otherwise).
+        """
+        per_dim = (diff / self.lengthscales) ** 2  # ((x1_i − x2_j)/ℓ_d)²
+        # Without grads the (n1, n2, d) tensors are dropped before the
+        # O(n1·n2) work: large cross-covariances (BO candidate sets)
+        # otherwise keep two extra big buffers alive, and the allocator
+        # returns memory to the OS and page-faults it back on every call.
+        del diff
+        d2 = per_dim.sum(axis=-1)
+        if not grads:
+            del per_dim
+            return self._profile(d2, grads=False)[0], []
+        k, common = self._profile(d2, grads=True)
+        # d/d log σ² = K;  d/d log ℓ_d = common · (Δ_d/ℓ_d)²
+        return k, [k] + [common * per_dim[..., d] for d in range(self.n_dims)]
 
     @abc.abstractmethod
-    def gradients(self, x: np.ndarray) -> list[np.ndarray]:
-        """[dK/d(log outputscale), dK/d(log ell_1), ...] at K(x, x)."""
+    def _profile(
+        self, d2: np.ndarray, *, grads: bool
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """``(k, common)`` at scaled squared distances ``d2``.
+
+        ``common`` (``None`` without ``grads``) is the factor with
+        dk/d(log ℓ_d) = common · (Δ_d/ℓ_d)².
+        """
 
 
 class RBFKernel(Kernel):
     """Squared-exponential: k = σ² exp(−½ Σ_d (Δ_d/ℓ_d)²)."""
 
-    def _k(self, x1, x2):
-        d2 = _scaled_diffsq(x1, x2, self.lengthscales).sum(axis=-1)
-        return self.outputscale * np.exp(-0.5 * d2)
-
-    def gradients(self, x):
-        x = check_array_2d("x", x, n_cols=self.n_dims)
-        per_dim = _scaled_diffsq(x, x, self.lengthscales)  # (n, n, d)
-        k = self.outputscale * np.exp(-0.5 * per_dim.sum(axis=-1))
-        grads = [k]  # d/d log σ² = K
-        # d/d log ℓ_d = K · (Δ_d/ℓ_d)²
-        for d in range(self.n_dims):
-            grads.append(k * per_dim[..., d])
-        return grads
+    def _profile(self, d2, *, grads):
+        k = self.outputscale * np.exp(-0.5 * d2)
+        return k, k
 
 
 class Matern52Kernel(Kernel):
@@ -105,27 +128,13 @@ class Matern52Kernel(Kernel):
 
     _SQRT5 = np.sqrt(5.0)
 
-    def _r(self, x1, x2):
-        d2 = _scaled_diffsq(x1, x2, self.lengthscales).sum(axis=-1)
-        return np.sqrt(np.clip(d2, 0.0, None))
-
-    def _k(self, x1, x2):
-        r = self._r(x1, x2)
-        sr = self._SQRT5 * r
-        return self.outputscale * (1.0 + sr + sr**2 / 3.0) * np.exp(-sr)
-
-    def gradients(self, x):
-        x = check_array_2d("x", x, n_cols=self.n_dims)
-        per_dim = _scaled_diffsq(x, x, self.lengthscales)
-        r = np.sqrt(np.clip(per_dim.sum(axis=-1), 0.0, None))
-        sr = self._SQRT5 * r
+    def _profile(self, d2, *, grads):
+        sr = self._SQRT5 * np.sqrt(np.clip(d2, 0.0, None))
         k = self.outputscale * (1.0 + sr + sr**2 / 3.0) * np.exp(-sr)
-        grads = [k]
+        if not grads:
+            return k, None
         # dk/d(log ℓ_d) = σ² (5/3)(1 + √5 r) exp(−√5 r) · (Δ_d/ℓ_d)²
-        common = self.outputscale * (5.0 / 3.0) * (1.0 + sr) * np.exp(-sr)
-        for d in range(self.n_dims):
-            grads.append(common * per_dim[..., d])
-        return grads
+        return k, self.outputscale * (5.0 / 3.0) * (1.0 + sr) * np.exp(-sr)
 
 
 class Matern32Kernel(Kernel):
@@ -133,21 +142,10 @@ class Matern32Kernel(Kernel):
 
     _SQRT3 = np.sqrt(3.0)
 
-    def _k(self, x1, x2):
-        d2 = _scaled_diffsq(x1, x2, self.lengthscales).sum(axis=-1)
-        r = np.sqrt(np.clip(d2, 0.0, None))
-        sr = self._SQRT3 * r
-        return self.outputscale * (1.0 + sr) * np.exp(-sr)
-
-    def gradients(self, x):
-        x = check_array_2d("x", x, n_cols=self.n_dims)
-        per_dim = _scaled_diffsq(x, x, self.lengthscales)
-        r = np.sqrt(np.clip(per_dim.sum(axis=-1), 0.0, None))
-        sr = self._SQRT3 * r
+    def _profile(self, d2, *, grads):
+        sr = self._SQRT3 * np.sqrt(np.clip(d2, 0.0, None))
         k = self.outputscale * (1.0 + sr) * np.exp(-sr)
-        grads = [k]
+        if not grads:
+            return k, None
         # dk/d(log ℓ_d) = σ² · 3 · exp(−√3 r) · (Δ_d/ℓ_d)²  (limit-safe at r=0)
-        common = self.outputscale * 3.0 * np.exp(-sr)
-        for d in range(self.n_dims):
-            grads.append(common * per_dim[..., d])
-        return grads
+        return k, self.outputscale * 3.0 * np.exp(-sr)

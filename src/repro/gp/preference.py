@@ -11,6 +11,13 @@ a damped Newton ascent finds the MAP ĝ, and the local curvature
 ``(K⁻¹ + AᵀWA)⁻¹`` provides the Gaussian covariance.  Predictions at
 new outcome vectors use the standard Laplace-GP formulas, with the
 singular-Hessian-safe identity ``(K + H⁻¹)⁻¹ = H(I + KH)⁻¹``.
+
+The Newton loop and its line search evaluate the probit terms hundreds
+of times per fit, so they call ``scipy.special.log_ndtr``/``ndtr`` and
+the normal log-density expression directly — the functions
+``scipy.stats.norm`` evaluates after its argument checks, giving
+bit-identical values — and solve against K's factor with
+:func:`~repro.gp.regression.cho_solve_lower`.
 """
 
 from __future__ import annotations
@@ -18,12 +25,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve
-from scipy.stats import norm
+from scipy.special import log_ndtr, ndtr
 
 from repro.gp.cache import cache_key, chol_cache
 from repro.gp.kernels import Kernel, RBFKernel
+from repro.gp.regression import cho_solve_lower
 from repro.utils import check_array_2d, check_positive, safe_cholesky
+
+#: log √(2π), as ``scipy.stats.norm.logpdf`` computes it
+_LOG_SQRT_2PI = np.log(np.sqrt(2 * np.pi))
 
 
 @dataclass
@@ -134,8 +144,8 @@ class PreferenceGP:
 
     def _loglik_terms(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(log Φ(z), u = φ/Φ, w = u² + z·u) computed stably."""
-        logcdf = norm.logcdf(z)
-        u = np.exp(norm.logpdf(z) - logcdf)
+        logcdf = log_ndtr(z)
+        u = np.exp((-z**2 / 2.0 - _LOG_SQRT_2PI) - logcdf)
         w = u * (u + z)
         return logcdf, u, np.clip(w, 1e-12, None)
 
@@ -172,7 +182,7 @@ class PreferenceGP:
         def psi(gv: np.ndarray) -> float:
             z = (a @ gv) / s
             logcdf, _, _ = self._loglik_terms(z)
-            quad = gv @ cho_solve((k_chol, True), gv)
+            quad = gv @ cho_solve_lower(k_chol, gv)
             return float(np.sum(logcdf) - 0.5 * quad)
 
         cur = psi(g)
@@ -263,7 +273,7 @@ class PreferenceGP:
                 mean, cov = self.predict(np.vstack([y1[i], y2[i]]), return_cov=True)
                 mu_d = mean[0] - mean[1]
                 var_d = max(cov[0, 0] + cov[1, 1] - 2 * cov[0, 1], 0.0)
-                probs[i] = norm.cdf(mu_d / np.sqrt(2 * self.noise_scale**2 + var_d))
+                probs[i] = ndtr(mu_d / np.sqrt(2 * self.noise_scale**2 + var_d))
             return probs
         mean, cov = self.predict(np.vstack([y1, y2]), return_cov=True)
         idx = np.arange(n)
@@ -273,7 +283,7 @@ class PreferenceGP:
             0.0,
             None,
         )
-        return norm.cdf(mu_d / np.sqrt(2 * self.noise_scale**2 + var_d))
+        return ndtr(mu_d / np.sqrt(2 * self.noise_scale**2 + var_d))
 
     def sample_posterior(self, y_new, n_samples: int = 1, *, rng=None) -> np.ndarray:
         """Joint posterior samples of g at ``y_new``; (n_samples, m)."""

@@ -12,18 +12,28 @@ f by GP models") are standard exact GPs.  This implementation provides:
 
 All heavy math is Cholesky-based: one ``safe_cholesky`` per fit
 evaluation, triangular solves for α and the predictive terms.
+
+The marginal-likelihood objective is the hot loop (hundreds of L-BFGS-B
+evaluations per fit), so it does only the arithmetic it needs: the
+pairwise-difference tensor of the training set is built once per fit
+and passed in, each evaluation makes one kernel-plus-gradient pass
+(:meth:`Kernel.from_diff`), and α and K⁻¹ come straight from LAPACK's
+``dpotrs`` (:func:`cho_solve_lower`, the routine ``cho_solve`` wraps).
+The results are bit-identical to the wrapped calls.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dpotrs
 from scipy.optimize import minimize
 
 from repro.gp.cache import cache_key, chol_cache
-from repro.gp.kernels import Kernel, Matern52Kernel
+from repro.gp.kernels import Kernel, Matern52Kernel, pairwise_diff
 from repro.obs import telemetry
 from repro.utils import as_generator, check_array_1d, check_array_2d, safe_cholesky
 from repro.utils.rng import RngLike
@@ -31,6 +41,22 @@ from repro.utils.rng import RngLike
 #: Bounds (in log space) keeping hyperparameters sane during fitting.
 _LOG_BOUNDS = (-6.0, 6.0)
 _LOG_NOISE_BOUNDS = (-12.0, 2.0)
+
+
+def cho_solve_lower(ell: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve (L Lᵀ) x = b for a lower Cholesky factor ``ell``.
+
+    The same ``dpotrs`` call ``scipy.linalg.cho_solve((ell, True), b)``
+    makes for float64 inputs, without its dispatch layers, and with the
+    same guarantees: non-finite inputs and a nonzero LAPACK ``info``
+    raise ``ValueError``.
+    """
+    if not (np.isfinite(ell).all() and np.isfinite(b).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    x, info = dpotrs(ell, b, lower=1)
+    if info != 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal potrs")
+    return x
 
 
 @dataclass
@@ -90,30 +116,33 @@ class GPRegressor:
         return self._state
 
     # ------------------------------------------------------------------
-    def _neg_mll_and_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
+    def _neg_mll_and_grad(
+        self, theta: np.ndarray, diff: np.ndarray
+    ) -> tuple[float, np.ndarray]:
         """Negative log marginal likelihood and gradient in log-params.
 
-        theta = [kernel log-params..., log noise].
+        theta = [kernel log-params..., log noise]; ``diff`` is
+        ``pairwise_diff(x, x)`` of the training inputs.
         """
-        assert self.kernel is not None and self._x is not None and self._y is not None
+        assert self.kernel is not None and self._y is not None
         self.kernel.set_log_params(theta[:-1])
         noise = float(np.exp(theta[-1]))
-        n = self._x.shape[0]
-        k = self.kernel(self._x) + noise * np.eye(n)
+        n = self._y.shape[0]
+        k, grads = self.kernel.from_diff(diff)
+        k = k + noise * np.eye(n)
         try:
             ell = safe_cholesky(k)
         except np.linalg.LinAlgError:
             return 1e25, np.zeros_like(theta)
-        alpha = cho_solve((ell, True), self._y)
+        alpha = cho_solve_lower(ell, self._y)
         mll = (
             -0.5 * float(self._y @ alpha)
             - float(np.sum(np.log(np.diag(ell))))
             - 0.5 * n * np.log(2 * np.pi)
         )
         # gradient: ½ tr((ααᵀ − K⁻¹) dK/dθ)
-        k_inv = cho_solve((ell, True), np.eye(n))
+        k_inv = cho_solve_lower(ell, np.eye(n))
         inner = np.outer(alpha, alpha) - k_inv
-        grads = self.kernel.gradients(self._x)
         grad = np.empty_like(theta)
         for j, dk in enumerate(grads):
             grad[j] = 0.5 * float(np.sum(inner * dk))
@@ -167,7 +196,7 @@ class GPRegressor:
         return self
 
     def _optimize_hyperparams(self, *, n_restarts: int, rng: RngLike) -> None:
-        assert self.kernel is not None
+        assert self.kernel is not None and self._x is not None
         gen = as_generator(rng)
         n_kp = self.kernel.n_params
         bounds = [_LOG_BOUNDS] * n_kp + [_LOG_NOISE_BOUNDS]
@@ -183,12 +212,16 @@ class GPRegressor:
                 )
             )
 
+        # Hyperparameter-free, so built once per fit rather than once per
+        # evaluation; not kept on the model (n² d floats per GP).
+        diff = pairwise_diff(self._x, self._x)
         best_val = np.inf
         best_theta = starts[0]
         for s in starts:
             res = minimize(
                 self._neg_mll_and_grad,
                 s,
+                args=(diff,),
                 jac=True,
                 method="L-BFGS-B",
                 bounds=bounds,
@@ -232,7 +265,7 @@ class GPRegressor:
         # The factorization depends only on (hyperparams, noise, X) —
         # α is y-dependent but O(n²), so it is recomputed per call.
         ell = chol_cache.get_or_compute(self._chol_key(), self._compute_chol)
-        alpha = cho_solve((ell, True), self._y)
+        alpha = cho_solve_lower(ell, self._y)
         self._state = _FitState(chol=ell, alpha=alpha)
 
     # ------------------------------------------------------------------
@@ -279,9 +312,9 @@ class GPRegressor:
     def log_marginal_likelihood(self) -> float:
         """MLL at the current hyperparameters (standardized-y scale)."""
         self._require_fitted()
-        assert self.kernel is not None
+        assert self.kernel is not None and self._x is not None
         theta = np.concatenate([self.kernel.get_log_params(), [np.log(self.noise)]])
-        neg, _ = self._neg_mll_and_grad(theta)
+        neg, _ = self._neg_mll_and_grad(theta, pairwise_diff(self._x, self._x))
         return -neg
 
     def hyperparameters(self) -> dict[str, object]:
@@ -375,7 +408,7 @@ class GPRegressor:
             self._y_mean = float(np.mean(y_all))
             self._y_std = float(np.std(y_all)) or 1.0
         self._y = (y_all - self._y_mean) / self._y_std
-        alpha = cho_solve((ell, True), self._y)
+        alpha = cho_solve_lower(ell, self._y)
         self._state = _FitState(chol=ell, alpha=alpha)
         # Seed the shared cache so a later from-scratch fit on the same
         # (hyperparams, data) reuses this factor instead of refactoring.
@@ -383,12 +416,19 @@ class GPRegressor:
         return self
 
     def condition_on(self, x_extra, y_extra, *, fast: bool = True) -> "GPRegressor":
-        """Return a refit copy including extra observations (no re-optimize)."""
+        """Return a refit copy including extra observations (no re-optimize).
+
+        The copy owns its kernel, so refitting it later (with
+        ``optimize=True``) leaves this model's hyperparameters — and
+        the factor cached for them — untouched.
+        """
         if self._x is None or self._y_raw is None:
             raise RuntimeError("model is not fitted; call fit() first")
         x_extra = check_array_2d("x_extra", x_extra)
         y_extra = check_array_1d("y_extra", y_extra)
-        new = GPRegressor(self.kernel, noise=self.noise, normalize_y=self.normalize_y)
+        new = GPRegressor(
+            copy.deepcopy(self.kernel), noise=self.noise, normalize_y=self.normalize_y
+        )
         new._x = self._x
         new._y_raw = self._y_raw
         new._y_mean, new._y_std = self._y_mean, self._y_std

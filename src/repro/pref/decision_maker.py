@@ -18,7 +18,7 @@ import abc
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from repro.outcomes.functions import OBJECTIVES
 from repro.utils import as_generator, check_array_1d, check_positive, normalize_minmax
@@ -130,7 +130,7 @@ class DecisionMaker:
         self.n_queries += 1
         if self.noise_scale == 0.0:
             return u1 >= u2
-        p = norm.cdf((u1 - u2) / (np.sqrt(2.0) * self.noise_scale))
+        p = ndtr((u1 - u2) / (np.sqrt(2.0) * self.noise_scale))
         return bool(self._rng.random() < p)
 
     def rank_pair(self, y1, y2) -> tuple[np.ndarray, np.ndarray]:
