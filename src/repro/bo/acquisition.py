@@ -5,7 +5,12 @@ the reparameterized Monte-Carlo estimators of Wilson et al. (2018) /
 BoTorch.  An acquisition consumes a *benefit sampler* — a callable
 drawing joint posterior samples of the (latent, noisy) benefit
 z = g(f(x)) at arbitrary configuration sets — so it is agnostic to how
-the outcome and preference models compose underneath.
+the outcome and preference models compose underneath.  Batch
+selection (:meth:`AcquisitionFunction.select_batch`) scores the whole
+candidate pool per greedy round in one NumPy batch over a single shared
+sample matrix; subclasses customize it through a few hooks
+(``_joint_with_observed``, ``_clip_at_baseline``, ``_transform_samples``,
+``_baseline_values``).
 
 * **qNEI** (Eq. 12, the paper's choice): improvement over the *noisy*
   best — the incumbent is re-sampled jointly with the candidates each
@@ -40,17 +45,10 @@ class AcquisitionFunction(abc.ABC):
     #: (None until :meth:`select_batch` runs; telemetry reads this).
     last_batch_value: float | None = None
 
-    #: Vectorized candidate scoring (default).  ``fast=False`` switches
-    #: :meth:`select_batch` to the per-candidate reference loop — the
-    #: same math on the same shared MC sample matrix, kept as the
-    #: escape hatch the equivalence tests compare against.
-    fast: bool = True
-
-    def __init__(self, n_samples: int = 64, *, fast: bool = True) -> None:
+    def __init__(self, n_samples: int = 64) -> None:
         if n_samples < 2:
             raise ValueError(f"n_samples must be >= 2, got {n_samples}")
         self.n_samples = int(n_samples)
-        self.fast = bool(fast)
 
     @abc.abstractmethod
     def evaluate(
@@ -99,10 +97,8 @@ class AcquisitionFunction(abc.ABC):
         numbers.  One sampler call total, O(pool · batch · samples)
         arithmetic afterwards.  Returns indices into ``pool``.
 
-        With :attr:`fast` (default) every greedy round scores the whole
-        pool in one NumPy batch over the shared MC base-sample matrix;
-        ``fast=False`` scores candidates one at a time in a Python loop
-        (identical math and samples — the slow reference path).
+        Every greedy round scores the whole pool in one NumPy batch over
+        the shared MC sample matrix.
         """
         pool = np.atleast_2d(np.asarray(pool, dtype=float))
         if batch_size < 1:
@@ -139,28 +135,15 @@ class AcquisitionFunction(abc.ABC):
         current = np.full(self.n_samples, -np.inf)
         mask = np.zeros(p, dtype=bool)
         for _ in range(batch_size):
-            if self.fast:
-                # one (S, P) batch per greedy round over the shared samples
-                cand_max = np.maximum(current[:, None], z_pool)  # (S, P)
-                if clip:
-                    vals = np.clip(cand_max - safe_base[:, None], 0.0, None)
-                    vals = np.where(np.isfinite(vals), vals, cand_max)
-                    scores = vals.mean(axis=0)
-                else:
-                    # no incumbent: pure exploration on the expected max
-                    scores = cand_max.mean(axis=0)
-                telemetry.counter("acq.vectorized_batches")
+            cand_max = np.maximum(current[:, None], z_pool)  # (S, P)
+            if clip:
+                vals = np.clip(cand_max - safe_base[:, None], 0.0, None)
+                vals = np.where(np.isfinite(vals), vals, cand_max)
+                scores = vals.mean(axis=0)
             else:
-                # reference path: same samples, candidate-at-a-time
-                scores = np.empty(p)
-                for c in range(p):
-                    cand_max_c = np.maximum(current, z_pool[:, c])  # (S,)
-                    if clip:
-                        vals_c = np.clip(cand_max_c - safe_base, 0.0, None)
-                        vals_c = np.where(np.isfinite(vals_c), vals_c, cand_max_c)
-                        scores[c] = vals_c.mean()
-                    else:
-                        scores[c] = cand_max_c.mean()
+                # no incumbent: pure exploration on the expected max
+                scores = cand_max.mean(axis=0)
+            telemetry.counter("acq.vectorized_batches")
             scores = np.where(mask, -np.inf, scores)
             best = int(np.argmax(scores))
             mask[best] = True
@@ -231,10 +214,8 @@ class QUCB(AcquisitionFunction):
 
     name = "qUCB"
 
-    def __init__(
-        self, n_samples: int = 64, beta: float = 2.0, *, fast: bool = True
-    ) -> None:
-        super().__init__(n_samples, fast=fast)
+    def __init__(self, n_samples: int = 64, beta: float = 2.0) -> None:
+        super().__init__(n_samples)
         self.beta = check_positive("beta", beta)
 
     def _transform_samples(self, z: np.ndarray) -> np.ndarray:
@@ -321,8 +302,8 @@ class RandomDesignAcquisition(AcquisitionFunction):
 
     name = "random"
 
-    def __init__(self, n_samples: int = 2, *, fast: bool = True) -> None:
-        super().__init__(n_samples, fast=fast)
+    def __init__(self, n_samples: int = 2) -> None:
+        super().__init__(n_samples)
 
     def evaluate(self, sampler, candidates, *, observed_x=None, observed_z=None, rng=None):
         return 0.0

@@ -80,26 +80,15 @@ def eubo_for_pairs(
     model: PreferenceGP,
     items: np.ndarray,
     pairs: Sequence[tuple[int, int]],
-    *,
-    fast: bool = True,
 ) -> np.ndarray:
     """EUBO value of each candidate pair over ``items``.
 
     Computes one joint posterior over all items, then reads the
-    bivariate marginals per pair.  With ``fast`` (default) all pairs
-    are scored in one vectorized :func:`eubo_batch` call;
-    ``fast=False`` loops the scalar closed form per pair (the slow
-    reference path, numerically identical).
+    bivariate marginals per pair and scores all pairs in one
+    vectorized :func:`eubo_batch` call.
     """
     items = check_array_2d("items", items)
     mean, cov = model.predict(items, return_cov=True)
-    if not fast:
-        out = np.empty(len(pairs))
-        for v, (i, j) in enumerate(pairs):
-            mu = np.array([mean[i], mean[j]])
-            c = np.array([[cov[i, i], cov[i, j]], [cov[j, i], cov[j, j]]])
-            out[v] = eubo_closed_form(mu, c)
-        return out
     if not pairs:
         return np.empty(0)
     idx = np.asarray(pairs, dtype=int)

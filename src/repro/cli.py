@@ -18,9 +18,10 @@ Commands:
 * ``chaos`` — run a scheduler under a deterministic fault plan
   (server crashes, bandwidth drops, stream churn) and report each
   post-fault epoch's benefit against the fault-free baseline;
-* ``bench`` — time the GP/BO hot-path fast/slow pairs on fixed seeds,
-  write ``BENCH_<name>.json`` records, and optionally gate against
-  recorded baselines (``--check``; the CI bench-smoke job);
+* ``bench`` — time the GP/BO hot paths on fixed seeds, write
+  ``BENCH_<name>.json`` records, and optionally gate their work
+  counters against recorded baselines (``--check``; the CI bench-smoke
+  job);
 * ``serve`` — the event-driven online scheduler service family:
   ``serve loadgen`` writes a seeded churn event log, ``serve run``
   replays one through :class:`repro.serve.SchedulerService` (with
@@ -450,6 +451,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    from pathlib import Path
+
     from repro.bench.hotpath import (
         BENCHMARKS,
         check_result,
@@ -459,9 +462,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     from repro.bench.io import load_results
     from repro.bench.reporting import format_table
 
-    if args.slack < 1.0:
-        print(f"error: --slack must be >= 1.0, got {args.slack:g}", file=sys.stderr)
-        return 2
     names = args.names or sorted(BENCHMARKS)
     unknown = [n for n in names if n not in BENCHMARKS]
     if unknown:
@@ -477,28 +477,27 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     for name in names:
         result = run_benchmark(name, profile=args.profile, seed=args.seed)
         path = save_bench(result, args.output_dir)
-        rows.append(
-            [
-                name,
-                round(result["fast"]["wall_s"], 4),
-                round(result["slow"]["wall_s"], 4),
-                f"{result['speedup']:.2f}x",
-                str(path),
-            ]
-        )
+        baseline_wall = "-"
         if args.check:
-            from pathlib import Path
-
             base_path = Path(args.check) / f"BENCH_{name}.json"
             if not base_path.exists():
                 failures.append(f"{name}: no baseline at {base_path}")
             else:
-                failures.extend(
-                    check_result(result, load_results(base_path), slack=args.slack)
-                )
+                baseline = load_results(base_path)
+                baseline_wall = round(baseline["wall_s"], 4)
+                failures.extend(check_result(result, baseline))
+        rows.append(
+            [
+                name,
+                round(result["wall_s"], 4),
+                baseline_wall,
+                f"{result['iters_per_s']:.1f}",
+                str(path),
+            ]
+        )
     print(
         format_table(
-            ["benchmark", "fast (s)", "slow (s)", "speedup", "output"],
+            ["benchmark", "wall (s)", "baseline (s)", "iters/s", "output"],
             rows,
             title=f"hot-path benchmarks ({args.profile}, seed {args.seed})",
         )
@@ -508,7 +507,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             for f in failures:
                 print(f"FAIL {f}", file=sys.stderr)
             return 1
-        print(f"all {len(names)} benchmark(s) within {args.slack:g}x of baseline")
+        print(f"all {len(names)} benchmark(s) match the baseline counters")
     return 0
 
 
@@ -1402,7 +1401,7 @@ def _register_resilience(sub) -> None:
 def _register_bench(sub) -> None:
     """Benchmark commands: ``bench``."""
     p_bench = sub.add_parser(
-        "bench", help="time GP/BO hot-path fast/slow pairs; emit BENCH_<name>.json"
+        "bench", help="time the GP/BO hot paths; emit BENCH_<name>.json"
     )
     p_bench.add_argument(
         "names",
@@ -1428,13 +1427,8 @@ def _register_bench(sub) -> None:
         type=str,
         default="",
         metavar="DIR",
-        help="gate against baseline BENCH_<name>.json files in DIR; exit 1 on regression",
-    )
-    p_bench.add_argument(
-        "--slack",
-        type=float,
-        default=1.1,
-        help="allowed speedup shortfall factor for --check (default: 1.1)",
+        help="gate against baseline BENCH_<name>.json files in DIR; "
+        "exit 1 when any work counter differs",
     )
     p_bench.set_defaults(func=_cmd_bench)
 

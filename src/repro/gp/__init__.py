@@ -13,7 +13,7 @@ Provides exactly the models the paper builds on:
 """
 
 from repro.gp import cache
-from repro.gp.cache import CholeskyCache, chol_cache
+from repro.gp.cache import chol_cache
 from repro.gp.kernels import Kernel, RBFKernel, Matern52Kernel, Matern32Kernel
 from repro.gp.composite import SumKernel, ProductKernel
 from repro.gp.regression import GPRegressor
@@ -21,7 +21,6 @@ from repro.gp.preference import PreferenceGP, ComparisonData, cross_validate_pre
 from repro.gp.sampling import sample_mvn, sample_posterior
 
 __all__ = [
-    "CholeskyCache",
     "cache",
     "chol_cache",
     "Kernel",

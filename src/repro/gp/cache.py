@@ -10,33 +10,25 @@ item set, or a regressor re-conditioning with frozen hyperparameters —
 can reuse the previous factorization.
 
 This module provides a small process-wide LRU keyed on exactly that
-triple.  Entries are treated as immutable: callers must never write
-into a cached array (``cho_solve`` / ``solve_triangular`` reads are
-fine).  Hits and misses are counted through :mod:`repro.obs.telemetry`
-as ``gp.chol_cache_hits`` / ``gp.chol_cache_misses``.
-
-The cache is an optimization only — disable it (``configure(
-enabled=False)``) and every computation runs from scratch, which is
-the ``fast=False`` reference behavior the equivalence tests in
-``tests/properties`` compare against.
+triple (a :class:`repro.utils.lru.LRUCache`).  Entries are treated as
+immutable: callers must never write into a cached array (``cho_solve``
+/ ``solve_triangular`` reads are fine).  Hits and misses are counted
+through :mod:`repro.obs.telemetry` as ``gp.chol_cache_hits`` /
+``gp.chol_cache_misses``.  The tests compare cached fits against fits
+run after :func:`clear`, which recompute everything from scratch.
 """
 
 from __future__ import annotations
 
 import hashlib
-import threading
-from collections import OrderedDict
-from typing import Any, Callable, Hashable
 
 import numpy as np
 
-from repro.obs import telemetry
+from repro.utils.lru import LRUCache
 
 __all__ = [
-    "CholeskyCache",
     "chol_cache",
     "cache_key",
-    "configure",
     "clear",
     "stats",
 ]
@@ -69,91 +61,9 @@ def cache_key(kernel, noise: float, x: np.ndarray, *, tag: str = "") -> tuple:
     )
 
 
-class CholeskyCache:
-    """Thread-safe LRU of kernel/Cholesky artifacts.
-
-    Values are whatever the compute callback returns — typically the
-    Cholesky factor alone, or a ``(K, L)`` tuple when the kernel matrix
-    itself is worth keeping.  Treat cached arrays as read-only.
-    """
-
-    def __init__(self, maxsize: int = 64) -> None:
-        if maxsize < 1:
-            raise ValueError(f"maxsize must be >= 1, got {maxsize}")
-        self.maxsize = int(maxsize)
-        self.enabled = True
-        self.hits = 0
-        self.misses = 0
-        self._store: OrderedDict[Hashable, Any] = OrderedDict()
-        self._lock = threading.Lock()
-
-    def __len__(self) -> int:
-        return len(self._store)
-
-    def get_or_compute(self, key: Hashable, compute: Callable[[], Any]) -> Any:
-        """Return the cached value for ``key``, computing it on a miss.
-
-        With the cache disabled, ``compute()`` runs unconditionally and
-        nothing is stored (the exact from-scratch behavior).
-        """
-        if not self.enabled:
-            return compute()
-        with self._lock:
-            if key in self._store:
-                self._store.move_to_end(key)
-                self.hits += 1
-                telemetry.counter("gp.chol_cache_hits")
-                return self._store[key]
-        value = compute()
-        self.put(key, value)
-        self.misses += 1
-        telemetry.counter("gp.chol_cache_misses")
-        return value
-
-    def put(self, key: Hashable, value: Any) -> None:
-        """Insert/refresh an entry (no-op while disabled)."""
-        if not self.enabled:
-            return
-        with self._lock:
-            self._store[key] = value
-            self._store.move_to_end(key)
-            while len(self._store) > self.maxsize:
-                self._store.popitem(last=False)
-
-    def clear(self) -> None:
-        """Drop all entries and reset hit/miss counts."""
-        with self._lock:
-            self._store.clear()
-            self.hits = 0
-            self.misses = 0
-
-    def stats(self) -> dict[str, int | float]:
-        """Snapshot: hits, misses, size, and hit rate."""
-        with self._lock:
-            total = self.hits + self.misses
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "size": len(self._store),
-                "hit_rate": self.hits / total if total else 0.0,
-            }
-
-
 #: The process-wide cache shared by the outcome surrogates and the
 #: preference GP.  Sized for a handful of models' worth of entries.
-chol_cache = CholeskyCache(maxsize=64)
-
-
-def configure(*, enabled: bool | None = None, maxsize: int | None = None) -> None:
-    """Tune the shared cache; ``enabled=False`` is the slow-path switch."""
-    if enabled is not None:
-        chol_cache.enabled = bool(enabled)
-        if not enabled:
-            chol_cache.clear()
-    if maxsize is not None:
-        if maxsize < 1:
-            raise ValueError(f"maxsize must be >= 1, got {maxsize}")
-        chol_cache.maxsize = int(maxsize)
+chol_cache = LRUCache(maxsize=64, counters="gp.chol_cache")
 
 
 def clear() -> None:

@@ -251,30 +251,18 @@ class PreferenceGP:
         )
         return mean, var
 
-    def predict_pair_probability(self, y1, y2, *, fast: bool = True) -> np.ndarray:
+    def predict_pair_probability(self, y1, y2) -> np.ndarray:
         """P(y1 ≻ y2) under the posterior, marginalizing latent noise.
 
         For jointly Gaussian (g1, g2), the probit integral has the closed
-        form Φ(μ_Δ / √(2λ² + σ_Δ²)).
-
-        The fast path (default) evaluates all pairs through one joint
-        GP predict over the stacked points; ``fast=False`` is the
-        pair-at-a-time reference loop (numerically identical — the
-        same kernel evaluations, just batched).
+        form Φ(μ_Δ / √(2λ² + σ_Δ²)).  All pairs go through one joint GP
+        predict over the stacked points.
         """
         y1 = check_array_2d("y1", y1)
         y2 = check_array_2d("y2", y2)
         if y1.shape != y2.shape:
             raise ValueError(f"y1 {y1.shape} and y2 {y2.shape} must match")
         n = y1.shape[0]
-        if not fast:
-            probs = np.empty(n)
-            for i in range(n):
-                mean, cov = self.predict(np.vstack([y1[i], y2[i]]), return_cov=True)
-                mu_d = mean[0] - mean[1]
-                var_d = max(cov[0, 0] + cov[1, 1] - 2 * cov[0, 1], 0.0)
-                probs[i] = ndtr(mu_d / np.sqrt(2 * self.noise_scale**2 + var_d))
-            return probs
         mean, cov = self.predict(np.vstack([y1, y2]), return_cov=True)
         idx = np.arange(n)
         mu_d = mean[idx] - mean[n + idx]

@@ -24,7 +24,6 @@ The results are bit-identical to the wrapped calls.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -355,18 +354,17 @@ class GPRegressor:
         ll = -0.5 * (np.log(2 * np.pi * var) + (y_test - mean) ** 2 / var)
         return float(np.mean(ll))
 
-    def update(self, x_new, y_new, *, fast: bool = True) -> "GPRegressor":
+    def update(self, x_new, y_new) -> "GPRegressor":
         """Condition on appended observations in place (no re-optimize).
 
-        The fast path (default) extends the existing Cholesky factor by
-        a block row — O(n²m) for m appended points instead of the
-        O((n+m)³) from-scratch refactorization — then recomputes the
-        y-standardization and α over the full data (O(n²)), so the
-        resulting posterior matches ``fit(optimize=False)`` on the
-        concatenated data to floating-point roundoff.  ``fast=False``
-        is the reference escape hatch: a plain full refit.
+        Extends the existing Cholesky factor by a block row — O(n²m)
+        for m appended points instead of the O((n+m)³) from-scratch
+        refactorization — then recomputes the y-standardization and α
+        over the full data (O(n²)), so the resulting posterior matches
+        ``fit(optimize=False)`` on the concatenated data to
+        floating-point roundoff.
 
-        The fast path falls back to the full refit (counted as
+        Falls back to that full refit (counted as
         ``gp.rank1_fallbacks``) when the Schur complement is not
         positive definite — which only happens when the original factor
         needed extra jitter or the appended points (numerically)
@@ -383,8 +381,6 @@ class GPRegressor:
             )
         x_all = np.vstack([self._x, x_new])
         y_all = np.concatenate([self._y_raw, y_new])
-        if not fast:
-            return self.fit(x_all, y_all, optimize=False)
 
         n, m = self._x.shape[0], x_new.shape[0]
         k_cross = self.kernel(self._x, x_new)  # (n, m)
@@ -414,24 +410,3 @@ class GPRegressor:
         # (hyperparams, data) reuses this factor instead of refactoring.
         chol_cache.put(self._chol_key(), ell)
         return self
-
-    def condition_on(self, x_extra, y_extra, *, fast: bool = True) -> "GPRegressor":
-        """Return a refit copy including extra observations (no re-optimize).
-
-        The copy owns its kernel, so refitting it later (with
-        ``optimize=True``) leaves this model's hyperparameters — and
-        the factor cached for them — untouched.
-        """
-        if self._x is None or self._y_raw is None:
-            raise RuntimeError("model is not fitted; call fit() first")
-        x_extra = check_array_2d("x_extra", x_extra)
-        y_extra = check_array_1d("y_extra", y_extra)
-        new = GPRegressor(
-            copy.deepcopy(self.kernel), noise=self.noise, normalize_y=self.normalize_y
-        )
-        new._x = self._x
-        new._y_raw = self._y_raw
-        new._y_mean, new._y_std = self._y_mean, self._y_std
-        new._y = self._y
-        new._state = self._state
-        return new.update(x_extra, y_extra, fast=fast)

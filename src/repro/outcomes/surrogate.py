@@ -113,16 +113,13 @@ class OutcomeSurrogateBank:
         x, y = samples_to_arrays(list(samples))
         return self.fit(x, y, **kwargs)
 
-    def update(self, x_new, y_new, *, fast: bool = True) -> "OutcomeSurrogateBank":
+    def update(self, x_new, y_new) -> "OutcomeSurrogateBank":
         """Condition on additional observations (no re-optimization).
 
         Keeps each model's fitted hyperparameters and appends the new
-        data.  The fast path (default) extends every GP's Cholesky
-        factor incrementally — O(n²m) per model instead of the O(n³)
-        from-scratch refit — which is the dominant per-iteration cost
-        of the BO loop.  ``fast=False`` refits each model from scratch
-        on the concatenated data with the same hyperparameters (the
-        reference path the equivalence tests compare against).
+        data, extending every GP's Cholesky factor incrementally —
+        O(n²m) per model instead of the O(n³) from-scratch refit, which
+        would be the dominant per-iteration cost of the BO loop.
         """
         if self._x is None or self._y is None:
             raise RuntimeError("bank is not fitted")
@@ -138,7 +135,7 @@ class OutcomeSurrogateBank:
             return self.fit(self._x, self._y, optimize=False)
         xn_new = self._normalize(x_new)
         for j, name in enumerate(OBJECTIVES):
-            self.models[name].update(xn_new, y_new[:, j], fast=fast)
+            self.models[name].update(xn_new, y_new[:, j])
         return self
 
     # ------------------------------------------------------------------

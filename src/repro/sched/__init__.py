@@ -28,7 +28,6 @@ from repro.sched.assignment import (
     resolve_assignment,
     communication_latency,
     solve_group_assignment,
-    configure_assignment_cache,
     clear_assignment_cache,
     assignment_cache_size,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "resolve_assignment",
     "communication_latency",
     "solve_group_assignment",
-    "configure_assignment_cache",
     "clear_assignment_cache",
     "assignment_cache_size",
     "exact_grouping",

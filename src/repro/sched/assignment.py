@@ -11,52 +11,31 @@ with the Hungarian algorithm (``scipy.optimize.linear_sum_assignment``).
 
 The optimization loops evaluate thousands of candidate decisions whose
 group bit-rates and server bandwidths repeat, so the Hungarian solve is
-memoized on exactly its inputs (``(group rates, bandwidths)``) — see
-:func:`solve_group_assignment`.  Hits/misses are counted as
-``sched.assign_cache_hits`` / ``sched.assign_cache_misses``;
-``configure_assignment_cache(enabled=False)`` is the slow-path switch.
+memoized on exactly its inputs (``(group rates, bandwidths)``) in a
+:class:`repro.utils.lru.LRUCache` — see :func:`solve_group_assignment`.
+Hits/misses are counted as ``sched.assign_cache_hits`` /
+``sched.assign_cache_misses``.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from typing import Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from repro.obs import telemetry
 from repro.sched.grouping import GroupingResult
 from repro.sched.streams import PeriodicStream
 from repro.utils import check_array_1d
+from repro.utils.lru import LRUCache
 
 #: Memoized Hungarian solves keyed on (group_rate bytes, bandwidth bytes).
-_ASSIGN_CACHE: OrderedDict[bytes, tuple[int, ...]] = OrderedDict()
-_ASSIGN_CACHE_LOCK = threading.Lock()
-_assign_cache_maxsize = 4096
-_assign_cache_enabled = True
-
-
-def configure_assignment_cache(
-    *, enabled: bool | None = None, maxsize: int | None = None
-) -> None:
-    """Tune the Hungarian-solve memo; ``enabled=False`` disables it."""
-    global _assign_cache_enabled, _assign_cache_maxsize
-    if enabled is not None:
-        _assign_cache_enabled = bool(enabled)
-        if not enabled:
-            clear_assignment_cache()
-    if maxsize is not None:
-        if maxsize < 1:
-            raise ValueError(f"maxsize must be >= 1, got {maxsize}")
-        _assign_cache_maxsize = int(maxsize)
+_ASSIGN_CACHE = LRUCache(maxsize=4096, counters="sched.assign_cache")
 
 
 def clear_assignment_cache() -> None:
     """Drop all memoized Hungarian solves."""
-    with _ASSIGN_CACHE_LOCK:
-        _ASSIGN_CACHE.clear()
+    _ASSIGN_CACHE.clear()
 
 
 def assignment_cache_size() -> int:
@@ -65,7 +44,7 @@ def assignment_cache_size() -> int:
 
 
 def solve_group_assignment(
-    group_rate: np.ndarray, bandwidths_mbps: np.ndarray, *, use_cache: bool = True
+    group_rate: np.ndarray, bandwidths_mbps: np.ndarray
 ) -> tuple[int, ...]:
     """Server index per group minimizing Σ rate_j / B_{q_j} (Hungarian).
 
@@ -73,32 +52,19 @@ def solve_group_assignment(
     putting group j on server n is ``group_rate_j / B_n`` so heavy
     groups land on fat uplinks.  Empty groups cost zero everywhere and
     absorb the surplus servers.  Results are memoized on the exact
-    input arrays (the cost matrix is a deterministic function of them);
-    pass ``use_cache=False`` to force a fresh solve.
+    input arrays (the cost matrix is a deterministic function of them).
     """
     rate = np.ascontiguousarray(np.asarray(group_rate, dtype=float))
     bw = np.ascontiguousarray(np.asarray(bandwidths_mbps, dtype=float))
-    cached = use_cache and _assign_cache_enabled
-    if cached:
-        key = rate.tobytes() + b"|" + bw.tobytes()
-        with _ASSIGN_CACHE_LOCK:
-            hit = _ASSIGN_CACHE.get(key)
-            if hit is not None:
-                _ASSIGN_CACHE.move_to_end(key)
-                telemetry.counter("sched.assign_cache_hits")
-                return hit
-    cost = rate[:, None] / (bw[None, :] * 1e6)
-    row, col = linear_sum_assignment(cost)
-    server_of_group = np.full(rate.size, -1, dtype=int)
-    server_of_group[row] = col
-    result = tuple(int(v) for v in server_of_group)
-    if cached:
-        telemetry.counter("sched.assign_cache_misses")
-        with _ASSIGN_CACHE_LOCK:
-            _ASSIGN_CACHE[key] = result
-            while len(_ASSIGN_CACHE) > _assign_cache_maxsize:
-                _ASSIGN_CACHE.popitem(last=False)
-    return result
+
+    def solve() -> tuple[int, ...]:
+        cost = rate[:, None] / (bw[None, :] * 1e6)
+        row, col = linear_sum_assignment(cost)
+        server_of_group = np.full(rate.size, -1, dtype=int)
+        server_of_group[row] = col
+        return tuple(int(v) for v in server_of_group)
+
+    return _ASSIGN_CACHE.get_or_compute(rate.tobytes() + b"|" + bw.tobytes(), solve)
 
 
 def communication_latency(
@@ -131,8 +97,6 @@ def _group_rates(grouping: GroupingResult) -> np.ndarray:
 def assign_groups_to_servers(
     grouping: GroupingResult,
     bandwidths_mbps: Sequence[float],
-    *,
-    use_cache: bool = True,
 ) -> list[int]:
     """Hungarian mapping of groups to servers; returns per-stream q vector.
 
@@ -145,9 +109,7 @@ def assign_groups_to_servers(
     if n_groups > bw.size:
         raise ValueError(f"{n_groups} groups but only {bw.size} servers")
 
-    server_of_group = solve_group_assignment(
-        _group_rates(grouping), bw, use_cache=use_cache
-    )
+    server_of_group = solve_group_assignment(_group_rates(grouping), bw)
     # Return q in the order streams appear in the grouping's flat list.
     return [server_of_group[j] for j, grp in enumerate(grouping.groups) for _ in grp]
 

@@ -253,11 +253,11 @@ class TestProbitTerms:
         )
         z = mu_d / np.sqrt(2 * noise_scale**2 + var_d)
         assert np.array_equal(model.predict_pair_probability(y1, y2), norm.cdf(z))
-        loop = model.predict_pair_probability(y1[:5], y2[:5], fast=False)
-        for i in range(5):
+        for i in range(5):  # the pair-at-a-time predict form, exactly
             m, c = model.predict(np.vstack([y1[i], y2[i]]), return_cov=True)
             v = max(c[0, 0] + c[1, 1] - 2 * c[0, 1], 0.0)
-            assert loop[i] == norm.cdf((m[0] - m[1]) / np.sqrt(2 * noise_scale**2 + v))
+            p_i = model.predict_pair_probability(y1[i : i + 1], y2[i : i + 1])[0]
+            assert p_i == norm.cdf((m[0] - m[1]) / np.sqrt(2 * noise_scale**2 + v))
 
     def test_pair_probability_tails_match_scipy_stats(self, monkeypatch):
         # with λ = 1/√2 and a zero posterior covariance, z = μ₁ − μ₂ exactly

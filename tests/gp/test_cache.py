@@ -2,25 +2,30 @@
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from repro.gp import GPRegressor, Matern52Kernel, RBFKernel
 from repro.gp import cache as gp_cache
-from repro.gp.cache import CholeskyCache, cache_key, chol_cache
+from repro.gp.cache import cache_key, chol_cache
 from repro.gp.preference import ComparisonData, PreferenceGP
+from repro.obs import telemetry
+from repro.utils.lru import LRUCache
 
 
 @pytest.fixture(autouse=True)
 def _fresh_cache():
-    gp_cache.configure(enabled=True)
     gp_cache.clear()
     yield
-    gp_cache.configure(enabled=True)
     gp_cache.clear()
+
+
+def _lru(maxsize=64):
+    return LRUCache(maxsize=maxsize, counters="gp.chol_cache")
 
 
 class TestCholeskyCache:
     def test_miss_then_hit(self):
-        cache = CholeskyCache(maxsize=4)
+        cache = _lru(maxsize=4)
         calls = []
         out1 = cache.get_or_compute("k", lambda: calls.append(1) or 42)
         out2 = cache.get_or_compute("k", lambda: calls.append(1) or 43)
@@ -29,7 +34,7 @@ class TestCholeskyCache:
         assert cache.stats() == {"hits": 1, "misses": 1, "size": 1, "hit_rate": 0.5}
 
     def test_lru_eviction_order(self):
-        cache = CholeskyCache(maxsize=2)
+        cache = _lru(maxsize=2)
         cache.get_or_compute("a", lambda: 1)
         cache.get_or_compute("b", lambda: 2)
         cache.get_or_compute("a", lambda: -1)  # refresh a
@@ -37,23 +42,22 @@ class TestCholeskyCache:
         assert cache.get_or_compute("a", lambda: -1) == 1
         assert cache.get_or_compute("b", lambda: 99) == 99  # recomputed
 
-    def test_disabled_computes_every_time_and_stores_nothing(self):
-        cache = CholeskyCache()
-        cache.enabled = False
-        calls = []
-        cache.get_or_compute("k", lambda: calls.append(1) or 1)
-        cache.get_or_compute("k", lambda: calls.append(1) or 2)
-        assert len(calls) == 2
-        assert len(cache) == 0
-
-    def test_put_respects_disabled(self):
-        cache = CholeskyCache()
-        cache.enabled = False
-        cache.put("k", 1)
-        assert len(cache) == 0
+    def test_shared_cache_emits_its_counter_prefix(self, rng):
+        names = ("gp.chol_cache_hits", "gp.chol_cache_misses")
+        x = rng.uniform(0, 1, (8, 2))
+        telemetry.enable()
+        try:
+            before = telemetry.snapshot()["counters"]
+            gp = GPRegressor(Matern52Kernel(np.full(2, 0.3)), noise=1e-3)
+            gp.fit(x, np.sin(x[:, 0]), optimize=False)
+            gp.fit(x, np.cos(x[:, 0]), optimize=False)
+            after = telemetry.snapshot()["counters"]
+        finally:
+            telemetry.disable()
+        assert [after[k] - before.get(k, 0) for k in names] == [1, 1]
 
     def test_clear_resets_counts(self):
-        cache = CholeskyCache()
+        cache = _lru()
         cache.get_or_compute("k", lambda: 1)
         cache.get_or_compute("k", lambda: 1)
         cache.clear()
@@ -61,9 +65,7 @@ class TestCholeskyCache:
 
     def test_maxsize_validation(self):
         with pytest.raises(ValueError):
-            CholeskyCache(maxsize=0)
-        with pytest.raises(ValueError):
-            gp_cache.configure(maxsize=0)
+            _lru(maxsize=0)
 
 
 class TestCacheKey:
@@ -122,7 +124,7 @@ class TestRegressorCacheIntegration:
         gp1.fit(x, y, optimize=False)  # second fit reads the cache
         m1, v1 = gp1.predict(probe)
 
-        gp_cache.configure(enabled=False)
+        gp_cache.clear()  # the reference fit factorizes from scratch
         gp2 = GPRegressor(Matern52Kernel(np.full(2, 0.3)), noise=1e-3)
         gp2.fit(x, y, optimize=False)
         m2, v2 = gp2.predict(probe)
@@ -153,11 +155,16 @@ class TestPreferenceCacheIntegration:
         assert chol_cache.hits > hits_before
 
     def test_pair_probability_fast_matches_slow(self, rng):
+        # the batched path against a pair-at-a-time predict loop
         data = self._data(rng)
         model = PreferenceGP().fit(data)
         y1 = rng.uniform(0, 1, (8, 3))
         y2 = rng.uniform(0, 1, (8, 3))
-        p_fast = model.predict_pair_probability(y1, y2, fast=True)
-        p_slow = model.predict_pair_probability(y1, y2, fast=False)
-        np.testing.assert_allclose(p_fast, p_slow, rtol=0, atol=1e-10)
-        assert np.all((p_fast >= 0) & (p_fast <= 1))
+        probs = model.predict_pair_probability(y1, y2)
+        loop = np.empty(8)
+        for i in range(8):
+            mean, cov = model.predict(np.vstack([y1[i], y2[i]]), return_cov=True)
+            var_d = max(cov[0, 0] + cov[1, 1] - 2 * cov[0, 1], 0.0)
+            loop[i] = ndtr((mean[0] - mean[1]) / np.sqrt(2 * model.noise_scale**2 + var_d))
+        np.testing.assert_allclose(probs, loop, rtol=0, atol=1e-10)
+        assert np.all((probs >= 0) & (probs <= 1))

@@ -150,42 +150,3 @@ class TestLogPredictiveDensity:
     def test_unfitted_raises(self):
         with pytest.raises(RuntimeError):
             GPRegressor().log_predictive_density(np.zeros((1, 1)), np.zeros(1))
-
-
-class TestConditionOn:
-    def test_extra_data_tightens_posterior(self):
-        x, y = _toy_1d(n=10)
-        gp = GPRegressor().fit(x, y)
-        x_new = np.array([[2.5]])
-        _, var_before = gp.predict(x_new)
-        gp2 = gp.condition_on(x_new, np.sin(x_new[:, 0]))
-        _, var_after = gp2.predict(x_new)
-        assert var_after[0] < var_before[0]
-
-    def test_original_unchanged(self):
-        x, y = _toy_1d(n=10)
-        gp = GPRegressor().fit(x, y)
-        n_before = gp.n_train
-        gp.condition_on(np.array([[9.0]]), np.array([0.0]))
-        assert gp.n_train == n_before
-
-    def test_unfitted_raises(self):
-        with pytest.raises(RuntimeError):
-            GPRegressor().condition_on(np.zeros((1, 1)), np.zeros(1))
-
-    def test_refitting_copy_leaves_original_predictions(self):
-        # the copy must own its kernel: re-optimizing it used to move the
-        # original's hyperparameters under its cached Cholesky and α
-        x, y = _toy_1d(n=15)
-        gp = GPRegressor().fit(x, y)
-        x_test = np.linspace(0.0, 6.0, 25).reshape(-1, 1)
-        mean0, var0 = gp.predict(x_test)
-        theta0 = gp.kernel.get_log_params()
-        x_extra = np.array([[1.2], [3.7]])
-        copy = gp.condition_on(x_extra, np.sin(x_extra[:, 0]))
-        copy.fit(copy._x, 3.0 * copy._y_raw + np.cos(2 * copy._x[:, 0]), rng=1)
-        assert not np.array_equal(copy.kernel.get_log_params(), theta0)
-        mean1, var1 = gp.predict(x_test)
-        np.testing.assert_array_equal(mean1, mean0)
-        np.testing.assert_array_equal(var1, var0)
-        np.testing.assert_array_equal(gp.kernel.get_log_params(), theta0)

@@ -3,10 +3,11 @@
 ``GPRegressor.update`` extends the Cholesky factor by a block
 (O(n²m)) instead of refitting (O(n³)).  These tests pin the
 equivalence across random shapes, kernels, hyperparameters, and
-y-normalization settings: the fast posterior must match both the
-``fast=False`` escape hatch and a fresh fit on the concatenated data
-to tight tolerance.  The shared factor cache is disabled throughout so
-the reference paths stay genuinely independent computations.
+y-normalization settings: the updated posterior must match a fresh
+``fit(optimize=False)`` on the concatenated data to tight tolerance.
+``update`` seeds the shared factor cache for the concatenated data, so
+the cache is cleared before every reference fit: the reference then
+factorizes from scratch instead of reading the update's factor back.
 """
 
 import numpy as np
@@ -19,16 +20,15 @@ from repro.gp import cache as gp_cache
 
 KERNELS = (RBFKernel, Matern32Kernel, Matern52Kernel)
 
-#: fast and slow posteriors must agree to this tolerance (acceptance bound)
+#: updated and reference posteriors must agree to this tolerance
 ATOL = 1e-8
 
 
 @pytest.fixture(autouse=True)
-def _no_chol_cache():
-    """Keep reference fits independent of fast-path cache entries."""
-    gp_cache.configure(enabled=False)
+def _fresh_chol_cache():
+    gp_cache.clear()
     yield
-    gp_cache.configure(enabled=True)
+    gp_cache.clear()
 
 
 @st.composite
@@ -64,8 +64,9 @@ class TestIncrementalUpdateEquivalence:
 
         base = GPRegressor(copy.deepcopy(kernel), noise=noise, normalize_y=normalize_y)
         base.fit(x[:n0], y[:n0], optimize=False)
-        base.update(x[n0:], y[n0:], fast=True)
+        base.update(x[n0:], y[n0:])
 
+        gp_cache.clear()
         ref = GPRegressor(copy.deepcopy(kernel), noise=noise, normalize_y=normalize_y)
         ref.fit(x, y, optimize=False)
 
@@ -73,27 +74,6 @@ class TestIncrementalUpdateEquivalence:
         m_ref, v_ref = _posterior(ref, probe)
         np.testing.assert_allclose(m_fast, m_ref, rtol=0, atol=ATOL)
         np.testing.assert_allclose(v_fast, v_ref, rtol=0, atol=ATOL)
-
-    @given(gp_update_case())
-    @settings(max_examples=25, deadline=None)
-    def test_fast_matches_slow_escape_hatch(self, case):
-        kernel, noise, normalize_y, x, y, n0 = case
-        probe = np.linspace(-1.0, 1.0, 5)[:, None] * np.ones(x.shape[1])[None, :]
-
-        import copy
-
-        fast = GPRegressor(copy.deepcopy(kernel), noise=noise, normalize_y=normalize_y)
-        fast.fit(x[:n0], y[:n0], optimize=False)
-        fast.update(x[n0:], y[n0:], fast=True)
-
-        slow = GPRegressor(copy.deepcopy(kernel), noise=noise, normalize_y=normalize_y)
-        slow.fit(x[:n0], y[:n0], optimize=False)
-        slow.update(x[n0:], y[n0:], fast=False)
-
-        m_fast, v_fast = _posterior(fast, probe)
-        m_slow, v_slow = _posterior(slow, probe)
-        np.testing.assert_allclose(m_fast, m_slow, rtol=0, atol=ATOL)
-        np.testing.assert_allclose(v_fast, v_slow, rtol=0, atol=ATOL)
 
     @given(gp_update_case())
     @settings(max_examples=20, deadline=None)
@@ -109,8 +89,9 @@ class TestIncrementalUpdateEquivalence:
         )
         stepwise.fit(x[:n0], y[:n0], optimize=False)
         for k in range(n0, x.shape[0]):
-            stepwise.update(x[k : k + 1], y[k : k + 1], fast=True)
+            stepwise.update(x[k : k + 1], y[k : k + 1])
 
+        gp_cache.clear()
         bulk = GPRegressor(copy.deepcopy(kernel), noise=noise, normalize_y=normalize_y)
         bulk.fit(x, y, optimize=False)
 

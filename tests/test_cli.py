@@ -173,7 +173,7 @@ class TestBench:
         )
         assert rc == 0
         out = capsys.readouterr().out
-        assert "gp_update" in out and "speedup" in out
+        assert "gp_update" in out and "iters/s" in out
         assert (tmp_path / "BENCH_gp_update.json").exists()
         assert (tmp_path / "BENCH_assignment_cache.json").exists()
 
@@ -191,11 +191,22 @@ class TestBench:
         assert rc == 0
         rc = main(
             ["bench", "assignment_cache", "--profile", "smoke",
-             "--output-dir", str(tmp_path), "--check", str(base_dir),
-             "--slack", "10.0"]
+             "--output-dir", str(tmp_path), "--check", str(base_dir)]
         )
         assert rc == 0
-        assert "within" in capsys.readouterr().out
+        assert "match the baseline counters" in capsys.readouterr().out
+        # a baseline recording different work fails the gate
+        from repro.bench import load_results, save_results
+
+        record = load_results(base_dir / "BENCH_assignment_cache.json")
+        record["counters"]["sched.assign_cache_hits"] += 1
+        save_results(record, base_dir / "BENCH_assignment_cache.json")
+        rc = main(
+            ["bench", "assignment_cache", "--profile", "smoke",
+             "--output-dir", str(tmp_path), "--check", str(base_dir)]
+        )
+        assert rc == 1
+        assert "FAIL assignment_cache: sched.assign_cache_hits" in capsys.readouterr().err
 
     def test_bench_check_missing_baseline_fails(self, capsys, tmp_path):
         rc = main(
