@@ -1,4 +1,4 @@
-"""Hot-path micro-benchmarks: timed runs and work counters for the GP/BO kernels.
+"""Hot-path micro-benchmarks: timed runs and work counters for the hot kernels.
 
 Each benchmark drives one hot kernel on fixed seeds and emits a
 ``BENCH_<name>.json`` record:
@@ -9,7 +9,10 @@ Each benchmark drives one hot kernel on fixed seeds and emits a
 * ``gp_update`` — block-Cholesky appends on a single GP;
 * ``acquisition_batch`` — vectorized greedy qNEI batch selection;
 * ``eubo_pairs`` — vectorized Clark-formula EUBO pair scoring;
-* ``assignment_cache`` — memoized Hungarian group→server solves.
+* ``assignment_cache`` — memoized Hungarian group→server solves;
+* ``serve_full_solve`` — the serve planner's full re-solve
+  (:meth:`~repro.serve.engine.IncrementalPlanner.solve_all`) over a
+  seeded stream population.
 
 Each record carries wall time, iterations/s and the ``repro.obs``
 cache/vectorization counters of the timed run.  The counters are
@@ -42,6 +45,8 @@ _COUNTERS = (
     "acq.eubo_vectorized_pairs",
     "sched.assign_cache_hits",
     "sched.assign_cache_misses",
+    "serve.engine.solve_all_calls",
+    "serve.engine.upgrade_attempts",
 )
 
 #: Per-benchmark sizing knobs.  ``medium`` is the acceptance
@@ -54,6 +59,7 @@ PROFILES: dict[str, dict[str, dict[str, int]]] = {
         "acquisition_batch": {"pool": 64, "n_samples": 32, "batch": 4, "repeats": 5},
         "eubo_pairs": {"items": 24, "pairs": 80, "repeats": 4},
         "assignment_cache": {"streams": 8, "servers": 4, "variants": 5, "repeats": 100},
+        "serve_full_solve": {"streams": 120, "servers": 16, "repeats": 3},
     },
     "medium": {
         "bo_hot_path": {"m": 16, "iters": 50, "n_init": 100, "pool": 6, "n_samples": 16},
@@ -61,6 +67,7 @@ PROFILES: dict[str, dict[str, dict[str, int]]] = {
         "acquisition_batch": {"pool": 256, "n_samples": 128, "batch": 8, "repeats": 20},
         "eubo_pairs": {"items": 80, "pairs": 500, "repeats": 10},
         "assignment_cache": {"streams": 12, "servers": 6, "variants": 20, "repeats": 2000},
+        "serve_full_solve": {"streams": 120, "servers": 16, "repeats": 30},
     },
 }
 
@@ -296,12 +303,38 @@ def bench_assignment_cache(cfg: dict[str, int], seed: int) -> dict:
     return _record("assignment_cache", cfg, seed, run, repeats)
 
 
+def bench_serve_full_solve(cfg: dict[str, int], seed: int) -> dict:
+    """The serve planner's full re-solve over a fixed stream population.
+
+    Admit-all at the minimum knob pair, then one benefit-ranked upgrade
+    pass per stream — the periodic ``solve_all`` that forms the serve
+    loop's latency tail.  ``serve.engine.upgrade_attempts`` counts the
+    ``set_config`` attempts, so a change that skipped one would move it.
+    """
+    from repro.bench.harness import make_problem
+    from repro.serve.engine import IncrementalPlanner, approx_preference
+
+    repeats = cfg["repeats"]
+    problem = make_problem(cfg["streams"], cfg["servers"], rng=seed)
+    textures = {i: float(t) for i, t in enumerate(problem.textures)}
+    planner = IncrementalPlanner.for_problem(
+        problem, preference=approx_preference(problem)
+    )
+
+    def run() -> None:
+        for _ in range(repeats):
+            planner.solve_all(textures)
+
+    return _record("serve_full_solve", cfg, seed, run, repeats)
+
+
 BENCHMARKS: dict[str, Callable[[dict, int], dict]] = {
     "bo_hot_path": bench_bo_hot_path,
     "gp_update": bench_gp_update,
     "acquisition_batch": bench_acquisition_batch,
     "eubo_pairs": bench_eubo_pairs,
     "assignment_cache": bench_assignment_cache,
+    "serve_full_solve": bench_serve_full_solve,
 }
 
 

@@ -18,7 +18,7 @@ Commands:
 * ``chaos`` — run a scheduler under a deterministic fault plan
   (server crashes, bandwidth drops, stream churn) and report each
   post-fault epoch's benefit against the fault-free baseline;
-* ``bench`` — time the GP/BO hot paths on fixed seeds, write
+* ``bench`` — time the GP/BO and serve hot paths on fixed seeds, write
   ``BENCH_<name>.json`` records, and optionally gate their work
   counters against recorded baselines (``--check``; the CI bench-smoke
   job);
@@ -1401,7 +1401,7 @@ def _register_resilience(sub) -> None:
 def _register_bench(sub) -> None:
     """Benchmark commands: ``bench``."""
     p_bench = sub.add_parser(
-        "bench", help="time the GP/BO hot paths; emit BENCH_<name>.json"
+        "bench", help="time the GP/BO and serve hot paths; emit BENCH_<name>.json"
     )
     p_bench.add_argument(
         "names",

@@ -27,7 +27,7 @@ from typing import Any
 from repro.obs import telemetry
 
 #: Bump when the checkpoint payload layout changes.
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass

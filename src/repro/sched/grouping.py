@@ -20,7 +20,8 @@ invariant.  Every Algorithm-1 user places through it: the batch
 :func:`repro.sched.solvers.exact_grouping` (branch-and-bound with
 ``add``/``remove``), and the serve loop's
 :class:`repro.serve.engine.IncrementalPlanner` (benefit-ranked
-admission under churn).  Only the ordering policies differ.
+admission under churn, scanning groups with :func:`first_fit`).  Only
+the ordering policies differ.
 :func:`repro.sched.theory.theorem3_conditions` stays the reference
 predicate the group is tested against.
 """
@@ -97,9 +98,17 @@ def _is_multiple(period: float, base: float) -> bool:
     return ratio.denominator == 1
 
 
-def _period_key(period: float) -> float:
-    """Canonical dict key for a float period."""
-    return round(period, 12)
+def _all_multiples(periods, base: float) -> bool:
+    """Is every period an integer multiple of ``base`` (within ``_EPS``)?
+
+    Periods enter at 12 decimals, so float noise in a split sub-period
+    does not break a harmonic chain.
+    """
+    for q in periods:
+        ratio = round(q, 12) / base
+        if abs(ratio - round(ratio)) > _EPS:
+            return False
+    return True
 
 
 class ZeroJitterGroup:
@@ -108,58 +117,90 @@ class ZeroJitterGroup:
     Members are any objects exposing ``period``, ``processing_time`` and
     ``rate`` (bits/s) — :class:`PeriodicStream` or the serve engine's
     sub-streams.  The group keeps its distinct periods, total processing
-    time, running bit-rate and minimum period, so :meth:`fits` costs
-    O(distinct periods) instead of a rescan of every member.
+    time, running bit-rate and minimum period, plus whether every
+    period is a multiple of that minimum (``aligned``).  :meth:`fits`
+    for a candidate that does not lower the minimum is then O(1); one
+    that does re-checks the distinct periods.
     """
 
-    __slots__ = ("members", "periods", "total_p", "rate", "pmin")
+    __slots__ = ("members", "periods", "total_p", "rate", "pmin", "aligned")
 
     def __init__(self) -> None:
         self.members: list = []
-        self.periods: dict[float, int] = {}  # period key -> member count
+        self.periods: dict[float, int] = {}  # period -> member count
         self.total_p = 0.0
         self.rate = 0.0  # Σ member rate (bits/s)
         self.pmin = math.inf
+        self.aligned = True  # every period a multiple of pmin
 
     def fits(self, candidate) -> bool:
         """Would Theorem 3 still hold with ``candidate`` added?"""
-        period = candidate.period
-        pmin = min(self.pmin, period)
-        if self.total_p + candidate.processing_time > pmin + _EPS:
-            return False
-        for q in self.periods:
-            ratio = q / pmin
-            if abs(ratio - round(ratio)) > _EPS:
-                return False
-        ratio = period / pmin
-        return abs(ratio - round(ratio)) <= _EPS
+        return first_fit((self,), candidate) == 0
 
     def add(self, member) -> None:
         """Place ``member`` unchecked (best-effort overflow relies on this)."""
-        key = _period_key(member.period)
+        period = member.period
         self.members.append(member)
-        self.periods[key] = self.periods.get(key, 0) + 1
+        count = self.periods.get(period, 0)
+        self.periods[period] = count + 1
         self.total_p += member.processing_time
         self.rate += member.rate
-        self.pmin = min(self.pmin, member.period)
+        if period < self.pmin:
+            self.pmin = period
+            self.aligned = _all_multiples(self.periods, period)
+        elif not count and self.aligned:
+            self.aligned = _all_multiples((period,), self.pmin)
 
     def remove(self, member) -> None:
         """Take ``member`` out, restoring the running sums and ``pmin``."""
-        key = _period_key(member.period)
+        period = member.period
         self.members.remove(member)
-        count = self.periods[key] - 1
+        count = self.periods[period] - 1
         if count:
-            self.periods[key] = count
+            self.periods[period] = count
         else:
-            del self.periods[key]
+            del self.periods[period]
         self.total_p -= member.processing_time
         self.rate -= member.rate
         if not self.members:
             self.total_p = 0.0
             self.rate = 0.0
             self.pmin = math.inf
-        elif key == _period_key(self.pmin):
-            self.pmin = min(m.period for m in self.members)
+            self.aligned = True
+        elif not count and period == self.pmin:
+            self.pmin = min(self.periods)
+            self.aligned = _all_multiples(self.periods, self.pmin)
+        elif not count and not self.aligned:
+            self.aligned = _all_multiples(self.periods, self.pmin)
+
+
+def first_fit(groups: Sequence[ZeroJitterGroup], candidate, start: int = 0) -> int:
+    """Index of the first of ``groups[start:]`` that ``candidate`` fits.
+
+    Returns -1 when none does.  Theorem 3 must still hold after the
+    insertion: the group's total processing time stays within its
+    (possibly new) minimum period, and every period is an integer
+    multiple of that minimum.  When the candidate does not lower the
+    minimum, the cached ``aligned`` flag answers for the members and
+    the check is O(1); a new minimum re-checks the distinct periods.
+    The predicate is written out here, not called per group, because
+    this scan is the serve planner's innermost loop.
+    """
+    period = candidate.period
+    ptime = candidate.processing_time
+    for i in range(start, len(groups)):
+        group = groups[i]
+        pmin = group.pmin
+        if period < pmin:  # a new minimum re-bases every ratio
+            if not group.total_p + ptime > period + _EPS and _all_multiples(
+                group.periods, period
+            ):
+                return i
+        elif group.aligned and not group.total_p + ptime > pmin + _EPS:
+            ratio = period / pmin
+            if abs(ratio - round(ratio)) <= _EPS:
+                return i
+    return -1
 
 
 def group_streams(

@@ -9,7 +9,11 @@ O(M²) divisor-priority pass on every join and leave.
 * groups are :class:`repro.sched.grouping.ZeroJitterGroup` objects —
   the same Theorem-3 holder batch Algorithm 1 and ``exact_grouping``
   place through — so the admission check for one sub-stream is
-  O(distinct periods);
+  O(1) unless it lowers a group's minimum period;
+* every knob pair's static terms (Eq. 2–4 contributions, processing
+  time, split count, sub-stream period) are tabulated once per
+  planner, and each stream's θ_bit per resolution once per stream, so
+  scoring the candidates of a join is array arithmetic;
 * per-stream outcome contributions (Eq. 2–4 terms) are kept as running
   sums, so the outcome vector after a delta costs O(sub-streams) for
   the latency term and O(1) for the rest;
@@ -26,14 +30,21 @@ invariant with :func:`repro.sched.theory.const2_satisfied`.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from repro.core.benefit import LOWER_IS_BETTER
 from repro.core.problem import ConfigSpace, EVAProblem
+from repro.obs import telemetry
 from repro.outcomes.functions import OutcomeFunctions
 from repro.pref.decision_maker import LinearL1Preference
 from repro.sched.assignment import solve_group_assignment
-from repro.sched.grouping import InfeasibleScheduleError, ZeroJitterGroup
+from repro.sched.grouping import (
+    InfeasibleScheduleError,
+    ZeroJitterGroup,
+    first_fit,
+)
 from repro.sched.streams import PeriodicStream, split_count
 
 __all__ = ["IncrementalPlanner", "approx_preference"]
@@ -114,26 +125,56 @@ class _Sub:
             self.group = None
 
 
+class _Knob(NamedTuple):
+    """One knob pair (r, s): its static Eq. 2–4 terms and Theorem-3 split.
+
+    ``res`` indexes the planner's distinct resolutions (θ_bit's axis);
+    ``k`` sub-streams of period ``period`` carry the stream.
+    """
+
+    r: float
+    s: float
+    res: int
+    acc: float
+    net: float
+    com: float
+    eng: float
+    ptime: float
+    k: int
+    period: float
+
+
 class _Entry:
-    """Per-stream decision cache entry: config plus outcome contributions."""
+    """Per-stream decision cache entry: config plus outcome contributions.
 
-    __slots__ = ("sid", "texture", "resolution", "fps", "acc", "net", "com",
-                 "eng", "ptime", "bits", "subs")
+    ``frame_bits`` holds the stream's θ_bit per resolution and
+    ``cand_bits`` the same values per candidate knob pair, computed
+    once when the stream joins.
+    """
 
-    def __init__(self, sid: int, texture: float, resolution: float, fps: float,
-                 acc: float, net: float, com: float, eng: float,
-                 ptime: float, bits: float) -> None:
+    __slots__ = ("sid", "texture", "frame_bits", "cand_bits", "knob",
+                 "resolution", "fps", "acc", "net", "com", "eng", "ptime",
+                 "bits", "subs")
+
+    def __init__(self, sid: int, texture: float, frame_bits: list[float],
+                 cand_bits: np.ndarray) -> None:
         self.sid = sid
         self.texture = texture
-        self.resolution = resolution
-        self.fps = fps
-        self.acc = acc
-        self.net = net
-        self.com = com
-        self.eng = eng
-        self.ptime = ptime
-        self.bits = bits
+        self.frame_bits = frame_bits
+        self.cand_bits = cand_bits
+        self.knob: _Knob | None = None
+        self.resolution = self.fps = 0.0
+        self.acc = self.net = self.com = self.eng = 0.0
+        self.ptime = self.bits = 0.0
         self.subs: list[_Sub] = []
+
+    def set_knob(self, knob: _Knob) -> None:
+        self.knob = knob
+        self.resolution, self.fps = knob.r, knob.s
+        self.acc, self.net = knob.acc, knob.net
+        self.com, self.eng = knob.com, knob.eng
+        self.ptime = knob.ptime
+        self.bits = self.frame_bits[knob.res]
 
 
 class IncrementalPlanner:
@@ -179,8 +220,7 @@ class IncrementalPlanner:
         # Approximate-latency sums for candidate scoring (mean-bw model).
         self.ptime_sum = 0.0
         self.bits_sum = 0.0
-        # Static per-candidate outcome terms (texture-independent).
-        self._candidates = self._build_candidate_table()
+        self._build_knob_table()
 
     # -- construction ------------------------------------------------------
     @classmethod
@@ -195,26 +235,61 @@ class IncrementalPlanner:
             preference=preference,
         )
 
-    def _build_candidate_table(self) -> list[dict]:
+    def _build_knob_table(self) -> None:
+        """Tabulate every knob pair's static terms once per planner.
+
+        ``_candidates`` lists the pairs in config-space order, with
+        their terms as arrays for :meth:`_ranked`; ``_knobs`` maps
+        ``(r, s)`` to the same objects.
+        """
         out = self.outcomes
-        rows = []
-        for r, s in self.config_space.all_configs():
+        configs = self.config_space.all_configs()
+        self._resolutions = list(dict.fromkeys(float(r) for r, _ in configs))
+        res_index = {r: i for i, r in enumerate(self._resolutions)}
+        self._knobs: dict[tuple[float, float], _Knob] = {}
+        for r, s in configs:
+            key = (float(r), float(s))
+            if key in self._knobs:
+                continue
             rv, sv = np.array([r]), np.array([s])
-            rows.append(
-                {
-                    "r": float(r),
-                    "s": float(s),
-                    "acc": float(out.accuracy_fn(rv, sv)[0]),
-                    "net": out.encoder.bitrate(r, s) / 1e6,
-                    "com": out.profile.flops_per_frame(r) * s,
-                    "eng": (
-                        out.gamma * out.encoder.bits_per_frame(r) * s
-                        + out.profile.energy_per_frame(r) * s
-                    ),
-                    "ptime": out.profile.processing_time(r),
-                }
+            ptime = out.profile.processing_time(key[0])
+            k = split_count(key[1], ptime)
+            self._knobs[key] = _Knob(
+                key[0],
+                key[1],
+                res_index[key[0]],
+                acc=float(out.accuracy_fn(rv, sv)[0]),
+                net=out.encoder.bitrate(r, s) / 1e6,
+                com=out.profile.flops_per_frame(r) * s,
+                eng=(
+                    out.gamma * out.encoder.bits_per_frame(r) * s
+                    + out.profile.energy_per_frame(r) * s
+                ),
+                ptime=ptime,
+                k=k,
+                # 1 / (s / k), not k / s: the same float as the period of
+                # a split_high_rate_streams sub-stream (fps = s / k).
+                period=1.0 / (key[1] / k),
             )
-        return rows
+        cands = [self._knobs[(float(r), float(s))] for r, s in configs]
+        self._candidates = cands
+        self._cand_res = np.array([c.res for c in cands], dtype=np.intp)
+        self._cand_r = np.array([c.r for c in cands])
+        self._cand_s = np.array([c.s for c in cands])
+        self._cand_ptime = np.array([c.ptime for c in cands])
+        self._cand_acc = np.array([c.acc for c in cands])
+        self._cand_net = np.array([c.net for c in cands])
+        self._cand_com = np.array([c.com for c in cands])
+        self._cand_eng = np.array([c.eng for c in cands])
+        self._lowest = self._knob(
+            min(self.config_space.resolutions), min(self.config_space.fps_values)
+        )
+
+    def _knob(self, r: float, s: float) -> _Knob:
+        knob = self._knobs.get((float(r), float(s)))
+        if knob is None:
+            raise ValueError(f"({r}, {s}) is not a knob pair of the config space")
+        return knob
 
     # -- server state ------------------------------------------------------
     @property
@@ -237,6 +312,11 @@ class IncrementalPlanner:
         return np.array(
             [self.nominal_bw[j] * self.factor[j] for j in self.alive_indices()]
         )
+
+    def _mean_bw(self) -> float:
+        """Mean effective uplink (bits/s) of the latency approximation."""
+        eff = self.effective_bw()
+        return float(np.mean(eff)) * 1e6 if eff.size else 1e6
 
     def set_bandwidth_factor(self, server: int, factor: float) -> None:
         if not (0 <= server < self.n_servers):
@@ -289,8 +369,7 @@ class IncrementalPlanner:
         # Detach the dissolved group's subs; their owners re-place fully.
         for sub in list(group.members):
             sub.detach()
-        min_r = min(self.config_space.resolutions)
-        min_s = min(self.config_space.fps_values)
+        lowest = self._lowest
         for sid in affected:
             entry = self.entries[sid]
             # Pull the stream's surviving subs out too: it re-places as
@@ -298,12 +377,10 @@ class IncrementalPlanner:
             for sub in entry.subs:
                 sub.detach()
             entry.subs = []
-            if self._place_entry(entry, entry.resolution, entry.fps):
+            if self._place_entry(entry, entry.knob):
                 stats["migrated"] += 1
                 continue
-            if (entry.resolution, entry.fps) != (min_r, min_s) and self._place_entry(
-                entry, min_r, min_s
-            ):
+            if entry.knob is not lowest and self._place_entry(entry, lowest):
                 stats["degraded"] += 1
                 continue
             self._drop_entry(entry)
@@ -311,52 +388,64 @@ class IncrementalPlanner:
         return stats
 
     # -- stream mutations --------------------------------------------------
-    def _make_subs(self, sid: int, texture: float, r: float, s: float
-                   ) -> tuple[list[_Sub], float, float]:
-        """Split a (r, s) stream into its placeable subs (plus ptime, bits)."""
-        ptime = self.outcomes.profile.processing_time(r)
-        bits = self.outcomes.encoder.bits_per_frame(r, texture=texture)
-        k = split_count(s, ptime)
-        # 1 / (s / k), not k / s: the same float as the period of a
-        # split_high_rate_streams sub-stream (fps = s / k).
-        period = 1.0 / (s / k)
-        return [_Sub(sid, period, ptime, bits) for _ in range(k)], ptime, bits
+    def _new_entry(self, sid: int, texture: float) -> _Entry:
+        """An unplaced entry for a joining stream, θ_bit computed once."""
+        if sid in self.entries:
+            raise ValueError(f"stream {sid} already admitted")
+        texture = float(texture)
+        frame_bits = self._frame_bits(texture)
+        return _Entry(
+            sid, texture, frame_bits, np.array(frame_bits)[self._cand_res]
+        )
 
-    def _try_place(self, subs: list[_Sub]) -> bool:
-        """First-fit each sub into the groups; all-or-nothing."""
-        placed: list[_Sub] = []
-        for sub in subs:
-            for group in self.groups:
-                if group.fits(sub):
-                    sub.attach(group)
-                    placed.append(sub)
-                    break
-            else:
-                for p in placed:
-                    p.detach()
-                return False
+    def _frame_bits(self, texture: float) -> list[float]:
+        """θ_bit(r) per distinct resolution for one stream texture."""
+        bits_per_frame = self.outcomes.encoder.bits_per_frame
+        return [bits_per_frame(r, texture=texture) for r in self._resolutions]
+
+    def _try_place(self, entry: _Entry, knob: _Knob) -> list[_Sub] | None:
+        """First-fit the stream's subs at ``knob``; all-or-nothing.
+
+        The subs are identical, so sub j+1 resumes the scan at the
+        group sub j landed in: every earlier group is unchanged and has
+        already refused an identical sub.  Returns the placed subs, or
+        ``None`` with every group as it was.
+        """
+        bits = entry.frame_bits[knob.res]
+        subs: list[_Sub] = []
+        at = 0
+        for _ in range(knob.k):
+            sub = _Sub(entry.sid, knob.period, knob.ptime, bits)
+            at = first_fit(self.groups, sub, at)
+            if at < 0:
+                for placed in subs:
+                    placed.detach()
+                return None
+            sub.attach(self.groups[at])
+            subs.append(sub)
+        return subs
+
+    def _insert(self, entry: _Entry, knob: _Knob) -> bool:
+        """Place and register a new entry; False (state unchanged) if unfit."""
+        if not self._place_entry(entry, knob):
+            return False
+        self.entries[entry.sid] = entry
         return True
 
-    def _place_entry(self, entry: _Entry, r: float, s: float) -> bool:
-        """(Re)place an already-registered entry at config (r, s)."""
-        subs, ptime, bits = self._make_subs(entry.sid, entry.texture, r, s)
-        if not self._try_place(subs):
+    def _place_entry(self, entry: _Entry, knob: _Knob) -> bool:
+        """(Re)place a detached entry at ``knob``, swapping its sums.
+
+        A new entry's terms are zero, so taking them out leaves every
+        sum bit-identical (x + -0.0 == x).
+        """
+        subs = self._try_place(entry, knob)
+        if subs is None:
             return False
         self._sub_sums(entry, -1.0)
-        cand = self._candidate_for(r, s)
-        entry.resolution, entry.fps = float(r), float(s)
-        entry.acc, entry.net = cand["acc"], cand["net"]
-        entry.com, entry.eng = cand["com"], cand["eng"]
-        entry.ptime, entry.bits = ptime, bits
+        entry.set_knob(knob)
         entry.subs = subs
         self._sub_sums(entry, 1.0)
         return True
-
-    def _candidate_for(self, r: float, s: float) -> dict:
-        for cand in self._candidates:
-            if cand["r"] == float(r) and cand["s"] == float(s):
-                return cand
-        raise ValueError(f"({r}, {s}) is not a knob pair of the config space")
 
     def _sub_sums(self, entry: _Entry, sign: float) -> None:
         self.acc_sum += sign * entry.acc
@@ -374,20 +463,8 @@ class IncrementalPlanner:
 
     def add_stream(self, sid: int, texture: float, r: float, s: float) -> bool:
         """Admit a stream at config (r, s); False (state unchanged) if unfit."""
-        if sid in self.entries:
-            raise ValueError(f"stream {sid} already admitted")
-        subs, ptime, bits = self._make_subs(sid, texture, r, s)
-        if not self._try_place(subs):
-            return False
-        cand = self._candidate_for(r, s)
-        entry = _Entry(
-            sid, float(texture), float(r), float(s),
-            cand["acc"], cand["net"], cand["com"], cand["eng"], ptime, bits,
-        )
-        entry.subs = subs
-        self.entries[sid] = entry
-        self._sub_sums(entry, 1.0)
-        return True
+        knob = self._knob(r, s)
+        return self._insert(self._new_entry(sid, texture), knob)
 
     def remove_stream(self, sid: int) -> bool:
         """Remove a stream; False if unknown."""
@@ -402,12 +479,16 @@ class IncrementalPlanner:
         entry = self.entries.get(sid)
         if entry is None:
             raise KeyError(f"stream {sid} not admitted")
+        return self._reconfigure(entry, self._knob(r, s))
+
+    def _reconfigure(self, entry: _Entry, knob: _Knob) -> bool:
+        """Move a registered entry to ``knob``; False after a rollback."""
         old_subs = entry.subs
         old_groups = [sub.group for sub in old_subs]
         for sub in old_subs:
             sub.detach()
         entry.subs = []
-        if self._place_entry(entry, r, s):
+        if self._place_entry(entry, knob):
             return True
         # Roll back: the old subs fit their old groups by construction.
         for sub, group in zip(old_subs, old_groups):
@@ -425,30 +506,27 @@ class IncrementalPlanner:
         Hungarian assignment, which would defeat O(1) scoring).  Ties
         break toward the cheaper configuration for determinism.
         """
+        frame_bits = np.array(self._frame_bits(float(texture)))
+        ranked = self._ranked(frame_bits[self._cand_res], self._mean_bw())
+        return [(k.r, k.s) for k in ranked]
+
+    def _ranked(self, cand_bits: np.ndarray, mean_bw: float) -> list[_Knob]:
+        """:meth:`rank_configs` over a stream's per-candidate θ_bit."""
         if self.preference is None:
             raise ValueError("rank_configs needs a preference to score with")
-        eff = self.effective_bw()
-        mean_bw = float(np.mean(eff)) * 1e6 if eff.size else 1e6
-        n = len(self.entries)
+        n1 = len(self.entries) + 1
+        # Element-wise, each column is the scalar per-candidate formula
+        # in the same operation order, so every score is bit-identical.
         rows = np.empty((len(self._candidates), 5))
-        for i, cand in enumerate(self._candidates):
-            bits = self.outcomes.encoder.bits_per_frame(cand["r"], texture=texture)
-            lat = cand["ptime"] + bits / mean_bw
-            rows[i, 0] = (self.ptime_sum + self.bits_sum / mean_bw + lat) / (n + 1)
-            rows[i, 1] = (self.acc_sum + cand["acc"]) / (n + 1)
-            rows[i, 2] = self.net_sum + cand["net"]
-            rows[i, 3] = self.com_sum + cand["com"]
-            rows[i, 4] = self.eng_sum + cand["eng"]
+        lat = self._cand_ptime + cand_bits / mean_bw
+        rows[:, 0] = (self.ptime_sum + self.bits_sum / mean_bw + lat) / n1
+        rows[:, 1] = (self.acc_sum + self._cand_acc) / n1
+        rows[:, 2] = self.net_sum + self._cand_net
+        rows[:, 3] = self.com_sum + self._cand_com
+        rows[:, 4] = self.eng_sum + self._cand_eng
         scores = np.asarray(self.preference.value(rows), dtype=float)
-        order = sorted(
-            range(len(self._candidates)),
-            key=lambda i: (
-                -scores[i],
-                self._candidates[i]["r"],
-                self._candidates[i]["s"],
-            ),
-        )
-        return [(self._candidates[i]["r"], self._candidates[i]["s"]) for i in order]
+        order = np.lexsort((self._cand_s, self._cand_r, -scores))
+        return [self._candidates[i] for i in order]
 
     def admit(self, sid: int, texture: float) -> tuple[float, float] | None:
         """Admit a stream at the best config that fits (best-first greedy).
@@ -456,9 +534,10 @@ class IncrementalPlanner:
         Returns the chosen (r, s), or ``None`` if no knob pair fits —
         the admission-control reject the service counts.
         """
-        for r, s in self.rank_configs(texture):
-            if self.add_stream(sid, texture, r, s):
-                return (r, s)
+        entry = self._new_entry(sid, texture)
+        for knob in self._ranked(entry.cand_bits, self._mean_bw()):
+            if self._insert(entry, knob):
+                return (knob.r, knob.s)
         return None
 
     def utilization_of(self, sid: int) -> float:
@@ -490,8 +569,7 @@ class IncrementalPlanner:
             raise ValueError("eviction_scores needs a preference to score with")
         if not self.entries:
             return {}
-        eff = self.effective_bw()
-        mean_bw = float(np.mean(eff)) * 1e6 if eff.size else 1e6
+        mean_bw = self._mean_bw()
         sids = sorted(self.entries)
         n = len(sids)
         row_all = np.array(
@@ -506,17 +584,19 @@ class IncrementalPlanner:
         benefit_all = float(self.preference.value(row_all))
         if n == 1:
             return {sids[0]: benefit_all / self.utilization_of(sids[0])}
+        entries = [self.entries[sid] for sid in sids]
+        terms = np.array(
+            [(e.ptime, e.bits, e.acc, e.net, e.com, e.eng) for e in entries]
+        )
+        m = n - 1
         rows = np.empty((n, 5))
-        for i, sid in enumerate(sids):
-            e = self.entries[sid]
-            m = n - 1
-            rows[i, 0] = (
-                self.ptime_sum - e.ptime + (self.bits_sum - e.bits) / mean_bw
-            ) / m
-            rows[i, 1] = (self.acc_sum - e.acc) / m
-            rows[i, 2] = self.net_sum - e.net
-            rows[i, 3] = self.com_sum - e.com
-            rows[i, 4] = self.eng_sum - e.eng
+        rows[:, 0] = (
+            self.ptime_sum - terms[:, 0] + (self.bits_sum - terms[:, 1]) / mean_bw
+        ) / m
+        rows[:, 1] = (self.acc_sum - terms[:, 2]) / m
+        rows[:, 2] = self.net_sum - terms[:, 3]
+        rows[:, 3] = self.com_sum - terms[:, 4]
+        rows[:, 4] = self.eng_sum - terms[:, 5]
         benefit_without = np.asarray(self.preference.value(rows), dtype=float)
         return {
             sid: (benefit_all - float(benefit_without[i]))
@@ -551,26 +631,30 @@ class IncrementalPlanner:
         if self.n_alive == 0:
             raise InfeasibleScheduleError("no alive server to solve onto")
         self.clear_streams()
-        min_r = min(self.config_space.resolutions)
-        min_s = min(self.config_space.fps_values)
+        lowest = self._lowest
         order = sorted(textures)
         if priority_of is not None:
             order.sort(key=lambda sid: (-priority_of(sid), sid))
         stats = {"admitted": 0, "rejected": []}
         for sid in order:
-            if self.add_stream(sid, textures[sid], min_r, min_s):
+            if self._insert(self._new_entry(sid, textures[sid]), lowest):
                 stats["admitted"] += 1
             else:
                 stats["rejected"].append(sid)
+        attempts = 0
+        mean_bw = self._mean_bw()
         for sid in order:
             entry = self.entries.get(sid)
             if entry is None:
                 continue  # rejected above
-            for r, s in self.rank_configs(entry.texture):
-                if (r, s) == (entry.resolution, entry.fps):
+            for knob in self._ranked(entry.cand_bits, mean_bw):
+                if knob is entry.knob:
                     break  # already at the best feasible config
-                if self.set_config(sid, r, s):
+                attempts += 1
+                if self._reconfigure(entry, knob):
                     break
+        telemetry.counter("serve.engine.solve_all_calls")
+        telemetry.counter("serve.engine.upgrade_attempts", attempts)
         return stats
 
     def rebuild(self, configs: dict[int, tuple[float, float]],
@@ -584,17 +668,14 @@ class IncrementalPlanner:
         if self.n_alive == 0:
             raise InfeasibleScheduleError("no alive server to rebuild onto")
         self.clear_streams()
-        min_r = min(self.config_space.resolutions)
-        min_s = min(self.config_space.fps_values)
+        lowest = self._lowest
         stats = {"admitted": 0, "degraded": 0, "evicted": []}
         for sid in sorted(configs):
-            r, s = self.config_space.snap(*configs[sid])
-            texture = textures.get(sid, 1.0)
-            if self.add_stream(sid, texture, r, s):
+            knob = self._knob(*self.config_space.snap(*configs[sid]))
+            entry = self._new_entry(sid, textures.get(sid, 1.0))
+            if self._insert(entry, knob):
                 stats["admitted"] += 1
-            elif (r, s) != (min_r, min_s) and self.add_stream(
-                sid, texture, min_r, min_s
-            ):
+            elif knob is not lowest and self._insert(entry, lowest):
                 stats["degraded"] += 1
             else:
                 stats["evicted"].append(sid)

@@ -55,6 +55,14 @@ class TestHarness:
         r = run_benchmark("eubo_pairs", profile="smoke", seed=0)
         assert r["counters"]["acq.eubo_vectorized_pairs"] > 0
 
+    def test_serve_full_solve_counts_each_solve_once(self):
+        r = run_benchmark("serve_full_solve", profile="smoke", seed=0)
+        repeats = PROFILES["smoke"]["serve_full_solve"]["repeats"]
+        assert r["counters"]["serve.engine.solve_all_calls"] == repeats
+        # the same population every repeat: the same attempts each time
+        attempts = r["counters"]["serve.engine.upgrade_attempts"]
+        assert attempts > 0 and attempts % repeats == 0
+
     def test_run_benchmarks_default_runs_all(self):
         results = run_benchmarks(profile="smoke")
         assert [r["name"] for r in results] == list(BENCHMARKS)

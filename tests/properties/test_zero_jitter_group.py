@@ -27,6 +27,7 @@ from repro.sched import (
     group_streams,
     theorem3_conditions,
 )
+from repro.sched.grouping import first_fit
 from repro.sched.streams import split_count
 from repro.video.profiles import JETSON_NX_PROFILE
 
@@ -56,6 +57,27 @@ def stream_sets(draw, min_size=1, max_size=10):
         )
         for i, (fps, r, p) in enumerate(picks)
     ]
+
+
+#: periods with integer and non-integer ratios, including split-style
+#: noise (1 / (30 / 4)) next to its exact value
+_HARMONIC_PERIODS = (0.05, 0.1, 0.15, 0.2, 0.3, 0.5, 1.0 / (30.0 / 4.0), 2 / 15)
+
+
+def _reference_fits(group, candidate) -> bool:
+    """Theorem 3 from the member list: rounded periods, full loop."""
+    period = candidate.period
+    pmin = min([m.period for m in group.members] + [period])
+    total = sum(m.processing_time for m in group.members)
+    if group.total_p + candidate.processing_time > pmin + 1e-9:
+        return False
+    assert abs(group.total_p - total) < 1e-12
+    for q in {round(m.period, 12) for m in group.members}:
+        ratio = q / pmin
+        if abs(ratio - round(ratio)) > 1e-9:
+            return False
+    ratio = period / pmin
+    return abs(ratio - round(ratio)) <= 1e-9
 
 
 def _reference_first_fit(streams, n_servers, strict):
@@ -110,6 +132,37 @@ class TestZeroJitterGroup:
                 assert group.fits(cand) == theorem3_conditions(
                     [*group.members, cand]
                 )
+
+    @given(
+        pool=st.lists(
+            st.tuples(st.sampled_from(_HARMONIC_PERIODS), st.floats(1e-4, 0.02)),
+            min_size=1,
+            max_size=8,
+        ),
+        ops=st.lists(st.tuples(st.booleans(), st.integers(0, 63)), max_size=40),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_cached_state_equals_the_full_rescan(self, pool, ops):
+        # Light streams on near-harmonic periods: alignment, not
+        # capacity, decides most verdicts, and misaligned groups arise.
+        streams = [
+            PeriodicStream(stream_id=i, fps=1.0 / t, resolution=300.0,
+                           processing_time=p, bits_per_frame=1e4)
+            for i, (t, p) in enumerate(pool)
+        ]
+        group = ZeroJitterGroup()
+        for is_add, i in ops:
+            if is_add or not group.members:
+                group.add(streams[i % len(streams)])
+            else:
+                group.remove(group.members[i % len(group.members)])
+            if group.members:
+                assert group.pmin == min(m.period for m in group.members)
+            verdicts = [group.fits(c) for c in streams]
+            assert verdicts == [_reference_fits(group, c) for c in streams]
+            assert first_fit([group, group], streams[0], 1) == (
+                1 if verdicts[0] else -1
+            )
 
     @given(pool=stream_sets(max_size=8))
     @settings(max_examples=60, deadline=None)

@@ -138,3 +138,56 @@ class TestMutations:
         planner.remove_stream(min(planner.entries))
         planner.server_up(3)
         assert _schedulable(planner)
+
+
+def _snapshot(planner):
+    """Groups, entries and every running sum, floats compared exactly."""
+    groups = [
+        (g.total_p, g.rate, g.pmin, g.aligned, dict(g.periods),
+         [(m.owner, m.period) for m in g.members])
+        for g in planner.groups
+    ]
+    entries = {
+        sid: (e.resolution, e.fps, e.acc, e.net, e.com, e.eng, e.ptime,
+              e.bits, [id(sub) for sub in e.subs])
+        for sid, e in planner.entries.items()
+    }
+    sums = (planner.acc_sum, planner.net_sum, planner.com_sum,
+            planner.eng_sum, planner.ptime_sum, planner.bits_sum)
+    return groups, entries, sums
+
+
+class TestKnobPairValidation:
+    """A knob pair outside the config space raises before any group moves."""
+
+    def test_add_stream_leaves_no_orphan_sub(self):
+        planner = IncrementalPlanner([10.0, 20.0])
+        before = _snapshot(planner)
+        with pytest.raises(ValueError, match="not a knob pair"):
+            planner.add_stream(0, 1.0, 700.0, 3.0)
+        assert _snapshot(planner) == before
+        assert all(not g.members for g in planner.groups)
+        assert planner.entries == {}
+
+    def test_add_stream_on_a_loaded_schedule(self):
+        problem = _problem()
+        planner = _planner(problem)
+        planner.solve_all({i: float(t) for i, t in enumerate(problem.textures)})
+        before = _snapshot(planner)
+        with pytest.raises(ValueError, match="not a knob pair"):
+            planner.add_stream(99, 1.0, 700.0, 3.0)
+        assert _snapshot(planner) == before
+
+    def test_set_config_keeps_entry_and_sums(self):
+        problem = _problem()
+        planner = _planner(problem)
+        planner.solve_all({i: float(t) for i, t in enumerate(problem.textures)})
+        sid = min(planner.entries)
+        before = _snapshot(planner)
+        outcome = planner.outcome()
+        with pytest.raises(ValueError, match="not a knob pair"):
+            planner.set_config(sid, 700.0, 3.0)
+        assert _snapshot(planner) == before
+        assert len(planner.entries[sid].subs) > 0
+        np.testing.assert_array_equal(planner.outcome(), outcome)
+        assert _schedulable(planner)
