@@ -7,7 +7,7 @@ The top level re-exports the pieces a downstream user needs first: the
 EVA problem definition and the PaMO scheduler, the decision-maker /
 preference layer, and the benefit utilities.  Substrates (simulator,
 scheduling theory, GP library, video/detection workloads, baselines,
-MOO toolkit) live in their subpackages:
+serving stack) live in their subpackages:
 
 >>> from repro import EVAProblem, PaMO, make_preference, DecisionMaker
 >>> problem = EVAProblem(n_streams=4, bandwidths_mbps=[10, 20])

@@ -27,12 +27,37 @@ from repro.core.result import OptimizationOutcome, ScheduleDecision
 from repro.core.scheduler import SchedulerMixin
 from repro.obs import telemetry
 from repro.outcomes.functions import OBJECTIVES
-from repro.moo.scalarize import weighted_chebyshev, weighted_sum
-from repro.utils import as_generator
+from repro.utils import as_generator, check_array_1d
 from repro.utils.rng import RngLike
 
 #: objective orientation: flip accuracy so everything is minimized
 _FLIP = np.array([1.0, -1.0, 1.0, 1.0, 1.0])
+
+
+def _prep(y, weights) -> tuple[np.ndarray, np.ndarray]:
+    y = np.asarray(y, dtype=float)
+    w = check_array_1d("weights", weights, min_len=1)
+    if y.shape[-1] != w.size:
+        raise ValueError(f"outcome dim {y.shape[-1]} != weight dim {w.size}")
+    if np.any(w < 0):
+        raise ValueError("weights must be non-negative")
+    return y, w
+
+
+def weighted_sum(y, weights) -> np.ndarray:
+    """Σ w_i y_i over the last axis — the classical (and §1-criticized) rule."""
+    y, w = _prep(y, weights)
+    return (y * w).sum(axis=-1)
+
+
+def weighted_chebyshev(y, weights) -> np.ndarray:
+    """max_i w_i |y_i| over the last axis (reference point 0).
+
+    Unlike the weighted sum, Chebyshev scalarization can reach any
+    Pareto-optimal point, including non-convex regions of the front.
+    """
+    y, w = _prep(y, weights)
+    return (w * np.abs(y)).max(axis=-1)
 
 
 class WeightedSumScheduler(SchedulerMixin):

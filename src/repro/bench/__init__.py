@@ -25,7 +25,6 @@ from repro.bench.reporting import (
     format_series,
     format_table,
 )
-from repro.bench.parallel import run_parallel, default_workers
 from repro.bench.io import save_results, load_results
 from repro.bench.hotpath import (
     BENCHMARKS,
@@ -52,8 +51,6 @@ __all__ = [
     "experiment_record",
     "format_table",
     "format_series",
-    "run_parallel",
-    "default_workers",
     "format_heatmap",
     "save_results",
     "load_results",

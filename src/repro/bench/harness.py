@@ -94,7 +94,7 @@ def run_method(
 
     Construction goes through :func:`repro.baselines.make_scheduler`;
     with telemetry enabled, the arm's own counter/span deltas land in
-    ``extras['telemetry']`` so parallel sweeps can merge them.
+    ``extras['telemetry']``.
     """
     kw = {**FAST_PAMO_KWARGS, **(pamo_kwargs or {})}
 

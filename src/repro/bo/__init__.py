@@ -1,12 +1,10 @@
 """Bayesian-optimization substrate (replaces BoTorch's acquisition zoo).
 
-Provides the initial designs, the closed-form EUBO pair-selection
-criterion (Eq. 11), and the Monte-Carlo batch acquisition functions of
-§5.1 — qNEI (the paper's choice), qEI, qUCB, and qSR — plus the outer
-BO driver of Algorithm 2.
+Provides the closed-form EUBO pair-selection criterion (Eq. 11), the
+Monte-Carlo batch acquisition functions of §5.1 — qNEI (the paper's
+choice), qEI, qUCB, and qSR — and the outer BO driver of Algorithm 2.
 """
 
-from repro.bo.design import sobol_design, latin_hypercube, grid_design
 from repro.bo.eubo import eubo_batch, eubo_closed_form, eubo_for_pairs, select_eubo_pair
 from repro.bo.acquisition import (
     AcquisitionFunction,
@@ -20,9 +18,6 @@ from repro.bo.acquisition import (
 from repro.bo.loop import BOLoop, BOResult
 
 __all__ = [
-    "sobol_design",
-    "latin_hypercube",
-    "grid_design",
     "eubo_batch",
     "eubo_closed_form",
     "eubo_for_pairs",

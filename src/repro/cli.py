@@ -89,7 +89,6 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     from repro.bench.reporting import format_table
     from repro.core import EVAProblem, make_preference
     from repro.obs import telemetry
-    from repro.utils import as_generator
 
     resume_path = getattr(args, "resume", "") or ""
     resume_state = None
@@ -113,24 +112,13 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
             f"(after iteration {ckpt.iteration})"
         )
     else:
-        gen = as_generator(args.seed)
-        if args.bandwidths:
-            bw = [float(b) for b in args.bandwidths.split(",")]
-            if len(bw) != args.servers:
-                print(
-                    f"error: --bandwidths gives {len(bw)} values for "
-                    f"{args.servers} servers",
-                    file=sys.stderr,
-                )
-                return 2
-        else:
-            bw = gen.choice([5.0, 10.0, 15.0, 20.0, 25.0, 30.0], args.servers).tolist()
-        problem = EVAProblem(n_streams=args.streams, bandwidths_mbps=bw)
-
-        weights = (
-            [float(w) for w in args.weights.split(",")] if args.weights else None
-        )
-        pref = make_preference(problem, weights=weights)
+        try:
+            bw = _parse_bandwidths(args, args.servers)
+            problem = EVAProblem(n_streams=args.streams, bandwidths_mbps=bw)
+            pref = make_preference(problem, weights=_parse_weights(args))
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
         extra = {}
         if getattr(args, "checkpoint", ""):
@@ -517,25 +505,14 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.core import EVAProblem, make_preference
     from repro.obs import telemetry
     from repro.resilience import ChaosRunner, FaultPlan
-    from repro.utils import as_generator
 
-    gen = as_generator(args.seed)
-    if args.bandwidths:
-        bw = [float(b) for b in args.bandwidths.split(",")]
-        if len(bw) != args.servers:
-            print(
-                f"error: --bandwidths gives {len(bw)} values for "
-                f"{args.servers} servers",
-                file=sys.stderr,
-            )
-            return 2
-    else:
-        bw = gen.choice([5.0, 10.0, 15.0, 20.0, 25.0, 30.0], args.servers).tolist()
-    problem = EVAProblem(n_streams=args.streams, bandwidths_mbps=bw)
-    weights = (
-        [float(w) for w in args.weights.split(",")] if args.weights else None
-    )
-    pref = make_preference(problem, weights=weights)
+    try:
+        bw = _parse_bandwidths(args, args.servers)
+        problem = EVAProblem(n_streams=args.streams, bandwidths_mbps=bw)
+        pref = make_preference(problem, weights=_parse_weights(args))
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     try:
         if args.faults:
@@ -693,19 +670,34 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_bandwidths(args: argparse.Namespace, n_servers: int, gen) -> list[float] | None:
-    """Resolve --bandwidths (or seeded defaults); None + stderr on mismatch."""
+def _parse_floats(flag: str, text: str, n: int, per: str) -> list[float]:
+    """``text`` as exactly ``n`` comma-separated numbers; ValueError otherwise."""
+    try:
+        values = [float(v) for v in text.split(",")]
+    except ValueError:
+        raise ValueError(f"{flag} must be comma-separated numbers, got {text!r}") from None
+    if len(values) != n:
+        raise ValueError(f"{flag} gives {len(values)} values for {n} {per}")
+    return values
+
+
+def _parse_bandwidths(args: argparse.Namespace, n_servers: int) -> list[float]:
+    """--bandwidths (or defaults drawn from --seed); ValueError on a malformed flag."""
+    from repro.utils import as_generator
+
     if args.bandwidths:
-        bw = [float(b) for b in args.bandwidths.split(",")]
-        if len(bw) != n_servers:
-            print(
-                f"error: --bandwidths gives {len(bw)} values for "
-                f"{n_servers} servers",
-                file=sys.stderr,
-            )
-            return None
-        return bw
-    return gen.choice([5.0, 10.0, 15.0, 20.0, 25.0, 30.0], n_servers).tolist()
+        return _parse_floats("--bandwidths", args.bandwidths, n_servers, "servers")
+    choices = [5.0, 10.0, 15.0, 20.0, 25.0, 30.0]
+    return as_generator(args.seed).choice(choices, n_servers).tolist()
+
+
+def _parse_weights(args: argparse.Namespace) -> list[float] | None:
+    """--weights, one per objective (None: equal); ValueError on a malformed flag."""
+    from repro.outcomes.functions import OBJECTIVES
+
+    if not args.weights:
+        return None
+    return _parse_floats("--weights", args.weights, len(OBJECTIVES), "objectives")
 
 
 def _churn_profile(args: argparse.Namespace):
@@ -825,7 +817,6 @@ def _cmd_serve_run(args: argparse.Namespace) -> int:
         approx_preference,
         generate_load,
     )
-    from repro.utils import as_generator
 
     log = None
     if args.events:
@@ -841,8 +832,6 @@ def _cmd_serve_run(args: argparse.Namespace) -> int:
         return 2
     wal_spec = None
     if args.resume:
-        from repro.resilience.checkpoint import load_checkpoint  # noqa: F401
-
         try:
             service = SchedulerService.resume(args.resume)
         except (OSError, ValueError, EOFError, pickle.UnpicklingError) as exc:
@@ -866,15 +855,14 @@ def _cmd_serve_run(args: argparse.Namespace) -> int:
             n_servers = log.n_servers or args.servers
         else:
             n_streams, n_servers = args.streams, args.servers
-        gen = as_generator(args.seed)
-        bw = _parse_bandwidths(args, n_servers, gen)
-        if bw is None:
+        try:
+            bw = _parse_bandwidths(args, n_servers)
+            weights = _parse_weights(args)
+            problem = EVAProblem(n_streams=n_streams, bandwidths_mbps=bw)
+            pref = approx_preference(problem, weights=weights)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
             return 2
-        problem = EVAProblem(n_streams=n_streams, bandwidths_mbps=bw)
-        weights = (
-            [float(w) for w in args.weights.split(",")] if args.weights else None
-        )
-        pref = approx_preference(problem, weights=weights)
         factory = (
             RegistryFactory(args.method, pref, seed=args.seed)
             if args.method

@@ -30,10 +30,6 @@ Concepts
   *outermost* span runs under :mod:`cProfile` and the aggregate top
   functions appear in :meth:`report`; with ``trace_malloc=True`` spans
   additionally record their peak traced-memory delta.
-
-Cross-process use: worker processes (see :mod:`repro.bench.parallel`)
-enable a fresh registry, run their arm, and ship ``report()`` dicts
-back; the parent folds them in with :meth:`merge_report`.
 """
 
 from __future__ import annotations
@@ -147,7 +143,6 @@ class Telemetry:
         self._profiler_depth = 0
         self._started_tracemalloc = False
         self._trace_id: str | None = None
-        self._parent_span_id: str | None = None
         self._pid = os.getpid()
         self._metrics = None  # optional live MetricsRegistry mirror
 
@@ -165,25 +160,12 @@ class Telemetry:
         """Trace ID of the current (or most recent) enabled run."""
         return self._trace_id
 
-    def current_span_id(self) -> str | None:
-        """Span ID of the innermost open span on this thread.
-
-        Falls back to the cross-process parent span when no span is
-        open (the link :mod:`repro.bench.parallel` workers inherit).
-        """
-        stack = getattr(self._local, "stack", None)
-        if stack:
-            return stack[-1][1]
-        return self._parent_span_id
-
     def enable(
         self,
         sink: EventSink | str | None = None,
         *,
         profile: bool = False,
         trace_malloc: bool = False,
-        trace_id: str | None = None,
-        parent_span_id: str | None = None,
     ) -> "Telemetry":
         """Turn recording on.
 
@@ -192,11 +174,7 @@ class Telemetry:
         ``profile=True`` wraps outermost spans in :mod:`cProfile`;
         ``trace_malloc=True`` records per-span peak memory deltas.
 
-        Every enabled run belongs to a *trace*: a fresh ``trace_id`` is
-        generated unless one is passed in (worker processes inherit the
-        parent's so merged event logs reconstruct one trace tree), and
-        ``parent_span_id`` links this process's root spans under a span
-        of another process.
+        Every enabled run belongs to a *trace* with a fresh ``trace_id``.
         """
         if isinstance(sink, (str, bytes)) or hasattr(sink, "__fspath__"):
             sink = JsonlSink(sink)
@@ -209,16 +187,10 @@ class Telemetry:
             if not tracemalloc.is_tracing():
                 tracemalloc.start()
                 self._started_tracemalloc = True
-        self._trace_id = trace_id or new_trace_id()
-        self._parent_span_id = parent_span_id
+        self._trace_id = new_trace_id()
         self._pid = os.getpid()
         self._enabled = True
-        self.event(
-            "trace.start",
-            trace_id=self._trace_id,
-            pid=self._pid,
-            parent_id=self._parent_span_id,
-        )
+        self.event("trace.start", trace_id=self._trace_id, pid=self._pid)
         return self
 
     def disable(self) -> "Telemetry":
@@ -279,7 +251,6 @@ class Telemetry:
             span.parent_id = stack[-1][1]
         else:
             span.path = span.name
-            span.parent_id = self._parent_span_id
         stack.append((span.name, span.span_id))
         if self._trace_malloc:
             import tracemalloc
@@ -370,17 +341,6 @@ class Telemetry:
             return
         self._sink.emit({"event": kind, "ts": time.time(), "pid": self._pid, **fields})
 
-    def emit_raw(self, record: dict[str, Any]) -> None:
-        """Forward an already-built event record to the sink verbatim.
-
-        Used when folding worker-process event logs into the parent's
-        sink: the records keep their original trace/span IDs, pid, and
-        timestamps.
-        """
-        if not self._enabled:
-            return
-        self._sink.emit(record)
-
     def emit_summary(self, **extra: Any) -> None:
         """Emit a ``run.summary`` event holding the full :meth:`report`.
 
@@ -458,41 +418,6 @@ class Telemetry:
         if self._pstats is not None and since is None:
             out["profile"] = {"top": _top_functions(self._pstats)}
         return out
-
-    def merge_report(self, report: dict[str, Any] | None) -> "Telemetry":
-        """Fold a worker-process :meth:`report` into this registry.
-
-        Counters sum, gauges take the incoming value, span stats
-        combine (count/total add, min/max widen, duration reservoirs
-        pool and re-subsample to the bound).  ``None`` and profile
-        sections are ignored.
-        """
-        if not report:
-            return self
-        with self._lock:
-            for k, v in report.get("counters", {}).items():
-                self._counters[k] = self._counters.get(k, 0) + v
-            for k, v in report.get("gauges", {}).items():
-                self._gauges[k] = v
-            for k, v in report.get("spans", {}).items():
-                st = self._spans.setdefault(k, _new_stats())
-                st["count"] += v.get("count", 0)
-                st["total_s"] += v.get("total_s", 0.0)
-                st["min_s"] = min(st["min_s"], v.get("min_s", float("inf")))
-                st["max_s"] = max(st["max_s"], v.get("max_s", 0.0))
-                if "mem_peak_bytes" in v:
-                    st["mem_peak_bytes"] = max(
-                        st.get("mem_peak_bytes", 0), v["mem_peak_bytes"]
-                    )
-                incoming = v.get("sample")
-                if incoming:
-                    res = self._samples.setdefault(k, [])
-                    res.extend(float(d) for d in incoming)
-                    if len(res) > RESERVOIR_SIZE:
-                        self._samples[k] = self._sample_rng.sample(
-                            res, RESERVOIR_SIZE
-                        )
-        return self
 
 
 def _top_functions(stats: pstats.Stats, n: int = 20) -> list[dict[str, Any]]:

@@ -1,17 +1,15 @@
 """Trace reconstruction and Chrome ``trace_event`` export.
 
 Every enabled telemetry run is a *trace*: ``Telemetry.enable`` mints a
-trace ID, each completed span carries a span ID plus a parent link, and
-:mod:`repro.bench.parallel` propagates the IDs into worker processes so
-a merged JSONL log is one tree.  This module turns such a log back into
-structure:
+trace ID and each completed span carries a span ID plus a parent link.
+This module turns such a log back into structure:
 
 * :func:`load_events` — parse a JSONL event log (tolerates a torn final
   line from a crashed run);
 * :func:`build_span_forest` — reconstruct the span tree(s) from span
   IDs / parent links;
 * :func:`orphan_parent_ids` — parent IDs referenced but never defined
-  (should be empty for a complete merged trace);
+  (should be empty for a complete log);
 * :func:`to_chrome_trace` / :func:`write_chrome_trace` — convert to the
   Chrome ``trace_event`` JSON format, viewable in Perfetto
   (https://ui.perfetto.dev) or ``chrome://tracing``.
@@ -84,10 +82,8 @@ def build_span_forest(events: Sequence[dict[str, Any]]) -> list[SpanNode]:
     """Reconstruct span trees from a (possibly multi-process) event log.
 
     Returns the root nodes (spans with no parent, or whose parent never
-    completed in this log), children sorted by start time.  A single
-    in-process run yields one root per top-level span; a merged
-    ``run_parallel`` log yields one tree because worker roots link to
-    the parent process's enclosing span.
+    completed in this log), children sorted by start time: one root per
+    top-level span of each run in the log.
     """
     nodes: dict[str, SpanNode] = {}
     for e in _span_events(events):
@@ -118,8 +114,8 @@ def build_span_forest(events: Sequence[dict[str, Any]]) -> list[SpanNode]:
 def orphan_parent_ids(events: Sequence[dict[str, Any]]) -> set[str]:
     """Parent span IDs referenced by spans but not defined in the log.
 
-    A complete merged trace has none; anything returned here points at
-    a worker log that was dropped instead of folded back in.
+    A complete log has none; anything returned here points at a span
+    whose enclosing span never completed (a crashed or truncated run).
     """
     spans = _span_events(events)
     known = {str(e["span_id"]) for e in spans}
@@ -158,8 +154,7 @@ def to_chrome_trace(events: Sequence[dict[str, Any]]) -> dict[str, Any]:
     for e in events:
         if e.get("event") == "trace.start" and e.get("pid") is not None:
             tag = str(e.get("trace_id", ""))[:8]
-            role = "worker" if e.get("parent_id") else "main"
-            pids[int(e["pid"])] = f"repro {role} (trace {tag}, pid {e['pid']})"
+            pids[int(e["pid"])] = f"repro (trace {tag}, pid {e['pid']})"
 
     for e in spans:
         start = float(e.get("start_ts", e.get("ts", 0.0) - e["duration_s"]))

@@ -15,9 +15,6 @@ away.  This package makes those regimes *testable* and *survivable*:
 * :mod:`repro.resilience.checkpoint` — periodic BO-loop state
   serialization so ``repro <scheduler> --resume <ckpt>`` continues a
   crashed run bit-identically;
-* :mod:`repro.resilience.retry` — :class:`RetryPolicy` (bounded
-  retries, exponential backoff, per-arm timeout) consumed by
-  :func:`repro.bench.parallel.run_parallel`;
 * :mod:`repro.resilience.breaker` — :class:`CircuitBreaker`
   (closed/open/half-open) guarding the serve loop's full-solve path;
   open = brownout operation until half-open probes pass.
@@ -30,7 +27,6 @@ from repro.resilience.faults import (
     FaultPlan,
     parse_fault_spec,
 )
-from repro.resilience.retry import RetryPolicy
 from repro.resilience.checkpoint import (
     CheckpointData,
     load_checkpoint,
@@ -45,7 +41,6 @@ __all__ = [
     "FaultEvent",
     "FaultPlan",
     "parse_fault_spec",
-    "RetryPolicy",
     "CheckpointData",
     "load_checkpoint",
     "save_checkpoint",

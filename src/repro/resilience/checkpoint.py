@@ -121,17 +121,3 @@ def load_checkpoint(path) -> CheckpointData:
         bo_state=payload["bo_state"],
         meta=dict(payload.get("meta", {})),
     )
-
-
-def resume_run(path):
-    """Load ``path`` and continue the optimization to completion.
-
-    Returns the scheduler's :class:`~repro.core.result.
-    OptimizationOutcome` — identical to what the uninterrupted run
-    with the same seed would have produced.
-    """
-    ckpt = load_checkpoint(path)
-    telemetry.event(
-        "ckpt.resume", path=str(path), iteration=ckpt.iteration
-    )
-    return ckpt.scheduler.optimize(resume=ckpt.bo_state)

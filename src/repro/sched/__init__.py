@@ -24,7 +24,6 @@ from repro.sched.grouping import (
     InfeasibleScheduleError,
 )
 from repro.sched.assignment import (
-    assign_groups_to_servers,
     resolve_assignment,
     communication_latency,
     solve_group_assignment,
@@ -35,12 +34,6 @@ from repro.sched.solvers import (
     exact_grouping,
     AnnealedScheduler,
     AnnealResult,
-)
-from repro.sched.virtualization import (
-    PhysicalServer,
-    VirtualSlot,
-    VirtualCluster,
-    virtualize,
 )
 
 __all__ = [
@@ -58,7 +51,6 @@ __all__ = [
     "ZeroJitterGroup",
     "divisor_priorities",
     "InfeasibleScheduleError",
-    "assign_groups_to_servers",
     "resolve_assignment",
     "communication_latency",
     "solve_group_assignment",
@@ -67,8 +59,4 @@ __all__ = [
     "exact_grouping",
     "AnnealedScheduler",
     "AnnealResult",
-    "PhysicalServer",
-    "VirtualSlot",
-    "VirtualCluster",
-    "virtualize",
 ]

@@ -94,84 +94,18 @@ def _group_rates(grouping: GroupingResult) -> np.ndarray:
     )
 
 
-def assign_groups_to_servers(
-    grouping: GroupingResult,
-    bandwidths_mbps: Sequence[float],
-) -> list[int]:
-    """Hungarian mapping of groups to servers; returns per-stream q vector.
-
-    The returned list is indexed by *stream order in the grouping* —
-    callers should use :meth:`resolve_assignment` for an id-keyed view.
-    The underlying solve is memoized (see :func:`solve_group_assignment`).
-    """
-    bw = check_array_1d("bandwidths_mbps", bandwidths_mbps, min_len=1)
-    n_groups = len(grouping.groups)
-    if n_groups > bw.size:
-        raise ValueError(f"{n_groups} groups but only {bw.size} servers")
-
-    server_of_group = solve_group_assignment(_group_rates(grouping), bw)
-    # Return q in the order streams appear in the grouping's flat list.
-    return [server_of_group[j] for j, grp in enumerate(grouping.groups) for _ in grp]
-
-
-def reassign_to_surviving(
-    streams: Sequence[PeriodicStream],
-    assignment: Sequence[int],
-    alive: Sequence[bool],
-    bandwidths_mbps: Sequence[float],
-) -> list[int]:
-    """Remap streams off dead servers, keeping survivors' placements.
-
-    Emergency repair used between a server crash and the next full
-    replan: streams already on a live server stay put (their zero-jitter
-    grouping still holds); each orphaned stream moves to the live server
-    with the smallest post-move bit-rate load per unit bandwidth,
-    heaviest orphans first.  The result generally violates Algorithm 1's
-    harmonic grouping — it is a stopgap, not a schedule — but every
-    stream lands on a live server.
-
-    Raises ``ValueError`` if no server is alive.
-    """
-    bw = check_array_1d("bandwidths_mbps", bandwidths_mbps, min_len=1)
-    alive = [bool(a) for a in alive]
-    if len(alive) != bw.size:
-        raise ValueError(f"alive has {len(alive)} entries for {bw.size} servers")
-    if not any(alive):
-        raise ValueError("no surviving server to reassign onto")
-    if len(assignment) != len(streams):
-        raise ValueError(
-            f"{len(streams)} streams but {len(assignment)} assignment entries"
-        )
-
-    new_assignment = list(assignment)
-    load = np.zeros(bw.size)  # bits/s already committed per server
-    orphans: list[int] = []
-    for i, (s, q) in enumerate(zip(streams, assignment)):
-        if q == -1:
-            continue
-        if not (0 <= q < bw.size):
-            raise ValueError(f"assignment {q} out of range for {bw.size} servers")
-        if alive[q]:
-            load[q] += s.bits_per_frame * s.fps
-        else:
-            orphans.append(i)
-
-    orphans.sort(key=lambda i: -streams[i].bits_per_frame * streams[i].fps)
-    live = [n for n in range(bw.size) if alive[n]]
-    for i in orphans:
-        rate = streams[i].bits_per_frame * streams[i].fps
-        best = min(live, key=lambda n: (load[n] + rate) / (bw[n] * 1e6))
-        new_assignment[i] = best
-        load[best] += rate
-    return new_assignment
-
-
 def resolve_assignment(
     grouping: GroupingResult,
     bandwidths_mbps: Sequence[float],
     streams: Sequence[PeriodicStream],
 ) -> list[int]:
-    """Per-stream server vector aligned with the caller's ``streams`` order."""
+    """Per-stream server vector aligned with the caller's ``streams`` order.
+
+    The Hungarian solve behind it is memoized (see
+    :func:`solve_group_assignment`).
+    """
     bw = check_array_1d("bandwidths_mbps", bandwidths_mbps, min_len=1)
+    if len(grouping.groups) > bw.size:
+        raise ValueError(f"{len(grouping.groups)} groups but only {bw.size} servers")
     server_of_group = solve_group_assignment(_group_rates(grouping), bw)
     return [server_of_group[grouping.group_of[s.stream_id]] for s in streams]

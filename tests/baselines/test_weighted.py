@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import WeightedSumScheduler
+from repro.baselines.weighted import weighted_chebyshev, weighted_sum
 from repro.core import EVAProblem, make_preference
 
 
@@ -65,3 +66,23 @@ class TestWeightedSumScheduler:
             for i in range(60)
         )
         assert z_equal <= best + 1e-9
+
+
+class TestScalarization:
+    def test_weighted_sum(self):
+        assert weighted_sum([1.0, 2.0], [0.5, 1.0]) == pytest.approx(2.5)
+
+    def test_weighted_sum_batched(self):
+        out = weighted_sum(np.array([[1.0, 0.0], [0.0, 1.0]]), [2.0, 3.0])
+        np.testing.assert_allclose(out, [2.0, 3.0])
+
+    def test_chebyshev(self):
+        assert weighted_chebyshev([1.0, 3.0], [1.0, 1.0]) == pytest.approx(3.0)
+
+    def test_negative_weights_raise(self):
+        with pytest.raises(ValueError):
+            weighted_sum([1.0], [-1.0])
+
+    def test_dim_mismatch_raises(self):
+        with pytest.raises(ValueError):
+            weighted_sum([1.0, 2.0], [1.0])

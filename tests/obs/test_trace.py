@@ -4,8 +4,7 @@ import json
 
 import pytest
 
-from repro.bench import run_parallel
-from repro.obs import MemorySink, Telemetry, telemetry
+from repro.obs import Telemetry
 from repro.obs.trace import (
     build_span_forest,
     load_events,
@@ -14,13 +13,6 @@ from repro.obs.trace import (
     trace_ids,
     write_chrome_trace,
 )
-
-
-def _traced_arm(x):
-    with telemetry.span("arm"):
-        with telemetry.span("inner"):
-            telemetry.counter("arm.calls")
-    return x
 
 
 @pytest.fixture
@@ -79,63 +71,6 @@ class TestSpanForest:
         roots = build_span_forest(events)
         assert roots[0].trace_id == t.trace_id
         assert trace_ids(events) == [t.trace_id]
-
-
-class TestCrossProcessTrace:
-    def test_merged_log_reconstructs_one_tree(self, log):
-        """run_parallel workers join the parent trace: merged JSONL has a
-        single trace ID, no orphaned parent IDs, and worker spans hang
-        under the span enclosing the run_parallel call."""
-        telemetry.reset()
-        telemetry.enable(log)
-        try:
-            with telemetry.span("sweep"):
-                out = run_parallel(
-                    _traced_arm, [(i,) for i in range(3)], n_workers=2
-                )
-            telemetry.emit_summary()
-            parent_trace = telemetry.trace_id
-        finally:
-            telemetry.disable()
-            telemetry.reset()
-        assert out == [0, 1, 2]
-
-        events = load_events(log)
-        assert trace_ids(events) == [parent_trace]
-        assert orphan_parent_ids(events) == set()
-
-        roots = build_span_forest(events)
-        assert len(roots) == 1
-        sweep = roots[0]
-        assert sweep.name == "sweep"
-        arms = [c for c in sweep.children if c.name == "arm"]
-        assert len(arms) == 3
-        for arm in arms:
-            assert arm.trace_id == parent_trace
-            assert [g.name for g in arm.children] == ["inner"]
-        # at least two distinct worker processes contributed spans
-        pids = {a.pid for a in arms}
-        assert len(pids) >= 2
-
-    def test_worker_events_report_their_own_pid(self, log):
-        telemetry.reset()
-        telemetry.enable(log)
-        try:
-            with telemetry.span("sweep"):
-                run_parallel(_traced_arm, [(i,) for i in range(3)], n_workers=2)
-        finally:
-            telemetry.disable()
-            telemetry.reset()
-        events = load_events(log)
-        arm_pids = {
-            e["pid"] for e in events if e.get("event") == "span" and e["name"] == "arm"
-        }
-        sweep_pids = {
-            e["pid"]
-            for e in events
-            if e.get("event") == "span" and e["name"] == "sweep"
-        }
-        assert arm_pids.isdisjoint(sweep_pids)
 
 
 class TestChromeExport:

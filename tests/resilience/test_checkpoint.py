@@ -8,7 +8,7 @@ import pytest
 from repro.core import EVAProblem, PaMO, make_preference
 from repro.pref import DecisionMaker
 from repro.resilience import load_checkpoint, save_checkpoint
-from repro.resilience.checkpoint import CHECKPOINT_VERSION, resume_run
+from repro.resilience.checkpoint import CHECKPOINT_VERSION
 
 
 def _small_pamo(problem, dm, **kw):
@@ -87,7 +87,8 @@ class TestPaMOResume:
         assert checkpointed.decision.benefit == baseline.decision.benefit
 
         # "Kill" the run: drop the finished scheduler, continue from disk.
-        resumed = resume_run(ckpt_path)
+        ckpt = load_checkpoint(ckpt_path)
+        resumed = ckpt.scheduler.optimize(resume=ckpt.bo_state)
         np.testing.assert_array_equal(
             resumed.decision.resolutions, baseline.decision.resolutions
         )

@@ -1,4 +1,4 @@
-"""Degradation ladder, emergency reassignment, and PaMO's BO fallback."""
+"""Degradation ladder and PaMO's BO fallback."""
 
 import numpy as np
 import pytest
@@ -14,8 +14,6 @@ from repro.bo.loop import BOLoop
 from repro.core import EVAProblem, PaMO, make_preference
 from repro.obs import MemorySink, telemetry
 from repro.pref import DecisionMaker
-from repro.sched.assignment import reassign_to_surviving
-from repro.sched.streams import PeriodicStream
 
 
 class _BrokenAcquisition:
@@ -107,46 +105,6 @@ class TestFallbackAcquisition:
             "qUCB",
             "random",
         ]
-
-
-def _stream(i, fps, bits):
-    return PeriodicStream(
-        stream_id=i, fps=fps, resolution=640.0,
-        processing_time=0.01, bits_per_frame=bits,
-    )
-
-
-class TestReassignToSurviving:
-    def test_keeps_live_placements_and_moves_orphans(self):
-        streams = [_stream(0, 10, 2e5), _stream(1, 5, 1e5), _stream(2, 10, 1e5)]
-        out = reassign_to_surviving(
-            streams, [0, 1, 1], alive=[True, False, True], bandwidths_mbps=[10, 10, 10]
-        )
-        assert out[0] == 0  # server 0 survived; placement untouched
-        assert out[1] != 1 and out[2] != 1
-        assert all(a in (0, 2) for a in out)
-
-    def test_balances_by_load_per_bandwidth(self):
-        streams = [_stream(0, 10, 4e5), _stream(1, 10, 4e5)]
-        out = reassign_to_surviving(
-            streams, [0, 0], alive=[False, True, True], bandwidths_mbps=[10, 10, 40]
-        )
-        # both orphans prefer the wide uplink until it is loaded enough
-        assert set(out) <= {1, 2}
-        assert out[0] == 2  # heaviest orphan goes to the biggest pipe first
-
-    def test_unassigned_entries_pass_through(self):
-        streams = [_stream(0, 10, 1e5)]
-        assert reassign_to_surviving(
-            streams, [-1], alive=[True, True], bandwidths_mbps=[10, 10]
-        ) == [-1]
-
-    def test_no_survivors_raises(self):
-        streams = [_stream(0, 10, 1e5)]
-        with pytest.raises(ValueError, match="surviving"):
-            reassign_to_surviving(
-                streams, [0], alive=[False, False], bandwidths_mbps=[10, 10]
-            )
 
 
 class TestPaMOFallback:

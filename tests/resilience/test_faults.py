@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.bench import run_parallel
 from repro.obs import MemorySink, telemetry
 from repro.resilience import FaultEvent, FaultPlan, parse_fault_spec
 from repro.sim.cluster import EdgeCluster, StreamSpec
@@ -39,20 +38,6 @@ def _run_once(plan):
         telemetry.disable()
         telemetry.reset()
     return faults, counts, dropped
-
-
-def _sim_arm(seed):
-    """Picklable arm for the cross-worker determinism test."""
-    plan = FaultPlan.random(
-        n_servers=3, n_streams=3, horizon=3.0, n_faults=4, rng=seed
-    )
-    cluster = EdgeCluster([30.0, 20.0, 10.0])
-    report = cluster.run(_streams(), [0, 1, 2], 4.0, fault_plan=plan)
-    return (
-        tuple((e.kind, e.target, e.time) for e in plan),
-        {s: m.frames_completed for s, m in report.streams.items()},
-        tuple(srv.frames_dropped for srv in cluster.servers),
-    )
 
 
 class TestFaultEvent:
@@ -164,10 +149,3 @@ class TestDeterministicReplay:
             FaultPlan.from_specs(["leave:0@1.0", "join:0@2.0"])
         )
         assert quiet[1][0][0] < rejoin[1][0][0] <= _run_once(FaultPlan(()))[1][0][0]
-
-    def test_identical_across_run_parallel_workers(self):
-        """The same seed yields the same faults/metrics in every process."""
-        inline = _sim_arm(5)
-        outs = run_parallel(_sim_arm, [(5,), (5,), (5,)], n_workers=2)
-        for out in outs:
-            assert out == inline

@@ -8,7 +8,6 @@ from repro.obs import telemetry
 from repro.sched import PeriodicStream, group_streams
 from repro.sched import assignment
 from repro.sched.assignment import (
-    assign_groups_to_servers,
     assignment_cache_size,
     clear_assignment_cache,
     resolve_assignment,
@@ -102,17 +101,15 @@ class TestSolveGroupAssignment:
 
 
 class TestCallerConsistency:
-    def test_assign_groups_cached_vs_uncached(self):
+    def test_resolve_cached_vs_uncached(self):
         streams = _streams(6)
         grouping = group_streams(streams, 3, strict=False)
         bw = [10.0, 20.0, 30.0]
-        q_cached = assign_groups_to_servers(grouping, bw)
-        assert assign_groups_to_servers(grouping, bw) == q_cached
+        q_cached = resolve_assignment(grouping, bw, streams)
+        assert resolve_assignment(grouping, bw, streams) == q_cached
         rates = [sum(s.bits_per_frame * s.fps for s in grp) for grp in grouping.groups]
         server_of_group = _fresh_solve(rates, bw)
-        assert q_cached == [
-            server_of_group[j] for j, grp in enumerate(grouping.groups) for _ in grp
-        ]
+        assert q_cached == [server_of_group[grouping.group_of[s.stream_id]] for s in streams]
 
     def test_resolve_assignment_repeat_hits_cache(self):
         streams = _streams(6)
@@ -124,12 +121,9 @@ class TestCallerConsistency:
         assert q1 == q2
         assert assignment_cache_size() == size_after_first  # pure hit, no growth
 
-    def test_resolve_matches_assign_ordering(self):
+    def test_resolve_follows_caller_stream_order(self):
         streams = _streams(5)
         grouping = group_streams(streams, 3, strict=False)
         bw = [10.0, 20.0, 30.0]
         by_stream = resolve_assignment(grouping, bw, streams)
-        flat = assign_groups_to_servers(grouping, bw)
-        ordered_ids = [s.stream_id for grp in grouping.groups for s in grp]
-        for sid, q in zip(ordered_ids, flat):
-            assert by_stream[sid] == q
+        assert resolve_assignment(grouping, bw, streams[::-1]) == by_stream[::-1]

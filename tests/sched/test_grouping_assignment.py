@@ -9,7 +9,6 @@ from repro.sched import (
     GroupingResult,
     InfeasibleScheduleError,
     PeriodicStream,
-    assign_groups_to_servers,
     communication_latency,
     const1_satisfied,
     const2_satisfied,
@@ -123,10 +122,9 @@ class TestAssignment:
         heavy = [_stream(0, 10, 0.01, bits=1e6)]
         light = [_stream(1, 10, 0.01, bits=1e3)]
         grouping = GroupingResult(groups=[heavy, light])
-        q = assign_groups_to_servers(grouping, [5.0, 50.0])
-        # heavy stream (listed first) must land on the 50 Mbps server (idx 1)
-        assert q[0] == 1
-        assert q[1] == 0
+        q = resolve_assignment(grouping, [5.0, 50.0], heavy + light)
+        # the heavy stream must land on the 50 Mbps server (idx 1)
+        assert q == [1, 0]
 
     def test_resolve_assignment_order(self):
         s0 = _stream(0, 10, 0.01, bits=1e6)
@@ -139,13 +137,13 @@ class TestAssignment:
 
     def test_more_groups_than_servers_raises(self):
         grouping = GroupingResult(groups=[[_stream(0, 10, 0.01)], [_stream(1, 10, 0.01)]])
-        with pytest.raises(ValueError):
-            assign_groups_to_servers(grouping, [10.0])
+        with pytest.raises(ValueError, match="2 groups but only 1 servers"):
+            resolve_assignment(grouping, [10.0], grouping.groups[0] + grouping.groups[1])
 
     def test_empty_groups_absorb_spare_servers(self):
         grouping = GroupingResult(groups=[[_stream(0, 10, 0.01)], [], []])
-        q = assign_groups_to_servers(grouping, [10.0, 20.0, 30.0])
-        assert len(q) == 1
+        q = resolve_assignment(grouping, [10.0, 20.0, 30.0], grouping.groups[0])
+        assert len(q) == 1 and 0 <= q[0] < 3
 
     def test_assignment_minimizes_cost(self):
         """Hungarian beats the reversed mapping on total bits/bandwidth."""

@@ -70,6 +70,22 @@ class TestOptimize:
         assert "unknown scheduler" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command", [["optimize"], ["chaos"], ["serve", "run"]], ids=["optimize", "chaos", "serve-run"]
+)
+@pytest.mark.parametrize(
+    "flag",
+    [["--bandwidths", "10,x"], ["--weights", "1,x,1,1,1"], ["--weights", "1,2"]],
+    ids=["bad-bandwidth", "bad-weight", "weight-count"],
+)
+def test_malformed_list_flag_is_a_clean_error(command, flag, capsys):
+    rc = main([*command, "--method", "random", *flag])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"error: {flag[0]} ")
+    assert "Traceback" not in err
+
+
 class TestTelemetry:
     def test_pamo_alias_emits_iteration_records(self, capsys, tmp_path):
         """`repro pamo --telemetry out.jsonl` writes per-BO-iteration JSONL."""
