@@ -55,7 +55,7 @@ def test_pricing_rule_scheduling(benchmark):
             ).optimize()
             jcab = JCAB(problem, rng=seed).optimize()
             fact = FACT(problem).optimize()
-            weighted = WeightedSumScheduler(problem, "equal", rng=seed).optimize()
+            weighted = WeightedSumScheduler(problem, rule="equal", rng=seed).optimize()
 
             for name, val in (
                 ("PaMO", score(pamo.decision)),

@@ -45,6 +45,7 @@ The parser is assembled from per-subsystem ``_register_*`` functions
 from __future__ import annotations
 
 import argparse
+import contextlib
 import pickle
 import sys
 from typing import Sequence
@@ -71,6 +72,48 @@ def _check_writable(path: str) -> str | None:
     except OSError as exc:
         return str(exc)
     return None
+
+
+class _UsageError(Exception):
+    """Bad input found mid-command: :func:`main` prints it, exits 2."""
+
+
+@contextlib.contextmanager
+def _telemetry_session(
+    path: str,
+    *,
+    profile: bool = False,
+    max_mb: float = 0.0,
+    backups: int = 3,
+    **summary,
+):
+    """One command's telemetry lifecycle.
+
+    Records when ``path`` (a JSONL log, rotated at ``max_mb`` with
+    ``backups`` old segments) or ``profile`` asks for it, and on the way
+    out — return, error exit or exception alike — writes the
+    ``run.summary`` record (``summary`` keys ride along) and disables
+    telemetry, closing the sink.  An unwritable ``path`` raises
+    :class:`_UsageError` before anything is enabled.
+    """
+    from repro.obs import JsonlSink, telemetry
+
+    if path and (err := _check_writable(path)):
+        raise _UsageError(f"cannot write telemetry log: {err}")
+    if not (path or profile):
+        yield
+        return
+    sink = None
+    if path:
+        sink = JsonlSink(
+            path, max_bytes=int(max_mb * 1024 * 1024), backup_count=backups
+        )
+    telemetry.enable(sink, profile=profile)
+    try:
+        yield
+    finally:
+        telemetry.emit_summary(**summary)
+        telemetry.disable()
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
@@ -148,13 +191,9 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 
     telemetry_path = getattr(args, "telemetry", "") or ""
     profile = bool(getattr(args, "profile", False))
-    owns_telemetry = bool(telemetry_path) or profile
-    if telemetry_path and (err := _check_writable(telemetry_path)):
-        print(f"error: cannot write telemetry log: {err}", file=sys.stderr)
-        return 2
-    if owns_telemetry:
-        telemetry.enable(telemetry_path or None, profile=profile)
-    try:
+    with _telemetry_session(
+        telemetry_path, profile=profile, method=args.method, seed=args.seed
+    ):
         with telemetry.span("cli.optimize"):
             if resume_state is not None:
                 out = scheduler.optimize(resume=resume_state)
@@ -167,13 +206,6 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
                 seed=args.seed,
                 outcome=out.to_dict(),
             )
-            telemetry.flush()
-    finally:
-        if owns_telemetry:
-            telemetry.emit_summary(method=args.method, seed=args.seed)
-            trace_id = telemetry.trace_id
-            report = telemetry.report()
-            telemetry.disable()
 
     d = out.decision
     print(f"method: {d.method}   servers: {np.round(bw, 1).tolist()} Mbps")
@@ -189,11 +221,12 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     names = ("latency_s", "mAP", "Mbps", "TFLOPs", "W")
     print("outcome:", {n: round(float(v), 4) for n, v in zip(names, d.outcome)})
     print(f"true benefit: {float(pref.value(d.outcome)):.4f}")
-    if owns_telemetry:
+    if telemetry_path or profile:
+        report = telemetry.report()
         spans = report.get("spans", {})
         total = spans.get("cli.optimize", {}).get("total_s", 0.0)
         print(
-            f"telemetry: trace {trace_id} — "
+            f"telemetry: trace {telemetry.trace_id} — "
             f"{len(report.get('counters', {}))} counters, "
             f"{len(spans)} spans, optimize took {total:.3f}s"
         )
@@ -220,7 +253,8 @@ _FIGURES = {
 }
 
 
-def _cmd_figure(args: argparse.Namespace) -> int:
+def _figure_data(fig: str, quick: bool):
+    """Regenerate figure ``fig``, print its table; return its data."""
     from repro.bench import (
         fig2_profiling_surfaces,
         fig3a_contention,
@@ -236,25 +270,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         format_table,
     )
 
-    from repro.obs import telemetry
-
-    fig = args.id
-    if fig not in _FIGURES:
-        print(
-            f"error: unknown figure {fig!r}; choose from {sorted(_FIGURES)}",
-            file=sys.stderr,
-        )
-        return 2
-    quick = args.quick
     saved_data = None
-    telemetry_path = getattr(args, "telemetry", "") or ""
-    owns_telemetry = bool(telemetry_path)
-    if telemetry_path and (err := _check_writable(telemetry_path)):
-        print(f"error: cannot write telemetry log: {err}", file=sys.stderr)
-        return 2
-    if owns_telemetry:
-        telemetry.enable(telemetry_path)
-
     if fig == "2":
         data = fig2_profiling_surfaces(
             resolutions=(400, 1200, 2000) if quick else (300, 600, 900, 1200, 1600, 2000),
@@ -371,16 +387,29 @@ def _cmd_figure(args: argparse.Namespace) -> int:
             for r in recs
         ]
         print(format_table(["config", "delta", "JCAB", "FACT", "PaMO", "PaMO+"], rows, title="Fig.10b"))
-    if getattr(args, "output", "") and saved_data is not None:
-        from repro.bench import experiment_record, save_results
+    return saved_data
 
-        path = save_results(experiment_record(saved_data), args.output)
-        print(f"results written to {path}")
-    if owns_telemetry:
-        telemetry.emit_summary(figure=fig)
-        trace_id = telemetry.trace_id
-        telemetry.disable()
-        print(f"telemetry: trace {trace_id}")
+
+def _cmd_figure(args: argparse.Namespace) -> int:
+    fig = args.id
+    if fig not in _FIGURES:
+        print(
+            f"error: unknown figure {fig!r}; choose from {sorted(_FIGURES)}",
+            file=sys.stderr,
+        )
+        return 2
+    telemetry_path = getattr(args, "telemetry", "") or ""
+    with _telemetry_session(telemetry_path, figure=fig):
+        saved_data = _figure_data(fig, args.quick)
+        if getattr(args, "output", "") and saved_data is not None:
+            from repro.bench import experiment_record, save_results
+
+            path = save_results(experiment_record(saved_data), args.output)
+            print(f"results written to {path}")
+    if telemetry_path:
+        from repro.obs import telemetry
+
+        print(f"telemetry: trace {telemetry.trace_id}")
         print(f"telemetry events written to {telemetry_path}")
         print(f"inspect with: repro report {telemetry_path}")
     return 0
@@ -503,7 +532,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.baselines import make_scheduler
     from repro.bench.reporting import format_table
     from repro.core import EVAProblem, make_preference
-    from repro.obs import telemetry
     from repro.resilience import ChaosRunner, FaultPlan
 
     try:
@@ -535,11 +563,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         return make_scheduler(args.method, prob, preference=pref, rng=args.seed)
 
     telemetry_path = getattr(args, "telemetry", "") or ""
-    if telemetry_path and (err := _check_writable(telemetry_path)):
-        print(f"error: cannot write telemetry log: {err}", file=sys.stderr)
-        return 2
-    if telemetry_path:
-        telemetry.enable(telemetry_path)
     monitor = None
     if args.max_drop is not None:
         from repro.obs import HealthMonitor, SloRule
@@ -562,7 +585,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
                 ),
             ]
         )
-    try:
+    with _telemetry_session(telemetry_path, method=args.method, seed=args.seed):
         try:
             runner = ChaosRunner(
                 problem, plan, factory, preference=pref, monitor=monitor
@@ -571,10 +594,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-    finally:
-        if telemetry_path:
-            telemetry.emit_summary(method=args.method, seed=args.seed)
-            telemetry.disable()
 
     print(
         f"method: {args.method}   servers: {np.round(bw, 1).tolist()} Mbps   "
@@ -806,10 +825,126 @@ def _rule_spec(rule) -> str:
     return spec if rule.name == spec else f"{rule.name}: {spec}"
 
 
-def _cmd_serve_run(args: argparse.Namespace) -> int:
-    from repro.core import EVAProblem
+def _serve_live(args, service, log, wal_spec, brownout_rules) -> int:
+    """Attach monitor/metrics/WAL, drain the run; return an exit code.
+
+    Everything attached here is torn down before returning (signal
+    handlers restored, WAL closed, metrics server stopped).
+    """
     from repro.obs import telemetry
     from repro.sched.grouping import InfeasibleScheduleError
+
+    metrics_server = None
+    slo_specs = getattr(args, "slo", None)
+    want_metrics = getattr(args, "metrics_port", None) is not None
+    attached_rules = None
+    if want_metrics or slo_specs or brownout_rules:
+        from repro.obs import HealthMonitor, SloRule, default_rules
+
+        try:
+            if slo_specs:
+                rules = [SloRule.parse(spec) for spec in slo_specs]
+            elif want_metrics:
+                rules = default_rules()
+            else:
+                rules = []  # --brownout-slo alone: just those rules
+        except ValueError as exc:
+            print(f"error: bad --slo rule: {exc}", file=sys.stderr)
+            return 2
+        rules = rules + brownout_rules
+        attached_rules = rules
+        # --slo alone still attaches a monitor: alerts land in telemetry
+        # (alert.fired/resolved events) without the HTTP endpoint.
+        registry = None
+        if want_metrics:
+            from repro.obs import MetricsRegistry, MetricsServer
+
+            registry = MetricsRegistry()
+        service.attach_observability(
+            metrics=registry, monitor=HealthMonitor(rules)
+        )
+    if want_metrics:
+        metrics_server = MetricsServer(
+            registry,
+            health=service.health_status,
+            varz=service.varz,
+            host=getattr(args, "metrics_host", "127.0.0.1"),
+            port=args.metrics_port,
+        )
+        try:
+            port = metrics_server.start()
+        except OSError as exc:
+            print(
+                f"error: cannot bind metrics server on "
+                f"{args.metrics_host}:{args.metrics_port}: {exc}",
+                file=sys.stderr,
+            )
+            return 2
+        print(
+            f"metrics: {metrics_server.url}/metrics · "
+            f"{metrics_server.url}/healthz · {metrics_server.url}/varz"
+        )
+        print(f"watch live with: repro serve top --port {port}")
+    wal = None
+    if getattr(args, "wal", ""):
+        if err := _check_writable(args.wal):
+            print(f"error: cannot write WAL: {err}", file=sys.stderr)
+            return 2
+        from repro.serve import WriteAheadLog
+
+        if args.resume:
+            wal = WriteAheadLog.open(args.wal)
+        else:
+            if attached_rules is not None:
+                wal_spec["slo"] = [_rule_spec(r) for r in attached_rules]
+            wal = WriteAheadLog.create(args.wal, wal_spec)
+        service.attach_wal(wal)
+        print(f"write-ahead log: {args.wal}")
+    # Graceful shutdown: SIGTERM/SIGINT drain the epoch in flight, write
+    # the final checkpoint, sync the WAL, and exit 0.  Install before
+    # run() so the whole drain is covered; restore on the way out.
+    import signal as _signal
+
+    def _graceful(signum, frame):  # noqa: ARG001 — signal handler shape
+        service.request_stop()
+
+    old_handlers = {}
+    for signum in (_signal.SIGTERM, _signal.SIGINT):
+        try:
+            old_handlers[signum] = _signal.signal(signum, _graceful)
+        except (OSError, ValueError):  # non-main thread / exotic embedder
+            pass
+    try:
+        try:
+            with telemetry.span("cli.serve"):
+                if not service.started:
+                    service.start()
+                if log is not None:
+                    service.submit(log)
+                service.run(
+                    max_epochs=args.max_epochs,
+                    checkpoint_path=args.checkpoint or None,
+                    checkpoint_every=args.checkpoint_every,
+                    pace_s=getattr(args, "pace", 0.0),
+                )
+        except InfeasibleScheduleError as exc:
+            print(f"error: schedule became infeasible: {exc}", file=sys.stderr)
+            return 1
+    finally:
+        for signum, handler in old_handlers.items():
+            try:
+                _signal.signal(signum, handler)
+            except (OSError, ValueError):
+                pass
+        if wal is not None:
+            wal.close()
+        if metrics_server is not None:
+            metrics_server.stop()
+    return 0
+
+
+def _cmd_serve_run(args: argparse.Namespace) -> int:
+    from repro.core import EVAProblem
     from repro.serve import (
         EventLog,
         RegistryFactory,
@@ -913,132 +1048,16 @@ def _cmd_serve_run(args: argparse.Namespace) -> int:
         print(f"error: cannot write checkpoint: {err}", file=sys.stderr)
         return 2
     telemetry_path = getattr(args, "telemetry", "") or ""
-    if telemetry_path and (err := _check_writable(telemetry_path)):
-        print(f"error: cannot write telemetry log: {err}", file=sys.stderr)
-        return 2
-    if telemetry_path:
-        from repro.obs import JsonlSink
-
-        max_bytes = int(getattr(args, "telemetry_max_mb", 0.0) * 1024 * 1024)
-        telemetry.enable(
-            JsonlSink(
-                telemetry_path,
-                max_bytes=max_bytes,
-                backup_count=getattr(args, "telemetry_backups", 3),
-            )
-        )
-
-    metrics_server = None
-    slo_specs = getattr(args, "slo", None)
-    want_metrics = getattr(args, "metrics_port", None) is not None
-    attached_rules = None
-    if want_metrics or slo_specs or brownout_rules:
-        from repro.obs import HealthMonitor, SloRule, default_rules
-
-        try:
-            if slo_specs:
-                rules = [SloRule.parse(spec) for spec in slo_specs]
-            elif want_metrics:
-                rules = default_rules()
-            else:
-                rules = []  # --brownout-slo alone: just those rules
-        except ValueError as exc:
-            print(f"error: bad --slo rule: {exc}", file=sys.stderr)
-            return 2
-        rules = rules + brownout_rules
-        attached_rules = rules
-        # --slo alone still attaches a monitor: alerts land in telemetry
-        # (alert.fired/resolved events) without the HTTP endpoint.
-        registry = None
-        if want_metrics:
-            from repro.obs import MetricsRegistry, MetricsServer
-
-            registry = MetricsRegistry()
-        service.attach_observability(
-            metrics=registry, monitor=HealthMonitor(rules)
-        )
-    if want_metrics:
-        telemetry.attach_metrics(registry)
-        metrics_server = MetricsServer(
-            registry,
-            health=service.health_status,
-            varz=service.varz,
-            host=getattr(args, "metrics_host", "127.0.0.1"),
-            port=args.metrics_port,
-        )
-        try:
-            port = metrics_server.start()
-        except OSError as exc:
-            print(
-                f"error: cannot bind metrics server on "
-                f"{args.metrics_host}:{args.metrics_port}: {exc}",
-                file=sys.stderr,
-            )
-            return 2
-        print(
-            f"metrics: {metrics_server.url}/metrics · "
-            f"{metrics_server.url}/healthz · {metrics_server.url}/varz"
-        )
-        print(f"watch live with: repro serve top --port {port}")
-    wal = None
-    if getattr(args, "wal", ""):
-        if err := _check_writable(args.wal):
-            print(f"error: cannot write WAL: {err}", file=sys.stderr)
-            return 2
-        from repro.serve import WriteAheadLog
-
-        if args.resume:
-            wal = WriteAheadLog.open(args.wal)
-        else:
-            if attached_rules is not None:
-                wal_spec["slo"] = [_rule_spec(r) for r in attached_rules]
-            wal = WriteAheadLog.create(args.wal, wal_spec)
-        service.attach_wal(wal)
-        print(f"write-ahead log: {args.wal}")
-    # Graceful shutdown: SIGTERM/SIGINT drain the epoch in flight, write
-    # the final checkpoint, sync the WAL, and exit 0.  Install before
-    # run() so the whole drain is covered; restore on the way out.
-    import signal as _signal
-
-    def _graceful(signum, frame):  # noqa: ARG001 — signal handler shape
-        service.request_stop()
-
-    old_handlers = {}
-    for signum in (_signal.SIGTERM, _signal.SIGINT):
-        try:
-            old_handlers[signum] = _signal.signal(signum, _graceful)
-        except (OSError, ValueError):  # non-main thread / exotic embedder
-            pass
-    try:
-        try:
-            with telemetry.span("cli.serve"):
-                if not service.started:
-                    service.start()
-                if log is not None:
-                    service.submit(log)
-                service.run(
-                    max_epochs=args.max_epochs,
-                    checkpoint_path=args.checkpoint or None,
-                    checkpoint_every=args.checkpoint_every,
-                    pace_s=getattr(args, "pace", 0.0),
-                )
-        except InfeasibleScheduleError as exc:
-            print(f"error: schedule became infeasible: {exc}", file=sys.stderr)
-            return 1
-    finally:
-        for signum, handler in old_handlers.items():
-            try:
-                _signal.signal(signum, handler)
-            except (OSError, ValueError):
-                pass
-        if wal is not None:
-            wal.close()
-        if telemetry_path:
-            telemetry.emit_summary(command="serve.run", seed=args.seed)
-            telemetry.disable()
-        if metrics_server is not None:
-            telemetry.attach_metrics(None)
-            metrics_server.stop()
+    with _telemetry_session(
+        telemetry_path,
+        max_mb=args.telemetry_max_mb,
+        backups=args.telemetry_backups,
+        command="serve.run",
+        seed=args.seed,
+    ):
+        rc = _serve_live(args, service, log, wal_spec, brownout_rules)
+    if rc:
+        return rc
 
     s = service.summary()
     method = args.method if getattr(args, "method", "") else "greedy (engine)"
@@ -1106,14 +1125,7 @@ def _cmd_serve_recover(args: argparse.Namespace) -> int:
         f"({info.torn_lines} torn tail lines dropped)"
     )
     telemetry_path = getattr(args, "telemetry", "") or ""
-    if telemetry_path:
-        if err := _check_writable(telemetry_path):
-            print(f"error: cannot write telemetry log: {err}", file=sys.stderr)
-            return 2
-        from repro.obs import JsonlSink
-
-        telemetry.enable(JsonlSink(telemetry_path))
-    try:
+    with _telemetry_session(telemetry_path, command="serve.recover", seed=0):
         try:
             with telemetry.span("cli.serve.recover"):
                 if not service.started:
@@ -1122,10 +1134,6 @@ def _cmd_serve_recover(args: argparse.Namespace) -> int:
         except InfeasibleScheduleError as exc:
             print(f"error: schedule became infeasible: {exc}", file=sys.stderr)
             return 1
-    finally:
-        if telemetry_path:
-            telemetry.emit_summary(command="serve.recover", seed=0)
-            telemetry.disable()
     s = service.summary()
     print(
         f"recovered run: {s['epochs']} epochs total, "
@@ -1185,7 +1193,7 @@ def _cmd_serve_report(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"error: cannot read {args.log}: {exc}", file=sys.stderr)
         return 2
-    if summary.epochs == 0 and summary.decision_count == 0:
+    if summary.epochs == 0:
         print(f"error: no serve events in {args.log}", file=sys.stderr)
         return 2
     if args.format == "json":
@@ -1822,6 +1830,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # downstream closed the pipe (e.g. `repro report ... | head`);
         # park stdout on devnull so interpreter shutdown stays quiet

@@ -19,7 +19,6 @@ from repro.obs.exposition import MetricsServer, render_prometheus
 from repro.obs.health import Alert, HealthMonitor, SloRule, default_rules
 from repro.obs.metrics import (
     Counter,
-    Ewma,
     Gauge,
     Histogram,
     MetricsRegistry,
@@ -28,7 +27,6 @@ from repro.obs.metrics import (
 from repro.obs.sinks import EventSink, JsonlSink, MemorySink, NullSink
 from repro.obs.telemetry import (
     Telemetry,
-    get_telemetry,
     new_span_id,
     new_trace_id,
     telemetry,
@@ -38,7 +36,6 @@ __all__ = [
     "Alert",
     "Counter",
     "EventSink",
-    "Ewma",
     "Gauge",
     "HealthMonitor",
     "Histogram",
@@ -51,7 +48,6 @@ __all__ = [
     "SloRule",
     "Telemetry",
     "default_rules",
-    "get_telemetry",
     "new_span_id",
     "new_trace_id",
     "render_prometheus",

@@ -13,8 +13,9 @@ event loop:
   alerts); HTTP 200 while ``ok``/``degraded``, 503 once ``unhealthy``
   (load balancers should stop sending before the operator pages);
 * ``GET /varz``   — one JSON blob with everything: the full registry
-  snapshot (windowed percentiles included), the health document, and
-  the owner's service stats.  This is what ``repro serve top`` polls.
+  snapshot, the health document (whose snapshot carries the windowed
+  percentiles), and the owner's service stats.  This is what
+  ``repro serve top`` polls.
 
 Everything is stdlib (:mod:`http.server`), bound to ``127.0.0.1`` by
 default, and ``port=0`` asks the kernel for an ephemeral port — the

@@ -1,40 +1,34 @@
 """Live metrics: a thread-safe registry of counters, gauges, histograms.
 
-Where :mod:`repro.obs.telemetry` answers "what happened over the whole
-run" (JSONL events, post-hoc ``repro report``), this module answers
-"what is happening *right now*": every instrument is cheap to update
-from the serve loop and cheap to snapshot from a scraper thread, and
-the snapshot carries *windowed* statistics — exact percentiles and
-rates over the most recent samples — rather than lifetime aggregates
-that go stale on hours-long runs.
+Where :mod:`repro.obs.telemetry` is the run record ("what happened over
+the whole run": JSONL events, post-hoc ``repro report``), this module is
+the live scrape surface ("what is happening *right now*"): every
+instrument is cheap to update from the serve loop and cheap to snapshot
+from a scraper thread.
 
 Instruments
 -----------
 * :class:`Counter` — monotonic total (``..._total`` in Prometheus).
 * :class:`Gauge` — last-value-wins instantaneous reading.
-* :class:`Histogram` — fixed cumulative buckets plus an attached
-  :class:`RollingWindow`, so one ``observe`` feeds both the Prometheus
-  histogram series and the exact windowed p50/p95/p99.
+* :class:`Histogram` — fixed cumulative buckets plus count and sum: the
+  lifetime Prometheus histogram series.
 
-Aggregators
------------
-* :class:`RollingWindow` — bounded (time horizon *and* sample count)
-  buffer of recent observations with exact linear-interpolated
-  percentiles and an observations-per-second rate.
-* :class:`Ewma` — time-decayed exponentially weighted moving average
-  (half-life semantics), for smooth rates like epochs/s.
+Windowed percentiles
+--------------------
+* :class:`RollingWindow` — the last :data:`DECISION_WINDOW` values,
+  sorted on insert, with exact linear-interpolated percentiles
+  (:func:`percentile`).  It is the only windowed-percentile type: the
+  serve loop's ``summary()``/``/healthz``/SLO inputs, ``repro serve
+  report`` and the telemetry span p50/p95 all use it.
 
 The :class:`MetricsRegistry` is the scrape surface: ``collect()``
 returns an ordered snapshot that :mod:`repro.obs.exposition` renders as
 Prometheus text format, and ``to_dict()`` is the JSON twin served at
 ``/varz`` and consumed by ``repro serve top``.  All mutation goes
 through one registry lock, so a scraper thread can render mid-epoch
-without torn reads (pinned by the concurrent-scrape test).
-
-Telemetry feeds in: :meth:`repro.obs.telemetry.Telemetry.attach_metrics`
-mirrors every counter increment and span completion into a registry, so
-existing instrumentation lights up the live surface without new call
-sites.
+without torn reads (pinned by the concurrent-scrape test).  Producers
+update their instruments directly; nothing is mirrored in from
+telemetry.
 """
 
 from __future__ import annotations
@@ -42,15 +36,14 @@ from __future__ import annotations
 import math
 import re
 import threading
-import time
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from collections import deque
 from typing import Any, Callable, Iterable
 
 __all__ = [
+    "DECISION_WINDOW",
     "DEFAULT_BUCKETS",
     "Counter",
-    "Ewma",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
@@ -65,11 +58,10 @@ DEFAULT_BUCKETS = (
     0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
 )
 
-#: Default rolling-window shape shared by histograms and the serve loop:
-#: keep at most this many samples...
-DEFAULT_WINDOW_SAMPLES = 512
-#: ...and drop anything older than this many seconds.
-DEFAULT_WINDOW_S = 300.0
+#: Values a :class:`RollingWindow` keeps — THE definition of "current"
+#: percentiles: the serve loop's decision latency and the telemetry span
+#: p50/p95 are computed over the most recent ``DECISION_WINDOW`` values.
+DECISION_WINDOW = 512
 
 _NAME_OK = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _NAME_FIX = re.compile(r"[^a-zA-Z0-9_:]")
@@ -101,133 +93,37 @@ def percentile(ordered: list[float], q: float) -> float:
 
 
 class RollingWindow:
-    """Recent observations, bounded by sample count and age.
+    """The last :data:`DECISION_WINDOW` values, kept sorted on insert.
 
-    Percentiles are *exact* over the retained window (sorted on query,
-    not on insert — queries are scrape-rate, inserts are epoch-rate),
-    which is what fixes the stale-reservoir problem of lifetime
-    percentile estimates on long runs.
+    The one windowed-percentile type: the serve loop's decision latency
+    (``summary()``, ``/healthz``, SLO rules), the post-hoc
+    ``repro serve report`` and the telemetry span percentiles all read
+    one of these, so "current p95" means the same thing everywhere.
+    Insertion order lives in a deque (for eviction) and value order in a
+    bisect-maintained list, so an insert is one search plus one memmove
+    and a percentile read is O(1) — it runs per epoch on the serve path.
     """
 
-    def __init__(
-        self,
-        *,
-        horizon_s: float = DEFAULT_WINDOW_S,
-        max_samples: int = DEFAULT_WINDOW_SAMPLES,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        if horizon_s <= 0:
-            raise ValueError(f"horizon_s must be > 0, got {horizon_s}")
-        if max_samples < 1:
-            raise ValueError(f"max_samples must be >= 1, got {max_samples}")
-        self.horizon_s = float(horizon_s)
-        self.max_samples = int(max_samples)
-        self._clock = clock
-        self._buf: deque[tuple[float, float]] = deque(maxlen=self.max_samples)
+    __slots__ = ("_order", "sorted")
 
-    def observe(self, value: float, *, t: float | None = None) -> None:
-        now = self._clock() if t is None else t
-        self._buf.append((now, float(value)))
-        self._prune(now)
+    def __init__(self) -> None:
+        self._order: deque[float] = deque()
+        #: Retained values in ascending order (read-only for callers).
+        self.sorted: list[float] = []
 
-    def _prune(self, now: float) -> None:
-        cutoff = now - self.horizon_s
-        buf = self._buf
-        while buf and buf[0][0] < cutoff:
-            buf.popleft()
-
-    def values(self) -> list[float]:
-        """Retained values, oldest first (pruning expired entries)."""
-        self._prune(self._clock())
-        return [v for _, v in self._buf]
+    def observe(self, value: float) -> None:
+        value = float(value)
+        if len(self._order) >= DECISION_WINDOW:
+            del self.sorted[bisect_left(self.sorted, self._order.popleft())]
+        self._order.append(value)
+        insort(self.sorted, value)
 
     def __len__(self) -> int:
-        self._prune(self._clock())
-        return len(self._buf)
-
-    def count(self) -> int:
-        return len(self)
-
-    def sum(self) -> float:
-        return sum(self.values())
-
-    def mean(self) -> float:
-        vals = self.values()
-        return sum(vals) / len(vals) if vals else 0.0
-
-    def max(self) -> float:
-        vals = self.values()
-        return max(vals) if vals else 0.0
+        return len(self._order)
 
     def percentile(self, q: float) -> float:
-        """Exact percentile (linear interpolation) over the window."""
-        return percentile(sorted(self.values()), q)
-
-    def rate_per_s(self) -> float:
-        """Observations per second over the retained span.
-
-        Uses the actual span covered by retained samples (clamped to
-        the horizon), so a freshly started window does not under-report.
-        """
-        now = self._clock()
-        self._prune(now)
-        if not self._buf:
-            return 0.0
-        span = min(self.horizon_s, now - self._buf[0][0])
-        if span <= 0:
-            return float(len(self._buf))
-        return len(self._buf) / span
-
-    def snapshot(self) -> dict[str, float]:
-        """JSON-safe windowed stats (count, mean, p50/p95/p99, max, rate)."""
-        vals = sorted(self.values())
-        return {
-            "count": len(vals),
-            "mean": (sum(vals) / len(vals)) if vals else 0.0,
-            "p50": percentile(vals, 0.50),
-            "p95": percentile(vals, 0.95),
-            "p99": percentile(vals, 0.99),
-            "max": vals[-1] if vals else 0.0,
-            "rate_per_s": self.rate_per_s(),
-        }
-
-
-class Ewma:
-    """Time-decayed exponentially weighted moving average.
-
-    Decay follows a half-life: an observation ``halflife_s`` old has
-    half the weight of a fresh one, independent of the update cadence
-    (the classic irregular-interval EWMA).
-    """
-
-    def __init__(
-        self,
-        *,
-        halflife_s: float = 60.0,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        if halflife_s <= 0:
-            raise ValueError(f"halflife_s must be > 0, got {halflife_s}")
-        self.halflife_s = float(halflife_s)
-        self._clock = clock
-        self._value: float | None = None
-        self._t: float | None = None
-
-    @property
-    def value(self) -> float:
-        return 0.0 if self._value is None else self._value
-
-    def update(self, value: float, *, t: float | None = None) -> float:
-        now = self._clock() if t is None else t
-        value = float(value)
-        if self._value is None or self._t is None:
-            self._value = value
-        else:
-            dt = max(0.0, now - self._t)
-            alpha = 1.0 - math.exp(-math.log(2.0) * dt / self.halflife_s)
-            self._value += alpha * (value - self._value)
-        self._t = now
-        return self._value
+        """Exact linear-interpolated percentile over the window (0 if empty)."""
+        return percentile(self.sorted, q)
 
 
 class Counter:
@@ -279,13 +175,6 @@ class Gauge:
         """Unlocked fast path: caller must hold the registry lock."""
         self._value = float(value)
 
-    def inc(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.inc(-amount)
-
     @property
     def value(self) -> float:
         with self._lock:
@@ -296,13 +185,12 @@ class Gauge:
 
 
 class Histogram:
-    """Fixed-bucket cumulative histogram plus a rolling window.
+    """Fixed-bucket cumulative histogram: buckets, count and sum.
 
-    One ``observe`` updates both views: the Prometheus-style cumulative
-    bucket counts (lifetime, cheap, mergeable) and the
-    :class:`RollingWindow` that backs the exact windowed percentiles in
-    :meth:`snapshot` — the numbers ``/healthz`` SLO rules and
-    ``repro serve top`` read.
+    Lifetime, cheap and mergeable — the Prometheus histogram series.
+    Windowed percentiles are not kept here; they live in the producer's
+    :class:`RollingWindow` (for the serve loop, the one behind
+    ``/healthz`` and ``summary()``).
     """
 
     kind = "histogram"
@@ -313,10 +201,7 @@ class Histogram:
         help: str = "",
         *,
         buckets: Iterable[float] = DEFAULT_BUCKETS,
-        window_s: float = DEFAULT_WINDOW_S,
-        window_samples: int = DEFAULT_WINDOW_SAMPLES,
         lock: threading.Lock,
-        clock: Callable[[], float] = time.monotonic,
     ) -> None:
         self.name = name
         self.help = help
@@ -328,9 +213,6 @@ class Histogram:
         self._counts = [0] * (len(self.buckets) + 1)  # +Inf is last
         self._count = 0
         self._sum = 0.0
-        self.window = RollingWindow(
-            horizon_s=window_s, max_samples=window_samples, clock=clock
-        )
 
     def observe(self, value: float) -> None:
         with self._lock:
@@ -344,7 +226,6 @@ class Histogram:
         self._counts[bisect_left(self.buckets, value)] += 1
         self._count += 1
         self._sum += value
-        self.window.observe(value)
 
     @property
     def count(self) -> int:
@@ -363,7 +244,6 @@ class Histogram:
 
     def snapshot(self) -> dict[str, Any]:
         with self._lock:
-            window = self.window.snapshot()
             return {
                 "type": self.kind,
                 "help": self.help,
@@ -373,7 +253,6 @@ class Histogram:
                     ["+Inf" if math.isinf(b) else b, c]
                     for b, c in self._cumulative_locked()
                 ],
-                "window": window,
             }
 
     def _cumulative_locked(self) -> list[tuple[float, int]]:
@@ -394,14 +273,8 @@ class MetricsRegistry:
     serve-loop updates — scrapes see a consistent point-in-time view.
     """
 
-    def __init__(
-        self,
-        *,
-        namespace: str = "repro",
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
+    def __init__(self, *, namespace: str = "repro") -> None:
         self.namespace = sanitize_metric_name(namespace) if namespace else ""
-        self._clock = clock
         self._lock = threading.RLock()
         self._metrics: dict[str, Any] = {}
         self._collect_hooks: list[Callable[[], None]] = []
@@ -443,37 +316,12 @@ class MetricsRegistry:
         help: str = "",
         *,
         buckets: Iterable[float] = DEFAULT_BUCKETS,
-        window_s: float = DEFAULT_WINDOW_S,
-        window_samples: int = DEFAULT_WINDOW_SAMPLES,
     ) -> Histogram:
         return self._get_or_create(
             name,
-            lambda n: Histogram(
-                n,
-                help,
-                buckets=buckets,
-                window_s=window_s,
-                window_samples=window_samples,
-                lock=self._lock,
-                clock=self._clock,
-            ),
+            lambda n: Histogram(n, help, buckets=buckets, lock=self._lock),
             "histogram",
         )
-
-    # -- telemetry bridge -------------------------------------------------
-    def inc(self, name: str, amount: float = 1.0) -> None:
-        """Bridge hook: mirror a telemetry counter increment."""
-        self.counter(name).inc(amount)
-
-    def set(self, name: str, value: float) -> None:
-        """Bridge hook: mirror a telemetry gauge update."""
-        self.gauge(name).set(value)
-
-    def observe_span(self, name: str, seconds: float) -> None:
-        """Bridge hook: record one span completion as a duration sample."""
-        self.histogram(
-            f"{name}_duration_seconds", f"span {name!r} durations"
-        ).observe(seconds)
 
     # -- snapshots --------------------------------------------------------
     @property

@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
+from repro.obs.metrics import percentile
 from repro.obs.trace import (
     SpanNode,
     build_span_forest,
@@ -70,7 +71,12 @@ class RunSummary:
 def _aggregate_spans_from_events(
     events: Sequence[dict[str, Any]]
 ) -> dict[str, dict[str, float]]:
-    """Exact span stats (incl. percentiles) from raw span events."""
+    """Span stats from raw span events (logs without a ``run.summary``).
+
+    Percentiles are exact over every completion, with the same linear
+    interpolation (:func:`~repro.obs.metrics.percentile`) as every other
+    report surface.
+    """
     durations: dict[str, list[float]] = {}
     for e in events:
         if e.get("event") == "span" and "duration_s" in e:
@@ -85,8 +91,8 @@ def _aggregate_spans_from_events(
             "total_s": sum(ds),
             "min_s": ds[0],
             "max_s": ds[-1],
-            "p50_s": ds[int(0.50 * (len(ds) - 1))],
-            "p95_s": ds[int(0.95 * (len(ds) - 1))],
+            "p50_s": percentile(ds, 0.50),
+            "p95_s": percentile(ds, 0.95),
         }
     return spans
 
@@ -118,10 +124,7 @@ def summarize_events(events: Sequence[dict[str, Any]]) -> RunSummary:
             report = e.get("report") or {}
             s.counters = dict(report.get("counters", {}))
             s.gauges = dict(report.get("gauges", {}))
-            s.spans = {
-                k: {kk: vv for kk, vv in v.items() if kk != "sample"}
-                for k, v in report.get("spans", {}).items()
-            }
+            s.spans = dict(report.get("spans", {}))
 
     s.iterations.sort(key=lambda e: e.get("iteration", 0))
     s.n_iterations = len(s.iterations)

@@ -1,7 +1,10 @@
 """Process-wide telemetry: phase timers, counters, events, profiling.
 
-The :class:`Telemetry` registry is the single observability surface for
-the whole pipeline.  Instrumented code does::
+The :class:`Telemetry` registry is the run record of the whole
+pipeline: what happened over the run, written as JSONL events for
+``repro report``/``repro trace``.  (The live scrape surface is the
+separate :class:`repro.obs.metrics.MetricsRegistry`; nothing is mirrored
+between the two.)  Instrumented code does::
 
     from repro.obs import telemetry
 
@@ -21,7 +24,10 @@ Concepts
 * **Spans** are hierarchical wall-clock timers.  Nested spans record
   under their slash-joined path (``pamo.optimize/pamo.bo_loop``), so a
   report shows *where inside what* the time went.  Each span completion
-  also emits a ``span`` event to the sink.
+  also emits a ``span`` event to the sink, and :meth:`Telemetry.report`
+  gives each path's p50/p95 over its last
+  :data:`~repro.obs.metrics.DECISION_WINDOW` completions (a
+  :class:`~repro.obs.metrics.RollingWindow`).
 * **Counters** are monotonic (``counter``); **gauges** are
   last-value-wins (``gauge``).
 * **Events** are structured records appended to the configured
@@ -37,19 +43,15 @@ from __future__ import annotations
 import cProfile
 import os
 import pstats
-import random
 import threading
 import time
 import uuid
 from typing import Any
 
-from repro.obs.metrics import percentile
+from repro.obs.metrics import RollingWindow
 from repro.obs.sinks import EventSink, JsonlSink, MemorySink, NullSink
 
-__all__ = ["Telemetry", "telemetry", "get_telemetry", "new_trace_id", "new_span_id"]
-
-#: Max durations retained per span path for percentile estimation.
-RESERVOIR_SIZE = 128
+__all__ = ["Telemetry", "telemetry", "new_trace_id", "new_span_id"]
 
 
 def new_trace_id() -> str:
@@ -137,14 +139,12 @@ class Telemetry:
         self._counters: dict[str, float] = {}
         self._gauges: dict[str, float] = {}
         self._spans: dict[str, dict[str, float]] = {}
-        self._samples: dict[str, list[float]] = {}
-        self._sample_rng = random.Random(0x5EED)
+        self._windows: dict[str, RollingWindow] = {}
         self._pstats: pstats.Stats | None = None
         self._profiler_depth = 0
         self._started_tracemalloc = False
         self._trace_id: str | None = None
         self._pid = os.getpid()
-        self._metrics = None  # optional live MetricsRegistry mirror
 
     # -- lifecycle -------------------------------------------------------
     @property
@@ -206,26 +206,13 @@ class Telemetry:
             self._started_tracemalloc = False
         return self
 
-    def attach_metrics(self, registry) -> "Telemetry":
-        """Mirror counters/gauges/span durations into a live registry.
-
-        ``registry`` is a :class:`repro.obs.metrics.MetricsRegistry` (or
-        anything with ``inc``/``set``/``observe_span``).  While attached
-        *and* telemetry is enabled, every :meth:`counter`,
-        :meth:`gauge`, and span completion also updates the registry, so
-        existing instrumentation feeds the ``/metrics`` scrape surface
-        without new call sites.  Pass ``None`` to detach.
-        """
-        self._metrics = registry
-        return self
-
     def reset(self) -> "Telemetry":
         """Clear all accumulated counters, gauges, spans, and profiles."""
         with self._lock:
             self._counters.clear()
             self._gauges.clear()
             self._spans.clear()
-            self._samples.clear()
+            self._windows.clear()
             self._pstats = None
         return self
 
@@ -288,19 +275,13 @@ class Telemetry:
             st["max_s"] = max(st["max_s"], elapsed)
             if mem_peak:
                 st["mem_peak_bytes"] = max(st.get("mem_peak_bytes", 0), mem_peak)
-            # Bounded reservoir (algorithm R) for p50/p95 in report().
-            res = self._samples.setdefault(span.path, [])
-            if len(res) < RESERVOIR_SIZE:
-                res.append(elapsed)
-            else:
-                j = self._sample_rng.randrange(int(st["count"]))
-                if j < RESERVOIR_SIZE:
-                    res[j] = elapsed
+            window = self._windows.get(span.path)
+            if window is None:
+                window = self._windows[span.path] = RollingWindow()
+            window.observe(elapsed)
         stack = self._stack()
         if stack and stack[-1][0] == span.name:
             stack.pop()
-        if self._metrics is not None:
-            self._metrics.observe_span(span.name, elapsed)
         record: dict[str, Any] = {
             "span": span.path,
             "name": span.name,
@@ -322,8 +303,6 @@ class Telemetry:
             return
         with self._lock:
             self._counters[name] = self._counters.get(name, 0) + inc
-        if self._metrics is not None:
-            self._metrics.inc(name, inc)
 
     def gauge(self, name: str, value: float) -> None:
         """Set gauge ``name`` to its latest ``value``."""
@@ -331,8 +310,6 @@ class Telemetry:
             return
         with self._lock:
             self._gauges[name] = float(value)
-        if self._metrics is not None:
-            self._metrics.set(name, value)
 
     # -- structured events ----------------------------------------------
     def event(self, kind: str, /, **fields: Any) -> None:
@@ -371,23 +348,20 @@ class Telemetry:
     def report(self, *, since: dict[str, Any] | None = None) -> dict[str, Any]:
         """Summary dict of everything recorded (JSON-safe).
 
-        Span stats include ``p50_s``/``p95_s`` percentiles estimated
-        from a bounded per-span duration reservoir, plus the reservoir
-        itself under ``sample`` (so cross-process merges can combine
-        percentiles).  With ``since`` (a :meth:`snapshot`), counters and
-        span count/total become deltas — min/max and the percentiles
-        stay absolute, which is the honest choice since extrema and
-        sampled quantiles cannot be un-mixed.
+        Span stats include ``p50_s``/``p95_s`` over each path's last
+        :data:`~repro.obs.metrics.DECISION_WINDOW` completions.  With
+        ``since`` (a :meth:`snapshot`), counters and span count/total
+        become deltas — min/max and the percentiles stay absolute, which
+        is the honest choice since extrema and windowed quantiles cannot
+        be un-mixed.
         """
         snap = self.snapshot()
         with self._lock:
-            samples = {k: list(v) for k, v in self._samples.items()}
-        for k, st in snap["spans"].items():
-            res = sorted(samples.get(k, ()))
-            if res:
-                st["p50_s"] = percentile(res, 0.50)
-                st["p95_s"] = percentile(res, 0.95)
-                st["sample"] = res
+            for k, st in snap["spans"].items():
+                window = self._windows.get(k)
+                if window:
+                    st["p50_s"] = window.percentile(0.50)
+                    st["p95_s"] = window.percentile(0.95)
         if since is not None:
             base_c = since.get("counters", {})
             snap["counters"] = {
@@ -438,8 +412,3 @@ def _top_functions(stats: pstats.Stats, n: int = 20) -> list[dict[str, Any]]:
 
 #: The process-wide registry all instrumented code records into.
 telemetry = Telemetry()
-
-
-def get_telemetry() -> Telemetry:
-    """Return the process-wide :class:`Telemetry` registry."""
-    return telemetry

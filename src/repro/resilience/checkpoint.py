@@ -26,8 +26,9 @@ from typing import Any
 
 from repro.obs import telemetry
 
-#: Bump when the checkpoint payload layout changes.
-CHECKPOINT_VERSION = 2
+#: Bump when the checkpoint payload layout changes (3: the serve
+#: service's latency window became a ``RollingWindow``).
+CHECKPOINT_VERSION = 3
 
 
 @dataclass

@@ -1,18 +1,20 @@
 """Serve-run reporting: decision-latency percentiles from a trace log.
 
 A serve run records everything through :mod:`repro.obs` — one
-``serve.decision`` span (and one ``serve.decision`` event) per epoch,
-the ``serve.*`` counters inside the final ``run.summary`` — so the
-generic ``repro report``/``repro trace`` work unchanged.  This module
-adds the serve-specific view: :func:`summarize_serve_run` parses the
-JSONL (across rotated segments) into a :class:`ServeSummary` whose
-headline p50/p95/p99 use the **rolling-window definition** shared with
-:meth:`repro.serve.service.SchedulerService.summary` and the live
-``/metrics`` surface — exact percentiles over the most recent
-:data:`~repro.serve.service.DECISION_WINDOW` epochs — plus the counter
-proof of the incremental path (``full_solves``/``cache_hits``), the
-benefit trajectory, and any ``alert.*`` events.  The p95 budget gate of
-the ``serve-smoke`` CI job is :meth:`ServeSummary.gate`.
+``serve.decision`` event per epoch carrying the decision's
+``latency_s``, a ``serve.decision`` span for the time tree, and the
+``serve.*`` counters inside the final ``run.summary`` — so the generic
+``repro report``/``repro trace`` work unchanged.  This module adds the
+serve-specific view: :func:`summarize_serve_run` parses the JSONL
+(across rotated segments) into a :class:`ServeSummary` whose headline
+p50/p95/p99/max feed the events' ``latency_s`` through the same
+:class:`~repro.obs.metrics.RollingWindow` that backs
+:meth:`repro.serve.service.SchedulerService.summary` and ``/healthz`` —
+so on a run with telemetry on they equal the live numbers exactly —
+plus the counter proof of the incremental path
+(``full_solves``/``cache_hits``), the benefit trajectory, and any
+``alert.*`` events.  The p95 budget gate of the ``serve-smoke`` CI job
+is :meth:`ServeSummary.gate`.
 """
 
 from __future__ import annotations
@@ -20,14 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.obs.metrics import percentile
+from repro.obs.metrics import RollingWindow
 
 __all__ = ["ServeSummary", "summarize_serve_run"]
-
-#: Leaf span name of the per-epoch decision timer (matched on the span's
-#: ``name``, not its slash-joined path — serve runs nest it under the
-#: CLI's ``cli.serve`` root span).
-DECISION_SPAN = "serve.decision"
 
 
 @dataclass
@@ -43,7 +40,6 @@ class ServeSummary:
     solved: int = 0
     admission_rejects: int = 0
     repairs: int = 0
-    decision_count: int = 0
     decision_window: int = 0
     decision_p50_s: float = 0.0
     decision_p95_s: float = 0.0
@@ -63,6 +59,11 @@ class ServeSummary:
     breaker_opens: int = 0
     breaker_closes: int = 0
     wal_syncs: int = 0
+
+    @property
+    def decision_count(self) -> int:
+        """Decisions in the log: one ``serve.decision`` event per epoch."""
+        return self.epochs
 
     @property
     def cache_hit_ratio(self) -> float:
@@ -180,17 +181,18 @@ def summarize_serve_run(path) -> ServeSummary:
 
     Reads across rotated segments (``path.N`` ... ``path``) and is
     tolerant of partial logs (crashed runs): percentiles come from the
-    per-epoch span events, counters prefer the final ``run.summary``
-    but fall back to summing the per-epoch decision events.
+    per-epoch decision events' ``latency_s``, counters prefer the final
+    ``run.summary`` but fall back to summing the per-epoch decision
+    events.
     """
     from repro.obs.sinks import iter_jsonl_records, jsonl_segments
-    from repro.serve.service import DECISION_WINDOW
 
     path = Path(path)
     if not jsonl_segments(path):
         raise FileNotFoundError(path)
     summary = ServeSummary(path=str(path))
-    durations: list[float] = []
+    window = RollingWindow()
+    latency_total = 0.0
     benefits: list[float] = []
     epoch_full_solves = epoch_cache_hits = epoch_solved = 0
     epoch_rejects = epoch_events = 0
@@ -200,10 +202,11 @@ def summarize_serve_run(path) -> ServeSummary:
         kind = rec.get("event")
         if kind == "trace.start" and summary.trace_id is None:
             summary.trace_id = rec.get("trace_id")
-        elif kind == "span" and rec.get("name") == DECISION_SPAN:
-            durations.append(float(rec.get("duration_s", 0.0)))
         elif kind == "serve.decision":
             summary.epochs += 1
+            latency_s = float(rec.get("latency_s", 0.0))
+            window.observe(latency_s)
+            latency_total += latency_s
             epoch_events += len(rec.get("events", ()))
             epoch_full_solves += bool(rec.get("full_solve"))
             epoch_cache_hits += int(rec.get("cache_hits", 0))
@@ -240,17 +243,13 @@ def summarize_serve_run(path) -> ServeSummary:
     summary.breaker_opens = int(counters.get("breaker.opens", 0))
     summary.breaker_closes = int(counters.get("breaker.closes", 0))
     summary.wal_syncs = int(counters.get("wal.syncs", 0))
-    summary.decision_count = len(durations)
-    # Headline percentiles use the rolling-window definition shared
-    # with SchedulerService.summary(): the last DECISION_WINDOW epochs.
-    window = sorted(durations[-DECISION_WINDOW:])
     summary.decision_window = len(window)
-    summary.decision_p50_s = percentile(window, 0.50)
-    summary.decision_p95_s = percentile(window, 0.95)
-    summary.decision_p99_s = percentile(window, 0.99)
-    summary.decision_max_s = window[-1] if window else 0.0
+    summary.decision_p50_s = window.percentile(0.50)
+    summary.decision_p95_s = window.percentile(0.95)
+    summary.decision_p99_s = window.percentile(0.99)
+    summary.decision_max_s = window.percentile(1.0)
     summary.decision_mean_s = (
-        sum(durations) / len(durations) if durations else 0.0
+        latency_total / summary.epochs if summary.epochs else 0.0
     )
     if benefits:
         summary.benefit_first = benefits[0]

@@ -12,8 +12,9 @@ clock, and emits one :class:`ServeDecision` per epoch:
   cache;
 * **steady state** replans incrementally — each event touches only the
   streams it names, every untouched stream's cached config is reused
-  (``serve.cache_hits``), and the decision latency is the engine's own
-  delta cost, measured per epoch under the ``serve.decision`` span;
+  (``serve.cache_hits``), and the decision latency
+  (:attr:`ServeDecision.latency_s`) is the whole epoch, from its first
+  event to the return of the decision's WAL append;
 * **full solves** after warm-up happen only on explicit ``drift``
   events or a ``reoptimize_every`` schedule, via the scheduler's
   :meth:`~repro.core.scheduler.Scheduler.replan` (PaMO warm-starts).
@@ -57,7 +58,6 @@ from __future__ import annotations
 import hashlib
 import struct
 import time
-from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
@@ -67,7 +67,7 @@ import numpy as np
 from repro.core.problem import EVAProblem
 from repro.core.result import ScheduleDecision
 from repro.obs import telemetry
-from repro.obs.metrics import percentile
+from repro.obs.metrics import DECISION_WINDOW, RollingWindow
 from repro.pref.decision_maker import LinearL1Preference
 from repro.sched.grouping import InfeasibleScheduleError
 from repro.serve.admission import AdmissionController
@@ -85,14 +85,6 @@ __all__ = [
     "RegistryFactory",
 ]
 
-#: Samples in the rolling decision window — THE definition of the
-#: serve loop's "current" latency percentiles and benefit baseline.
-#: :meth:`SchedulerService.summary`, :meth:`SchedulerService.
-#: health_snapshot`, and :func:`repro.serve.report.summarize_serve_run`
-#: all compute p50/p95/p99 over the most recent ``DECISION_WINDOW``
-#: epochs, so a scrape mid-run and a post-hoc report agree.
-DECISION_WINDOW = 512
-
 #: Instrument keys mirrored as monotone counters, and how many latency
 #: samples may sit in the scrape-time flush buffer before the serve
 #: thread flushes inline (bounds memory on scraper-less runs).
@@ -104,20 +96,21 @@ _FLUSH_EVERY = 4096
 
 
 class _WindowStats:
-    """Incrementally-maintained rolling window of per-epoch stats.
+    """Per-epoch stats over the last :data:`DECISION_WINDOW` epochs.
 
-    The serve loop pushes one entry per epoch and the observability
-    path reads percentiles/sums per epoch, so everything here is
-    amortized O(log n): the latency order statistic lives in a
-    bisect-maintained sorted list and the cache-hit/benefit aggregates
-    are running sums updated on push/evict — a full O(n) pass per
-    epoch would blow the <2% metrics-overhead budget.
+    :meth:`SchedulerService.summary`, :meth:`SchedulerService.
+    health_snapshot` and :func:`repro.serve.report.summarize_serve_run`
+    all read decision-latency percentiles from a
+    :class:`~repro.obs.metrics.RollingWindow` fed with
+    :attr:`ServeDecision.latency_s`, so a scrape mid-run and a post-hoc
+    report agree exactly.  The cache-hit and benefit aggregates are
+    running sums updated on push/evict — a full O(n) pass per epoch
+    would blow the <2% metrics-overhead budget.
     """
 
-    def __init__(self, maxlen: int = DECISION_WINDOW) -> None:
-        self.maxlen = int(maxlen)
+    def __init__(self) -> None:
+        self.latency = RollingWindow()
         self.entries: deque[tuple] = deque()
-        self.lat_sorted: list[float] = []
         self.hits = 0
         self.solved = 0
         self.benefit_sum = 0.0
@@ -130,34 +123,23 @@ class _WindowStats:
         benefit: float | None,
         cache_hits: int,
         solved: int,
-        full_solve: bool,
     ) -> None:
-        if len(self.entries) >= self.maxlen:
-            old = self.entries.popleft()
-            self.lat_sorted.pop(bisect_left(self.lat_sorted, old[0]))
-            self.hits -= old[2]
-            self.solved -= old[3]
-            if old[1] is not None:
-                self.benefit_sum -= old[1]
+        self.latency.observe(latency_s)
+        if len(self.entries) >= DECISION_WINDOW:
+            old_benefit, old_hits, old_solved = self.entries.popleft()
+            self.hits -= old_hits
+            self.solved -= old_solved
+            if old_benefit is not None:
+                self.benefit_sum -= old_benefit
                 self.benefit_n -= 1
-        entry = (
-            float(latency_s),
-            None if benefit is None else float(benefit),
-            int(cache_hits),
-            int(solved),
-            bool(full_solve),
-        )
-        self.entries.append(entry)
-        insort(self.lat_sorted, entry[0])
-        self.hits += entry[2]
-        self.solved += entry[3]
-        if entry[1] is not None:
-            self.benefit_sum += entry[1]
+        if benefit is not None:
+            benefit = float(benefit)
+            self.benefit_sum += benefit
             self.benefit_n += 1
-            self.last_benefit = entry[1]
-
-    def __len__(self) -> int:
-        return len(self.entries)
+            self.last_benefit = benefit
+        self.entries.append((benefit, int(cache_hits), int(solved)))
+        self.hits += int(cache_hits)
+        self.solved += int(solved)
 
     @property
     def baseline(self) -> float | None:
@@ -185,11 +167,11 @@ def _get_benefit_drop(svc, w: _WindowStats) -> float | None:
 #: runs every epoch on the hot path.
 _SLO_GETTERS: dict[str, Callable] = {
     "epoch": lambda svc, w: svc.epoch,
-    "window": lambda svc, w: len(w.entries),
-    "decision_p50_s": lambda svc, w: percentile(w.lat_sorted, 0.50),
-    "decision_p95_s": lambda svc, w: percentile(w.lat_sorted, 0.95),
-    "decision_p99_s": lambda svc, w: percentile(w.lat_sorted, 0.99),
-    "decision_max_s": lambda svc, w: w.lat_sorted[-1] if w.lat_sorted else 0.0,
+    "window": lambda svc, w: len(w.latency),
+    "decision_p50_s": lambda svc, w: w.latency.percentile(0.50),
+    "decision_p95_s": lambda svc, w: w.latency.percentile(0.95),
+    "decision_p99_s": lambda svc, w: w.latency.percentile(0.99),
+    "decision_max_s": lambda svc, w: w.latency.percentile(1.0),
     "cache_hit_ratio": _get_cache_hit_ratio,
     "queue_depth": lambda svc, w: len(svc.queue),
     "n_streams": lambda svc, w: len(svc.planner.entries),
@@ -248,6 +230,9 @@ class ServeDecision:
     ``signature()`` is the determinism fingerprint: everything that
     must replay bit-identically (configs, placement, outcome, benefit)
     and nothing that legitimately varies (wall-clock latency).
+    ``latency_s`` is the serve loop's one decision timer: from the start
+    of :meth:`SchedulerService.start`/:meth:`SchedulerService.
+    process_epoch` until the decision's WAL append returns.
     """
 
     epoch: int
@@ -520,11 +505,11 @@ class SchedulerService:
         # which full solves rebuild the problem from live state instead
         # of reusing the constructor's problem object.
         self._topology_dirty = False
-        # Rolling per-epoch stats (latency, benefit, hits, solved,
-        # full) — the bounded window behind summary()/health_snapshot().
-        self._window = _WindowStats(DECISION_WINDOW)
+        # Rolling per-epoch stats (latency, benefit, hits, solved) —
+        # the bounded window behind summary()/health_snapshot().
+        self._window = _WindowStats()
         # Live observability (attach_observability): a MetricsRegistry
-        # mirror and a HealthMonitor driving /healthz + alert events.
+        # and a HealthMonitor driving /healthz + alert events.
         self.metrics = None
         self.monitor = None
         self.alerts: list[dict] = []
@@ -566,10 +551,10 @@ class SchedulerService:
     # -- lifecycle ---------------------------------------------------------
     def start(self) -> ServeDecision:
         """Warm-up full solve over the initial stream population."""
+        t0 = time.perf_counter()
         if self.started:
             raise RuntimeError("service already started")
         self.started = True
-        t0 = time.perf_counter()
         with telemetry.span("serve.decision"):
             stats = self._full_solve(reason="warmup", epoch=0)
             decision = self._emit_decision(
@@ -581,7 +566,7 @@ class SchedulerService:
                 cache_hits=0,
                 rejected=stats.get("rejected", []),
                 evicted=stats.get("evicted", []),
-                latency_s=time.perf_counter() - t0,
+                t0=t0,
             )
         return decision
 
@@ -682,12 +667,12 @@ class SchedulerService:
         epoch, which pins recovered decisions to the recorded ones
         even when a transition was triggered by wall-clock latency.
         """
+        t0 = time.perf_counter()
         self.epoch = epoch
         forced = self._forced_modes.pop(epoch, None) if self._forced_modes else None
         mode = forced[0] if forced is not None else self.mode
         shed_mode = bool(self._shed_reasons)
         t = batch[-1].time if batch else epoch * self.epoch_s
-        t0 = time.perf_counter()
         with telemetry.span("serve.decision"):
             touched: set[int] = set()
             solved = 0
@@ -832,7 +817,7 @@ class SchedulerService:
                 evicted=evicted + full_stats.get("evicted", []),
                 shed=shed,
                 mode=mode,
-                latency_s=time.perf_counter() - t0,
+                t0=t0,
             )
         telemetry.counter("serve.events", len(batch))
         return decision
@@ -960,10 +945,16 @@ class SchedulerService:
         cache_hits: int,
         rejected: list[int],
         evicted: list[int],
-        latency_s: float,
+        t0: float,
         shed: list[int] | None = None,
         mode: str = "normal",
     ) -> ServeDecision:
+        """Record the epoch's decision; ``t0`` is when the epoch began.
+
+        The decision latency is measured once, right after the WAL
+        append returns; the window push, the ``serve.decision`` event
+        and the SLO evaluation all run afterwards and read that value.
+        """
         sids, r, s = self.planner.decision_arrays()
         outcome = benefit = None
         assignment: dict[int, tuple[int, ...]] = {}
@@ -986,14 +977,10 @@ class SchedulerService:
             solved=solved,
             rejected=rejected,
             evicted=evicted,
-            latency_s=latency_s,
             shed=list(shed) if shed else [],
             mode=mode,
         )
         self.decisions.append(decision)
-        self._window.push(
-            latency_s, benefit, cache_hits, solved, bool(full_solve)
-        )
         if self.wal is not None:
             self.wal.append_epoch(
                 epoch=epoch,
@@ -1001,6 +988,8 @@ class SchedulerService:
                 full=bool(full_solve),
                 sig=decision.sig_hash(),
             )
+        latency_s = decision.latency_s = time.perf_counter() - t0
+        self._window.push(latency_s, benefit, cache_hits, solved)
         telemetry.counter("serve.replans")
         if not full_solve:  # serve.full_solves counted in _full_solve
             telemetry.counter("serve.cache_hits", cache_hits)
@@ -1022,14 +1011,14 @@ class SchedulerService:
                 evicted=[int(x) for x in evicted],
                 shed=[int(x) for x in decision.shed],
                 mode=mode,
-                latency_s=float(latency_s),
+                latency_s=latency_s,
             )
         self._observe(decision)
         return decision
 
     # -- live observability ------------------------------------------------
     def attach_observability(self, *, metrics=None, monitor=None) -> None:
-        """Attach a live metrics mirror and/or a health monitor.
+        """Attach a live metrics registry and/or a health monitor.
 
         ``metrics`` is a :class:`repro.obs.metrics.MetricsRegistry`:
         event-driven instruments (counters, the latency histogram) are
@@ -1073,7 +1062,6 @@ class SchedulerService:
             "latency": metrics.histogram(
                 "serve_decision_latency_seconds",
                 "per-epoch decision latency",
-                window_samples=DECISION_WINDOW,
             ),
             "streams": metrics.gauge("serve_streams", "admitted streams"),
             "alive": metrics.gauge("serve_alive_servers", "servers up"),
@@ -1427,7 +1415,7 @@ class SchedulerService:
         report`` — lifetime percentiles go stale on hours-long runs,
         reporting warm-up latencies forever.
         """
-        lat = self._window.lat_sorted
+        lat = self._window.latency
         benefits = [d.benefit for d in self.decisions if d.benefit is not None]
         return {
             "epochs": len(self.decisions),
@@ -1450,10 +1438,10 @@ class SchedulerService:
             "benefit_first": benefits[0] if benefits else None,
             "benefit_last": benefits[-1] if benefits else None,
             "decision_window": len(lat),
-            "decision_p50_s": percentile(lat, 0.50),
-            "decision_p95_s": percentile(lat, 0.95),
-            "decision_p99_s": percentile(lat, 0.99),
-            "decision_max_s": lat[-1] if lat else 0.0,
+            "decision_p50_s": lat.percentile(0.50),
+            "decision_p95_s": lat.percentile(0.95),
+            "decision_p99_s": lat.percentile(0.99),
+            "decision_max_s": lat.percentile(1.0),
             "alerts_fired": sum(
                 1 for a in self.alerts if a.get("event") == "alert.fired"
             ),

@@ -4,7 +4,8 @@ Polls the JSON ``/varz`` endpoint that ``repro serve run
 --metrics-port`` exposes (see :mod:`repro.obs.exposition`) and redraws
 an ANSI dashboard: health state, epoch/stream/server gauges, windowed
 decision-latency percentiles, cache-hit ratio, the benefit trajectory
-as a sparkline, and any active alerts.  Everything is stdlib —
+as a sparkline, the epoch rate (the change in ``summary.epochs`` between
+two polls), and any active alerts.  Everything is stdlib —
 :mod:`urllib.request` for the poll, raw ANSI escapes for the redraw —
 so it runs over ssh on an edge box with nothing installed.
 
@@ -56,19 +57,19 @@ def _ms(v: float | None) -> str:
     return "-" if v is None else f"{float(v) * 1e3:.2f}ms"
 
 
-def _metric(varz: dict, name: str, field: str = "value"):
-    doc = varz.get("metrics", {}).get(name)
-    return None if doc is None else doc.get(field)
-
-
 def render_top(
     varz: dict[str, Any],
     *,
     width: int = 78,
     color: bool = True,
     benefit_history: list[float] | None = None,
+    epoch_rate: float | None = None,
 ) -> str:
-    """Render one ``/varz`` document as a dashboard frame."""
+    """Render one ``/varz`` document as a dashboard frame.
+
+    ``epoch_rate`` (epochs/s since the previous poll) is drawn when
+    given; :func:`run_top` computes it from two consecutive documents.
+    """
     health = varz.get("health", {})
     status = health.get("status", "?")
     service = varz.get("service", {})
@@ -122,9 +123,8 @@ def render_top(
         )
     if benefit_history:
         lines.append(f"benefit trend     {sparkline(benefit_history, width - 20)}")
-    rate = _metric(varz, "repro_serve_decision_latency_seconds", "window")
-    if isinstance(rate, dict):
-        lines.append(f"epoch rate        {rate.get('rate_per_s', 0.0):8.2f}/s")
+    if epoch_rate is not None:
+        lines.append(f"epoch rate        {epoch_rate:8.2f}/s")
     alerts = health.get("alerts") or []
     lines.append(bar)
     if alerts:
@@ -160,6 +160,7 @@ def run_top(
     out = stream if stream is not None else sys.stdout
     frames = 0
     benefit_history: list[float] = []
+    last: tuple[float, int] | None = None  # (poll time, summary.epochs)
     try:
         while True:
             try:
@@ -170,11 +171,22 @@ def run_top(
                     return 0
                 print(f"error: cannot reach {url}/varz: {exc}", file=out)
                 return 1
-            snap = (varz.get("service") or {}).get("snapshot") or {}
+            now = time.monotonic()
+            service = varz.get("service") or {}
+            snap = service.get("snapshot") or {}
             if snap.get("benefit") is not None:
                 benefit_history.append(float(snap["benefit"]))
+            epochs = (service.get("summary") or {}).get("epochs")
+            rate = None
+            if last is not None and epochs is not None and now > last[0]:
+                rate = (epochs - last[1]) / (now - last[0])
+            if epochs is not None:
+                last = (now, epochs)
             frame = render_top(
-                varz, color=color, benefit_history=benefit_history
+                varz,
+                color=color,
+                benefit_history=benefit_history,
+                epoch_rate=rate,
             )
             if clear:
                 out.write(_CLEAR)

@@ -1,29 +1,18 @@
-"""Tests for repro.obs.metrics: instruments, windows, registry bridge."""
+"""Tests for repro.obs.metrics: instruments, the rolling window, registry."""
 
 import math
+import random
 import threading
 
 import pytest
 
-from repro.obs import Ewma, MetricsRegistry, RollingWindow, Telemetry
+from repro.obs import MetricsRegistry, RollingWindow
 from repro.obs.metrics import (
+    DECISION_WINDOW,
     DEFAULT_BUCKETS,
-    DEFAULT_WINDOW_SAMPLES,
     percentile,
     sanitize_metric_name,
 )
-from repro.obs.sinks import MemorySink
-
-
-class FakeClock:
-    def __init__(self, t=0.0):
-        self.t = t
-
-    def __call__(self):
-        return self.t
-
-    def advance(self, dt):
-        self.t += dt
 
 
 class TestNames:
@@ -60,82 +49,46 @@ class TestPercentile:
 
 class TestRollingWindow:
     def test_sample_bound(self):
-        w = RollingWindow(max_samples=3, clock=FakeClock())
-        for v in range(5):
+        w = RollingWindow()
+        for v in range(DECISION_WINDOW + 5):
             w.observe(float(v))
-        assert w.values() == [2.0, 3.0, 4.0]
-
-    def test_time_bound_prunes_old(self):
-        clock = FakeClock()
-        w = RollingWindow(horizon_s=10.0, max_samples=100, clock=clock)
-        w.observe(1.0)
-        clock.advance(5.0)
-        w.observe(2.0)
-        clock.advance(6.0)  # first sample now 11s old
-        assert w.values() == [2.0]
+        assert len(w) == DECISION_WINDOW
+        assert w.sorted == [float(v) for v in range(5, DECISION_WINDOW + 5)]
 
     def test_percentiles_track_recent_samples_only(self):
         # The stale-reservoir regression: after a latency regime change,
         # windowed p95 must reflect the new regime, not run history.
-        w = RollingWindow(max_samples=100, clock=FakeClock())
+        w = RollingWindow()
         for _ in range(1000):
             w.observe(0.001)
-        for _ in range(100):
+        for _ in range(DECISION_WINDOW):
             w.observe(1.0)
-        assert w.percentile(0.95) == pytest.approx(1.0)
-        assert w.percentile(0.50) == pytest.approx(1.0)
+        assert w.percentile(0.95) == 1.0
+        assert w.percentile(0.50) == 1.0
 
-    def test_rate_per_s(self):
-        clock = FakeClock()
-        w = RollingWindow(horizon_s=100.0, max_samples=1000, clock=clock)
-        for _ in range(10):
-            w.observe(1.0)
-            clock.advance(1.0)
-        assert w.rate_per_s() == pytest.approx(1.0)
+    def test_empty_window_reads_zero(self):
+        w = RollingWindow()
+        assert len(w) == 0
+        assert w.percentile(0.5) == w.percentile(1.0) == 0.0
 
-    def test_snapshot_keys_and_empty(self):
-        w = RollingWindow(clock=FakeClock())
-        snap = w.snapshot()
-        assert snap == {
-            "count": 0, "mean": 0.0, "p50": 0.0, "p95": 0.0,
-            "p99": 0.0, "max": 0.0, "rate_per_s": 0.0,
-        }
-        w.observe(2.0)
-        w.observe(4.0)
-        snap = w.snapshot()
-        assert snap["count"] == 2
-        assert snap["mean"] == 3.0
-        assert snap["max"] == 4.0
-
-    def test_validates_args(self):
-        with pytest.raises(ValueError, match="horizon_s"):
-            RollingWindow(horizon_s=0.0)
-        with pytest.raises(ValueError, match="max_samples"):
-            RollingWindow(max_samples=0)
-
-
-class TestEwma:
-    def test_first_sample_is_value(self):
-        e = Ewma(halflife_s=10.0, clock=FakeClock())
-        assert e.update(5.0) == 5.0
-
-    def test_halflife_semantics(self):
-        clock = FakeClock()
-        e = Ewma(halflife_s=10.0, clock=clock)
-        e.update(0.0)
-        clock.advance(10.0)
-        # One half-life later, a new sample closes half the gap.
-        assert e.update(1.0) == pytest.approx(0.5)
-
-    def test_zero_dt_no_decay(self):
-        clock = FakeClock()
-        e = Ewma(halflife_s=10.0, clock=clock)
-        e.update(1.0)
-        assert e.update(100.0) == pytest.approx(1.0)
-
-    def test_validates(self):
-        with pytest.raises(ValueError, match="halflife_s"):
-            Ewma(halflife_s=0.0)
+    def test_matches_sorted_tail_with_duplicates(self):
+        """Past the bound, the window is exactly the last DECISION_WINDOW
+        values: every percentile equals ``percentile`` over
+        ``sorted(values)[-DECISION_WINDOW:]`` — duplicates included, so
+        eviction must remove one copy of the expired value, not all."""
+        rng = random.Random(7)
+        values: list[float] = []
+        w = RollingWindow()
+        for i in range(3 * DECISION_WINDOW + 17):
+            v = float(rng.randrange(40)) / 8  # heavy duplication
+            values.append(v)
+            w.observe(v)
+            if i % 97 == 0 or i > 3 * DECISION_WINDOW:
+                tail = sorted(values[-DECISION_WINDOW:])
+                assert w.sorted == tail
+                for q in (0.0, 0.5, 0.95, 0.99, 1.0):
+                    assert w.percentile(q) == percentile(tail, q)
+        assert len(w) == DECISION_WINDOW
 
 
 class TestCounterGauge:
@@ -148,11 +101,10 @@ class TestCounterGauge:
         with pytest.raises(ValueError, match="cannot decrease"):
             c.inc(-1)
 
-    def test_gauge_set_inc_dec(self):
+    def test_gauge_last_value_wins(self):
         g = MetricsRegistry().gauge("depth")
         g.set(5)
-        g.inc()
-        g.dec(2)
+        g.set(4)
         assert g.value == 4.0
 
 
@@ -171,13 +123,13 @@ class TestHistogram:
         h.observe(0.1)  # le is inclusive
         assert h.cumulative_buckets()[0] == (0.1, 1)
 
-    def test_snapshot_has_window_stats(self):
+    def test_snapshot_is_buckets_count_sum(self):
         h = MetricsRegistry().histogram("lat")
         h.observe(0.002)
         snap = h.snapshot()
+        assert set(snap) == {"type", "help", "count", "sum", "buckets"}
         assert snap["type"] == "histogram"
         assert snap["count"] == 1
-        assert snap["window"]["count"] == 1
         assert snap["buckets"][-1][0] == "+Inf"
 
     def test_rejects_empty_buckets(self):
@@ -226,57 +178,17 @@ class TestRegistry:
         reg.histogram("h").observe(0.01)
         json.dumps(reg.to_dict())  # must not raise
 
-    def test_bridge_hooks(self):
-        reg = MetricsRegistry()
-        reg.inc("serve.cache_hits", 3)
-        reg.set("serve.depth", 7)
-        reg.observe_span("serve.decision", 0.01)
-        d = reg.to_dict()
-        assert d["repro_serve_cache_hits"]["value"] == 3
-        assert d["repro_serve_depth"]["value"] == 7
-        assert d["repro_serve_decision_duration_seconds"]["count"] == 1
-
     def test_default_window_shape(self):
         h = MetricsRegistry().histogram("h")
-        assert h.window.max_samples == DEFAULT_WINDOW_SAMPLES
         assert h.buckets == tuple(sorted(DEFAULT_BUCKETS))
-
-
-class TestTelemetryBridge:
-    def test_counters_spans_gauges_mirrored(self):
-        t = Telemetry()
-        t.enable(MemorySink())
-        reg = MetricsRegistry()
-        t.attach_metrics(reg)
-        try:
-            t.counter("serve.epochs", 2)
-            t.gauge("serve.benefit", 1.25)
-            with t.span("serve.decision"):
-                pass
-        finally:
-            t.attach_metrics(None)
-            t.disable()
-        d = reg.to_dict()
-        assert d["repro_serve_epochs"]["value"] == 2
-        assert d["repro_serve_benefit"]["value"] == 1.25
-        assert d["repro_serve_decision_duration_seconds"]["count"] == 1
-
-    def test_detach_stops_mirroring(self):
-        t = Telemetry()
-        t.enable(MemorySink())
-        reg = MetricsRegistry()
-        t.attach_metrics(reg)
-        t.attach_metrics(None)
-        t.counter("late", 1)
-        t.disable()
-        assert "late" not in reg
+        assert DECISION_WINDOW == 512
 
 
 class TestThreadSafety:
     def test_concurrent_updates_sum_exactly(self):
         reg = MetricsRegistry()
         c = reg.counter("hits")
-        h = reg.histogram("lat", window_samples=10_000)
+        h = reg.histogram("lat")
         n_threads, n_iter = 8, 500
 
         def work():

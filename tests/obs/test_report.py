@@ -145,6 +145,29 @@ class TestSummarize:
         # counters fall back to the last bo.iteration's cumulative dict
         assert s.counters == {"bo.iterations": 3}
 
+    def test_span_fallback_uses_interpolated_percentiles(self):
+        """Without a ``run.summary`` the span percentiles come from the
+        raw span events through ``obs.metrics.percentile`` — the linear
+        interpolation every other surface uses, not nearest rank."""
+        from repro.obs.metrics import percentile
+
+        durations = [2.0, 0.0, 10.0, 1.0]
+        events = [
+            {"event": "trace.start", "ts": 100.0, "pid": 1, "trace_id": TRACE}
+        ] + [
+            {
+                "event": "span", "ts": 101.0 + i, "pid": 1, "span": "work",
+                "name": "work", "duration_s": d, "start_ts": 100.0 + i,
+                "trace_id": TRACE, "span_id": f"{i:016x}", "parent_id": None,
+            }
+            for i, d in enumerate(durations)
+        ]
+        st = summarize_events(events).spans["work"]
+        ordered = sorted(durations)
+        assert st["count"] == 4
+        assert st["p50_s"] == percentile(ordered, 0.50) == 1.5
+        assert st["p95_s"] == percentile(ordered, 0.95) == pytest.approx(8.8)
+
     def test_to_json_is_serializable(self):
         d = to_json(summarize_events(_events()))
         json.dumps(d)

@@ -5,9 +5,9 @@ import threading
 
 import pytest
 
-from repro.obs import JsonlSink, MemorySink, NullSink, Telemetry, get_telemetry
-from repro.obs import telemetry as global_telemetry
-from repro.obs.telemetry import _NULL_SPAN, RESERVOIR_SIZE
+from repro.obs import JsonlSink, MemorySink, NullSink, Telemetry
+from repro.obs.metrics import DECISION_WINDOW, percentile
+from repro.obs.telemetry import _NULL_SPAN
 
 
 @pytest.fixture
@@ -41,9 +41,6 @@ class TestDisabledPath:
         assert rep["counters"] == {}
         assert rep["gauges"] == {}
         assert rep["spans"] == {}
-
-    def test_global_singleton(self):
-        assert get_telemetry() is global_telemetry
 
 
 class TestSpans:
@@ -252,12 +249,19 @@ class TestPercentiles:
                 pass
         st = tel.report()["spans"]["work"]
         assert st["min_s"] <= st["p50_s"] <= st["p95_s"] <= st["max_s"]
-        assert len(st["sample"]) == 10
+        assert "sample" not in st
 
-    def test_reservoir_is_bounded(self, tel):
-        for _ in range(RESERVOIR_SIZE * 3):
+    def test_span_window_is_bounded(self, tel):
+        """Span percentiles cover the last DECISION_WINDOW completions —
+        the same RollingWindow definition as the serve loop."""
+        for _ in range(DECISION_WINDOW * 2):
             with tel.span("hot"):
                 pass
         st = tel.report()["spans"]["hot"]
-        assert st["count"] == RESERVOIR_SIZE * 3
-        assert len(st["sample"]) == RESERVOIR_SIZE
+        assert st["count"] == DECISION_WINDOW * 2
+        durations = [
+            r["duration_s"] for r in tel.sink.records if r["event"] == "span"
+        ]
+        tail = sorted(durations[-DECISION_WINDOW:])
+        assert st["p50_s"] == percentile(tail, 0.50)
+        assert st["p95_s"] == percentile(tail, 0.95)

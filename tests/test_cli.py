@@ -164,6 +164,29 @@ class TestFigure:
         data = load_results(out_path)
         assert "algorithm1_jitter" in data
 
+    def test_failing_figure_still_closes_telemetry(self, monkeypatch, tmp_path):
+        """A figure that raises must not leave telemetry enabled or the
+        log without its ``run.summary`` record."""
+        import json
+
+        import repro.bench
+        from repro.obs import telemetry
+
+        def boom():
+            with telemetry.span("fig4.partial"):
+                raise RuntimeError("figure failed")
+
+        monkeypatch.setattr(repro.bench, "fig4_jitter", boom)
+        path = tmp_path / "fig4.jsonl"
+        with pytest.raises(RuntimeError, match="figure failed"):
+            main(["figure", "4", "--telemetry", str(path)])
+        assert not telemetry.enabled
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        summaries = [r for r in records if r["event"] == "run.summary"]
+        assert len(summaries) == 1
+        assert summaries[0]["figure"] == "4"
+        assert "fig4.partial" in summaries[0]["report"]["spans"]
+
     def test_telemetry_summary_embedded_in_output(self, capsys, tmp_path):
         out_path = tmp_path / "fig4.json"
         tel_path = tmp_path / "fig4.jsonl"
