@@ -764,172 +764,183 @@ def _cmd_serve_loadgen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _serve_hardening(args: argparse.Namespace):
-    """Build admission/breaker/remediation (+ brownout SLO rules) from flags.
+#: Flags that configure a fresh service.  A resumed run keeps its
+#: checkpoint's configuration, so ``--resume`` rejects them (all default
+#: to None).
+_RESUME_FIXED = (
+    "--priority-map", "--join-rate", "--join-burst", "--max-queue-depth",
+    "--protect-priority", "--breaker", "--breaker-deadline",
+    "--brownout-slo", "--slo",
+)
 
-    Returns ``(admission, breaker, remediation, brownout_rules)`` with
-    ``None`` for pieces no flag asked for, so a flagless run keeps the
-    exact pre-hardening behavior.  Raises ``ValueError`` on bad specs.
+
+def _parse_rules(flag: str, specs: list[str]):
+    """SLO rule strings as SloRules; ValueError naming ``flag`` if one is bad."""
+    from repro.obs import SloRule
+
+    try:
+        return [SloRule.parse(spec) for spec in specs]
+    except ValueError as exc:
+        raise ValueError(f"bad {flag} rule: {exc}") from None
+
+
+def _stock_slo() -> list[str]:
+    """The stock serve SLO rules as ``name: spec`` strings."""
+    from repro.obs import default_rules
+
+    return [f"{rule.name}: {rule.spec()}" for rule in default_rules()]
+
+
+def _serve_spec(args: argparse.Namespace, n_streams: int, n_servers: int) -> dict:
+    """The flags of a fresh ``serve run`` as its WAL meta spec.
+
+    The run's service is ``build_service`` of this dict and the WAL
+    stores the same dict, so ``serve recover`` rebuilds exactly the
+    service that ran.  Pieces no flag asked for stay ``None``, so a
+    flagless run keeps the bare service.  ValueError on a bad flag.
     """
-    from repro.serve import AdmissionController, parse_priority_map
-    from repro.serve.service import RemediationPolicy
+    from repro.obs.health import severity_rank
+    from repro.serve import parse_priority_map, service_spec
 
     admission = None
-    priority_map: dict[int, int] = {}
-    default_priority = 0
-    if args.priority_map:
-        priority_map, default_priority = parse_priority_map(args.priority_map)
-    if (
-        args.priority_map
-        or args.join_rate is not None
-        or args.max_queue_depth is not None
-    ):
-        admission = AdmissionController(
-            priority_map=priority_map,
-            default_priority=default_priority,
-            join_rate_per_epoch=args.join_rate,
-            join_burst=args.join_burst,
-            max_queue_depth=args.max_queue_depth,
-            protect_priority=args.protect_priority,
-        )
+    if args.priority_map or args.join_rate is not None or args.max_queue_depth is not None:
+        try:
+            priority_map, default_priority = parse_priority_map(args.priority_map or "")
+        except ValueError as exc:
+            raise ValueError(f"bad --priority-map: {exc}") from None
+        admission = {
+            "priority_map": priority_map,
+            "default_priority": default_priority,
+            "join_rate_per_epoch": args.join_rate,
+            "join_burst": args.join_burst,
+            "max_queue_depth": args.max_queue_depth,
+            "protect_priority": args.protect_priority,
+        }
     breaker = None
     if args.breaker or args.breaker_deadline is not None:
-        from repro.resilience import CircuitBreaker
-
-        breaker = CircuitBreaker(
-            failure_threshold=args.breaker_failures,
-            cooldown_epochs=args.breaker_cooldown,
-            probe_successes=args.breaker_probes,
-            deadline_s=args.breaker_deadline,
-        )
+        breaker = {
+            "failure_threshold": args.breaker_failures,
+            "cooldown_epochs": args.breaker_cooldown,
+            "probe_successes": args.breaker_probes,
+            "deadline_s": args.breaker_deadline,
+        }
+    slo = list(args.slo or [])
+    _parse_rules("--slo", slo)
+    if not slo and args.metrics_port is not None:
+        slo = _stock_slo()
     remediation = None
-    brownout_rules = []
     if args.brownout_slo:
-        from repro.obs import SloRule
-        from repro.obs.health import severity_rank
-
-        try:
-            brownout_rules = [SloRule.parse(s) for s in args.brownout_slo]
-        except ValueError as exc:
-            raise ValueError(f"bad --brownout-slo rule: {exc}") from exc
+        brownout = _parse_rules("--brownout-slo", args.brownout_slo)
         # Remediation is severity-thresholded: brownout triggers at the
         # lowest severity any --brownout-slo rule can fire at.
-        floor = min((r.severity for r in brownout_rules), key=severity_rank)
-        remediation = RemediationPolicy(brownout_severity=floor)
-    return admission, breaker, remediation, brownout_rules
+        floor = min((rule.severity for rule in brownout), key=severity_rank)
+        remediation = {"brownout_severity": floor}
+        slo += args.brownout_slo
+    return service_spec(
+        n_streams=n_streams,
+        bandwidths_mbps=_parse_bandwidths(args, n_servers),
+        seed=args.seed,
+        method=args.method,
+        weights=_parse_weights(args),
+        epoch_s=args.epoch,
+        reoptimize_every=args.reoptimize_every,
+        admission=admission,
+        breaker=breaker,
+        slo=slo or None,
+        remediation=remediation,
+    )
 
 
-def _rule_spec(rule) -> str:
-    """Round-trippable string for an SloRule (keeps a custom name)."""
-    spec = rule.spec()
-    return spec if rule.name == spec else f"{rule.name}: {spec}"
+def _serve_live(args, service, log, spec) -> int:
+    """Attach the WAL and metrics, drain the run; return an exit code.
 
-
-def _serve_live(args, service, log, wal_spec, brownout_rules) -> int:
-    """Attach monitor/metrics/WAL, drain the run; return an exit code.
-
-    Everything attached here is torn down before returning (signal
-    handlers restored, WAL closed, metrics server stopped).
+    A fresh run's WAL starts with ``spec`` as its meta record; a resumed
+    run appends to its journal, which must already exist.  Everything
+    attached here is torn down before returning (signal handlers
+    restored, WAL closed, metrics server stopped).
     """
+    import signal as _signal
+
     from repro.obs import telemetry
     from repro.sched.grouping import InfeasibleScheduleError
+    from repro.serve import WriteAheadLog
 
-    metrics_server = None
-    slo_specs = getattr(args, "slo", None)
-    want_metrics = getattr(args, "metrics_port", None) is not None
-    attached_rules = None
-    if want_metrics or slo_specs or brownout_rules:
-        from repro.obs import HealthMonitor, SloRule, default_rules
-
-        try:
-            if slo_specs:
-                rules = [SloRule.parse(spec) for spec in slo_specs]
-            elif want_metrics:
-                rules = default_rules()
-            else:
-                rules = []  # --brownout-slo alone: just those rules
-        except ValueError as exc:
-            print(f"error: bad --slo rule: {exc}", file=sys.stderr)
-            return 2
-        rules = rules + brownout_rules
-        attached_rules = rules
-        # --slo alone still attaches a monitor: alerts land in telemetry
-        # (alert.fired/resolved events) without the HTTP endpoint.
-        registry = None
-        if want_metrics:
-            from repro.obs import MetricsRegistry, MetricsServer
-
-            registry = MetricsRegistry()
-        service.attach_observability(
-            metrics=registry, monitor=HealthMonitor(rules)
-        )
-    if want_metrics:
-        metrics_server = MetricsServer(
-            registry,
-            health=service.health_status,
-            varz=service.varz,
-            host=getattr(args, "metrics_host", "127.0.0.1"),
-            port=args.metrics_port,
-        )
-        try:
-            port = metrics_server.start()
-        except OSError as exc:
-            print(
-                f"error: cannot bind metrics server on "
-                f"{args.metrics_host}:{args.metrics_port}: {exc}",
-                file=sys.stderr,
-            )
-            return 2
-        print(
-            f"metrics: {metrics_server.url}/metrics · "
-            f"{metrics_server.url}/healthz · {metrics_server.url}/varz"
-        )
-        print(f"watch live with: repro serve top --port {port}")
     wal = None
-    if getattr(args, "wal", ""):
+    if args.wal:
         if err := _check_writable(args.wal):
             print(f"error: cannot write WAL: {err}", file=sys.stderr)
             return 2
-        from repro.serve import WriteAheadLog
-
-        if args.resume:
-            wal = WriteAheadLog.open(args.wal)
-        else:
-            if attached_rules is not None:
-                wal_spec["slo"] = [_rule_spec(r) for r in attached_rules]
-            wal = WriteAheadLog.create(args.wal, wal_spec)
+        try:
+            wal = (
+                WriteAheadLog.open(args.wal)
+                if args.resume
+                else WriteAheadLog.create(args.wal, spec)
+            )
+        except (OSError, ValueError) as exc:
+            print(f"error: cannot journal to --wal {args.wal}: {exc}", file=sys.stderr)
+            return 2
         service.attach_wal(wal)
         print(f"write-ahead log: {args.wal}")
-    # Graceful shutdown: SIGTERM/SIGINT drain the epoch in flight, write
-    # the final checkpoint, sync the WAL, and exit 0.  Install before
-    # run() so the whole drain is covered; restore on the way out.
-    import signal as _signal
-
-    def _graceful(signum, frame):  # noqa: ARG001 — signal handler shape
-        service.request_stop()
-
+    metrics_server = None
     old_handlers = {}
-    for signum in (_signal.SIGTERM, _signal.SIGINT):
-        try:
-            old_handlers[signum] = _signal.signal(signum, _graceful)
-        except (OSError, ValueError):  # non-main thread / exotic embedder
-            pass
     try:
-        try:
-            with telemetry.span("cli.serve"):
-                if not service.started:
-                    service.start()
-                if log is not None:
-                    service.submit(log)
-                service.run(
-                    max_epochs=args.max_epochs,
-                    checkpoint_path=args.checkpoint or None,
-                    checkpoint_every=args.checkpoint_every,
-                    pace_s=getattr(args, "pace", 0.0),
+        if args.metrics_port is not None:
+            from repro.obs import MetricsRegistry, MetricsServer
+            from repro.serve.wal import attach_slo
+
+            # The registry joins the service's own monitor; the stock
+            # rules stand in only for a resumed service that has none.
+            if service.monitor is None:
+                attach_slo(service, _stock_slo())
+            registry = MetricsRegistry()
+            service.attach_observability(metrics=registry, monitor=service.monitor)
+            metrics_server = MetricsServer(
+                registry,
+                health=service.health_status,
+                varz=service.varz,
+                host=args.metrics_host,
+                port=args.metrics_port,
+            )
+            try:
+                port = metrics_server.start()
+            except OSError as exc:
+                print(
+                    f"error: cannot bind metrics server on "
+                    f"{args.metrics_host}:{args.metrics_port}: {exc}",
+                    file=sys.stderr,
                 )
-        except InfeasibleScheduleError as exc:
-            print(f"error: schedule became infeasible: {exc}", file=sys.stderr)
-            return 1
+                return 2
+            print(
+                f"metrics: {metrics_server.url}/metrics · "
+                f"{metrics_server.url}/healthz · {metrics_server.url}/varz"
+            )
+            print(f"watch live with: repro serve top --port {port}")
+
+        # Graceful shutdown: SIGTERM/SIGINT drain the epoch in flight,
+        # write the final checkpoint, sync the WAL, and exit 0.  Install
+        # before run() so the whole drain is covered.
+        def _graceful(signum, frame):  # noqa: ARG001 — signal handler shape
+            service.request_stop()
+
+        for signum in (_signal.SIGTERM, _signal.SIGINT):
+            try:
+                old_handlers[signum] = _signal.signal(signum, _graceful)
+            except (OSError, ValueError):  # non-main thread / exotic embedder
+                pass
+        with telemetry.span("cli.serve"):
+            if not service.started:
+                service.start()
+            if log is not None:
+                service.submit(log)
+            service.run(
+                max_epochs=args.max_epochs,
+                checkpoint_path=args.checkpoint or None,
+                checkpoint_every=args.checkpoint_every,
+                pace_s=args.pace,
+            )
+    except InfeasibleScheduleError as exc:
+        print(f"error: schedule became infeasible: {exc}", file=sys.stderr)
+        return 1
     finally:
         for signum, handler in old_handlers.items():
             try:
@@ -944,14 +955,7 @@ def _serve_live(args, service, log, wal_spec, brownout_rules) -> int:
 
 
 def _cmd_serve_run(args: argparse.Namespace) -> int:
-    from repro.core import EVAProblem
-    from repro.serve import (
-        EventLog,
-        RegistryFactory,
-        SchedulerService,
-        approx_preference,
-        generate_load,
-    )
+    from repro.serve import EventLog, SchedulerService, build_service, generate_load
 
     log = None
     if args.events:
@@ -960,85 +964,40 @@ def _cmd_serve_run(args: argparse.Namespace) -> int:
         except (OSError, ValueError, KeyError) as exc:
             print(f"error: cannot load {args.events}: {exc}", file=sys.stderr)
             return 2
-    try:
-        admission, breaker, remediation, brownout_rules = _serve_hardening(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    wal_spec = None
+    spec = None
     if args.resume:
+        fixed = [
+            flag for flag in _RESUME_FIXED
+            if getattr(args, flag[2:].replace("-", "_")) is not None
+        ]
+        if fixed:
+            print(
+                f"error: {', '.join(fixed)} cannot be combined with --resume: "
+                f"a resumed run keeps its checkpoint's configuration",
+                file=sys.stderr,
+            )
+            return 2
         try:
             service = SchedulerService.resume(args.resume)
         except (OSError, ValueError, EOFError, pickle.UnpicklingError) as exc:
             print(f"error: cannot resume from {args.resume}: {exc}", file=sys.stderr)
             return 2
-        # Hardening flags override the pickled configuration when given.
-        if admission is not None:
-            service.admission = admission
-        if breaker is not None:
-            service.breaker = breaker
-        if remediation is not None:
-            service.remediation = remediation
         print(
             f"resuming serve run from {args.resume} "
             f"(epoch {service.epoch}, {len(service.planner.entries)} streams, "
             f"{len(service.queue)} queued events)"
         )
     else:
+        n_streams, n_servers = args.streams, args.servers
         if log is not None:
-            n_streams = log.n_streams or args.streams
-            n_servers = log.n_servers or args.servers
-        else:
-            n_streams, n_servers = args.streams, args.servers
+            n_streams = log.n_streams or n_streams
+            n_servers = log.n_servers or n_servers
         try:
-            bw = _parse_bandwidths(args, n_servers)
-            weights = _parse_weights(args)
-            problem = EVAProblem(n_streams=n_streams, bandwidths_mbps=bw)
-            pref = approx_preference(problem, weights=weights)
+            spec = _serve_spec(args, n_streams, n_servers)
+            service = build_service(spec)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        factory = (
-            RegistryFactory(args.method, pref, seed=args.seed)
-            if args.method
-            else None
-        )
-        try:
-            service = SchedulerService(
-                problem,
-                preference=pref,
-                scheduler_factory=factory,
-                epoch_s=args.epoch,
-                reoptimize_every=args.reoptimize_every,
-                admission=admission,
-                breaker=breaker,
-                remediation=remediation,
-            )
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        if args.wal:
-            from repro.serve import service_spec
-
-            wal_spec = service_spec(
-                n_streams=n_streams,
-                bandwidths_mbps=bw,
-                seed=args.seed,
-                method=args.method,
-                weights=weights,
-                epoch_s=args.epoch,
-                reoptimize_every=args.reoptimize_every,
-                admission=None if admission is None else admission.snapshot(),
-                breaker=None if breaker is None else {
-                    "failure_threshold": breaker.failure_threshold,
-                    "cooldown_epochs": breaker.cooldown_epochs,
-                    "probe_successes": breaker.probe_successes,
-                    "deadline_s": breaker.deadline_s,
-                },
-                remediation=(
-                    None if remediation is None else remediation.to_dict()
-                ),
-            )
         if log is None:
             log = generate_load(
                 n_streams, n_servers, profile=_churn_profile(args), seed=args.seed
@@ -1047,20 +1006,19 @@ def _cmd_serve_run(args: argparse.Namespace) -> int:
     if args.checkpoint and (err := _check_writable(args.checkpoint)):
         print(f"error: cannot write checkpoint: {err}", file=sys.stderr)
         return 2
-    telemetry_path = getattr(args, "telemetry", "") or ""
     with _telemetry_session(
-        telemetry_path,
+        args.telemetry,
         max_mb=args.telemetry_max_mb,
         backups=args.telemetry_backups,
         command="serve.run",
         seed=args.seed,
     ):
-        rc = _serve_live(args, service, log, wal_spec, brownout_rules)
+        rc = _serve_live(args, service, log, spec)
     if rc:
         return rc
 
     s = service.summary()
-    method = args.method if getattr(args, "method", "") else "greedy (engine)"
+    method = getattr(service.scheduler_factory, "method", "") or "greedy (engine)"
     print(f"serve run: {s['epochs']} epochs, method {method}")
     print(
         f"  streams {s['n_streams']} (end)   alive servers {s['n_alive_servers']}"
@@ -1093,10 +1051,10 @@ def _cmd_serve_run(args: argparse.Namespace) -> int:
         )
     if args.checkpoint:
         print(f"  checkpoint written to {args.checkpoint}")
-    if telemetry_path:
-        print(f"telemetry events written to {telemetry_path}")
+    if args.telemetry:
+        print(f"telemetry events written to {args.telemetry}")
         print(
-            f"inspect with: repro serve report {telemetry_path} "
+            f"inspect with: repro serve report {args.telemetry} "
             f"(or repro report / repro trace)"
         )
     return 0
@@ -1588,8 +1546,9 @@ def _register_serve(sub) -> None:
         type=str,
         default="",
         metavar="CKPT",
-        help="resume a serve run from a checkpoint (ignores problem flags; "
-        "--events adds more churn)",
+        help="resume a serve run from a checkpoint; it keeps the "
+        "checkpoint's configuration (problem flags are ignored, admission/"
+        "breaker/SLO flags rejected; --events adds more churn)",
     )
     p_run.add_argument(
         "--wal",
@@ -1597,12 +1556,13 @@ def _register_serve(sub) -> None:
         default="",
         metavar="PATH",
         help="write-ahead event journal; with --checkpoint this makes the "
-        "run recoverable after SIGKILL via `repro serve recover`",
+        "run recoverable after SIGKILL via `repro serve recover` (with "
+        "--resume: the run's existing journal, appended to)",
     )
     p_run.add_argument(
         "--priority-map",
         type=str,
-        default="",
+        default=None,
         metavar="SPEC",
         help="per-stream priority classes 'sid=prio,...,default=P' "
         "(higher = more important); enables benefit-aware eviction of "
@@ -1642,6 +1602,7 @@ def _register_serve(sub) -> None:
     p_run.add_argument(
         "--breaker",
         action="store_true",
+        default=None,
         help="enable the full-solve circuit breaker (exception failures "
         "only unless --breaker-deadline is set)",
     )

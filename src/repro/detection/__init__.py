@@ -7,18 +7,16 @@ convention) so accuracy numbers are produced by an actual evaluation
 pipeline rather than a hard-coded curve.
 """
 
-from repro.detection.boxes import Box, iou_matrix, box_area, clip_boxes
+from repro.detection.boxes import iou_matrix, box_area, clip_boxes
 from repro.detection.detector import DetectorModel, SimulatedDetector, Detection
 from repro.detection.evaluate import (
     match_detections,
     average_precision,
     precision_recall_curve,
     mean_average_precision,
-    mean_average_precision_range,
 )
 
 __all__ = [
-    "Box",
     "iou_matrix",
     "box_area",
     "clip_boxes",
@@ -29,5 +27,4 @@ __all__ = [
     "average_precision",
     "precision_recall_curve",
     "mean_average_precision",
-    "mean_average_precision_range",
 ]

@@ -7,35 +7,7 @@ no Python loops — per the HPC guide's vectorization idiom.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass(frozen=True)
-class Box:
-    """A single box; convenience wrapper around the array format."""
-
-    x1: float
-    y1: float
-    x2: float
-    y2: float
-
-    def __post_init__(self) -> None:
-        if self.x2 < self.x1 or self.y2 < self.y1:
-            raise ValueError(f"degenerate box: {self}")
-
-    def as_array(self) -> np.ndarray:
-        """(4,) array in (x1, y1, x2, y2) order."""
-        return np.array([self.x1, self.y1, self.x2, self.y2], dtype=float)
-
-    @property
-    def area(self) -> float:
-        return (self.x2 - self.x1) * (self.y2 - self.y1)
-
-    @property
-    def center(self) -> tuple[float, float]:
-        return ((self.x1 + self.x2) / 2.0, (self.y1 + self.y2) / 2.0)
 
 
 def _as_boxes(arr) -> np.ndarray:

@@ -9,7 +9,7 @@ the interpolated precision envelope integrated over recall.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -146,28 +146,3 @@ def mean_average_precision(
         return float(np.mean(aps))
     r, p = precision_recall_curve(frames_by_class, iou_threshold=iou_threshold)
     return average_precision(r, p)
-
-
-def mean_average_precision_range(
-    frames: Sequence[FrameResult],
-    *,
-    iou_thresholds: Sequence[float] | None = None,
-) -> float:
-    """COCO primary metric: AP averaged over IoU ∈ {0.50, 0.55, …, 0.95}.
-
-    Stricter than mAP@0.5 — localization noise that survives a 0.5
-    threshold fails 0.75+, so this metric separates detectors (and
-    configurations) with similar mAP@0.5 but different box quality.
-    """
-    if iou_thresholds is None:
-        iou_thresholds = np.arange(0.5, 0.96, 0.05)
-    thresholds = np.asarray(list(iou_thresholds), dtype=float)
-    if thresholds.size == 0:
-        raise ValueError("iou_thresholds must be non-empty")
-    if np.any((thresholds <= 0) | (thresholds > 1)):
-        raise ValueError(f"IoU thresholds must lie in (0, 1], got {thresholds}")
-    aps = []
-    for t in thresholds:
-        r, p = precision_recall_curve(frames, iou_threshold=float(t))
-        aps.append(average_precision(r, p))
-    return float(np.mean(aps))

@@ -14,9 +14,9 @@ Provides exactly the models the paper builds on:
 
 from repro.gp import cache
 from repro.gp.cache import chol_cache
-from repro.gp.kernels import Kernel, RBFKernel, Matern52Kernel, Matern32Kernel
+from repro.gp.kernels import Kernel, RBFKernel, Matern52Kernel
 from repro.gp.regression import GPRegressor
-from repro.gp.preference import PreferenceGP, ComparisonData, cross_validate_preference
+from repro.gp.preference import PreferenceGP, ComparisonData
 from repro.gp.sampling import sample_mvn, sample_posterior
 
 __all__ = [
@@ -25,11 +25,9 @@ __all__ = [
     "Kernel",
     "RBFKernel",
     "Matern52Kernel",
-    "Matern32Kernel",
     "GPRegressor",
     "PreferenceGP",
     "ComparisonData",
-    "cross_validate_preference",
     "sample_mvn",
     "sample_posterior",
 ]

@@ -135,17 +135,3 @@ class Matern52Kernel(Kernel):
             return k, None
         # dk/d(log ℓ_d) = σ² (5/3)(1 + √5 r) exp(−√5 r) · (Δ_d/ℓ_d)²
         return k, self.outputscale * (5.0 / 3.0) * (1.0 + sr) * np.exp(-sr)
-
-
-class Matern32Kernel(Kernel):
-    """Matérn-3/2: k = σ² (1 + √3 r) exp(−√3 r)."""
-
-    _SQRT3 = np.sqrt(3.0)
-
-    def _profile(self, d2, *, grads):
-        sr = self._SQRT3 * np.sqrt(np.clip(d2, 0.0, None))
-        k = self.outputscale * (1.0 + sr) * np.exp(-sr)
-        if not grads:
-            return k, None
-        # dk/d(log ℓ_d) = σ² · 3 · exp(−√3 r) · (Δ_d/ℓ_d)²  (limit-safe at r=0)
-        return k, self.outputscale * 3.0 * np.exp(-sr)

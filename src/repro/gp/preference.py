@@ -279,60 +279,3 @@ class PreferenceGP:
 
         mean, cov = self.predict(y_new, return_cov=True)
         return sample_mvn(mean, cov, n_samples, rng=rng)
-
-
-def cross_validate_preference(
-    data: ComparisonData,
-    *,
-    lengthscales=(0.5, 1.0, 1.5, 3.0),
-    noise_scales=(0.05, 0.1, 0.2),
-    n_folds: int = 4,
-    rng=None,
-) -> tuple[float, float, float]:
-    """Select (lengthscale, noise_scale) by held-out pair log-likelihood.
-
-    K-fold cross-validation over the *comparisons* (items are shared):
-    for each hyperparameter pair, fit on the training folds and score
-    the held-out comparisons with log p(winner ≻ loser) under the
-    posterior.  Returns ``(best_lengthscale, best_noise_scale,
-    best_mean_loglik)``.  Needs at least ``n_folds`` comparisons.
-    """
-    from repro.gp.kernels import RBFKernel
-    from repro.utils import as_generator
-
-    if data.n_pairs < n_folds:
-        raise ValueError(
-            f"need at least {n_folds} comparisons for {n_folds}-fold CV, "
-            f"got {data.n_pairs}"
-        )
-    gen = as_generator(rng)
-    order = gen.permutation(data.n_pairs)
-    folds = np.array_split(order, n_folds)
-    d = data.items.shape[1]
-
-    best = (-np.inf, None, None)
-    for ell in lengthscales:
-        for lam in noise_scales:
-            logliks = []
-            for fold in folds:
-                test_idx = set(int(i) for i in fold)
-                train_pairs = [
-                    p for i, p in enumerate(data.pairs) if i not in test_idx
-                ]
-                test_pairs = [data.pairs[int(i)] for i in fold]
-                if not train_pairs or not test_pairs:
-                    continue
-                model = PreferenceGP(
-                    kernel=RBFKernel(np.full(d, float(ell))),
-                    noise_scale=float(lam),
-                )
-                model.fit(ComparisonData(items=data.items, pairs=list(train_pairs)))
-                w = np.array([data.items[a] for a, _ in test_pairs])
-                l = np.array([data.items[b] for _, b in test_pairs])
-                p = np.clip(model.predict_pair_probability(w, l), 1e-9, 1.0)
-                logliks.append(float(np.mean(np.log(p))))
-            score = float(np.mean(logliks)) if logliks else -np.inf
-            if score > best[0]:
-                best = (score, float(ell), float(lam))
-    assert best[1] is not None
-    return best[1], best[2], best[0]

@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 import re
 import threading
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from collections import deque
 from typing import Any, Callable, Iterable
 
@@ -100,8 +100,14 @@ class RollingWindow:
     ``repro serve report`` and the telemetry span percentiles all read
     one of these, so "current p95" means the same thing everywhere.
     Insertion order lives in a deque (for eviction) and value order in a
-    bisect-maintained list, so an insert is one search plus one memmove
+    bisect-maintained list, so an insert is a search plus a memmove
     and a percentile read is O(1) — it runs per epoch on the serve path.
+
+    One thread writes, others may read (the serve loop observes while a
+    scrape reads ``/healthz``): every :meth:`observe` changes
+    :attr:`sorted` in a single list operation, and a full window swaps
+    the expired value for the new one in one slice assignment, so a
+    reader never sees the list shrink or hold a half-made update.
     """
 
     __slots__ = ("_order", "sorted")
@@ -113,13 +119,20 @@ class RollingWindow:
 
     def observe(self, value: float) -> None:
         value = float(value)
-        if len(self._order) >= DECISION_WINDOW:
-            del self.sorted[bisect_left(self.sorted, self._order.popleft())]
+        s = self.sorted
         self._order.append(value)
-        insort(self.sorted, value)
+        if len(s) < DECISION_WINDOW:
+            insort(s, value)
+            return
+        i = bisect_left(s, self._order.popleft())  # the expired value
+        j = bisect_right(s, value)  # where the new one goes
+        if j <= i:
+            s[j : i + 1] = [value, *s[j:i]]
+        else:
+            s[i:j] = [*s[i + 1 : j], value]
 
     def __len__(self) -> int:
-        return len(self._order)
+        return len(self.sorted)
 
     def percentile(self, q: float) -> float:
         """Exact linear-interpolated percentile over the window (0 if empty)."""

@@ -15,7 +15,7 @@ from repro.sched.theory import (
     theorem3_conditions,
     utilization,
 )
-from repro.sched.theory import stagger_offsets, diagnose_infeasibility
+from repro.sched.theory import stagger_offsets
 from repro.sched.grouping import (
     GroupingResult,
     ZeroJitterGroup,
@@ -45,7 +45,6 @@ __all__ = [
     "theorem3_conditions",
     "utilization",
     "stagger_offsets",
-    "diagnose_infeasibility",
     "GroupingResult",
     "group_streams",
     "ZeroJitterGroup",

@@ -92,53 +92,6 @@ def theorem3_conditions(group: Sequence[PeriodicStream]) -> bool:
     return total_p <= min(periods) + _EPS
 
 
-def diagnose_infeasibility(
-    streams: Sequence[PeriodicStream], n_servers: int
-) -> list[str]:
-    """Human-readable reasons a stream set may not be schedulable.
-
-    Checks, in order of severity: per-stream self-contention (needs
-    splitting), aggregate utilization exceeding N (no schedule exists
-    at all), and harmonic-packing pressure (more period classes than
-    servers, which defeats Theorem 3's grouping).  An empty list means
-    no structural red flag — Algorithm 1 may still fail on packing, but
-    a feasible grouping is plausible.
-    """
-    if n_servers < 1:
-        raise ValueError(f"n_servers must be >= 1, got {n_servers}")
-    reasons: list[str] = []
-    for s in streams:
-        if s.is_high_rate:
-            reasons.append(
-                f"stream {s.stream_id}: processing time {s.processing_time:.3f}s "
-                f"exceeds its period {s.period:.3f}s — split it first "
-                "(split_high_rate_streams)"
-            )
-    total_load = sum(s.load for s in streams)
-    if total_load > n_servers + _EPS:
-        reasons.append(
-            f"aggregate utilization {total_load:.2f} exceeds server count "
-            f"{n_servers} — no assignment can satisfy Const1"
-        )
-    # period classes: streams whose periods are mutually non-harmonic
-    # can never share a server under Theorem 3
-    classes: list[list[PeriodicStream]] = []
-    for s in sorted(streams, key=lambda t: t.period):
-        for cls in classes:
-            if is_harmonic([c.period for c in cls] + [s.period]):
-                cls.append(s)
-                break
-        else:
-            classes.append([s])
-    if len(classes) > n_servers:
-        reasons.append(
-            f"{len(classes)} mutually non-harmonic period classes but only "
-            f"{n_servers} servers — zero-jitter grouping is impossible; "
-            "align frame rates to a harmonic ladder"
-        )
-    return reasons
-
-
 def stagger_offsets(group: Sequence[PeriodicStream]) -> list[float]:
     """Start times o(τ_k) = Σ_{i<k} p_i from the proof of Theorem 1."""
     offsets: list[float] = []

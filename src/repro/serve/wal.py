@@ -52,6 +52,7 @@ __all__ = [
     "read_wal",
     "service_spec",
     "build_service",
+    "attach_slo",
     "recover_service",
 ]
 
@@ -101,7 +102,14 @@ class WriteAheadLog:
     def open(
         cls, path, *, sync_every: int = DEFAULT_SYNC_EVERY
     ) -> "WriteAheadLog":
-        """Append to an existing journal (resumed runs)."""
+        """Append to an existing journal (resumed runs).
+
+        Raises ``OSError``/``ValueError`` unless ``path`` already starts
+        with a meta record: appended to anything else, the records would
+        form a journal recovery cannot read.
+        """
+        with open(path, encoding="utf-8") as fh:
+            _meta_spec(fh.readline(), path)
         fh = open(path, "a", encoding="utf-8")
         return cls(path, fh, sync_every=sync_every)
 
@@ -179,21 +187,12 @@ class WalContents:
         return self.events[-1][0] if self.events else 0
 
 
-def read_wal(path) -> WalContents:
-    """Parse a journal, tolerating a torn tail.
-
-    A crash mid-append can leave a truncated final line (or, with
-    batched fsync, lose the unsynced suffix entirely); parsing stops
-    at the first unparseable line.  A gap in event sequence numbers
-    also stops the read — everything after a hole is unreplayable,
-    since exactly-once replay needs the contiguous prefix.
-    """
-    path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines:
+def _meta_spec(line: str, path) -> dict[str, Any]:
+    """The spec in a journal's first ``line``; ValueError if it is none."""
+    if not line.strip():
         raise ValueError(f"{path} is empty — not a WAL")
     try:
-        meta = json.loads(lines[0])
+        meta = json.loads(line)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path} has no meta record: {exc}") from exc
     if meta.get("t") != "meta":
@@ -205,7 +204,20 @@ def read_wal(path) -> WalContents:
         raise ValueError(
             f"{path} is WAL version {version}; this build reads {WAL_VERSION}"
         )
-    out = WalContents(spec=dict(meta.get("spec", {})))
+    return dict(meta.get("spec", {}))
+
+
+def read_wal(path) -> WalContents:
+    """Parse a journal, tolerating a torn tail.
+
+    A crash mid-append can leave a truncated final line (or, with
+    batched fsync, lose the unsynced suffix entirely); parsing stops
+    at the first unparseable line.  A gap in event sequence numbers
+    also stops the read — everything after a hole is unreplayable,
+    since exactly-once replay needs the contiguous prefix.
+    """
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    out = WalContents(spec=_meta_spec(lines[0] if lines else "", path))
     expected_seq = 1
     for i, line in enumerate(lines[1:], start=1):
         try:
@@ -247,9 +259,11 @@ def service_spec(
 ) -> dict[str, Any]:
     """The JSON-safe construction recipe stored in the WAL meta record.
 
-    Everything :func:`build_service` needs to rebuild an *identical*
-    service when no checkpoint survived: topology, seed, preference
-    weights, scheduler method, and the hardening configuration.
+    Everything :func:`build_service` needs to build an *identical*
+    service: topology, seed, preference weights, scheduler method, the
+    hardening configuration (``admission`` as :meth:`~repro.serve.
+    admission.AdmissionController.from_spec` reads it, ``breaker`` and
+    ``remediation`` as constructor keywords) and the SLO rule strings.
     """
     return {
         "n_streams": int(n_streams),
@@ -267,12 +281,15 @@ def service_spec(
 
 
 def build_service(spec: Mapping[str, Any]):
-    """Rebuild a fresh :class:`SchedulerService` from a WAL meta spec.
+    """Build a fresh :class:`SchedulerService` from a WAL meta spec.
 
-    Mirrors the CLI's construction path exactly (same problem, same
-    ``approx_preference``, same factory) so the warm-up solve of the
-    rebuilt service is bit-identical to the original run's.
+    The one construction path of a CLI service: ``repro serve run``
+    builds its service with this from the spec it journals, and
+    :func:`recover_service` rebuilds it from the journaled spec, so the
+    warm-up solve of a WAL-only recovery is bit-identical to the
+    original run's.  ``slo`` rules attach through :func:`attach_slo`.
     """
+    from repro.baselines.registry import available_schedulers
     from repro.core.problem import EVAProblem
     from repro.serve.admission import AdmissionController
     from repro.serve.engine import approx_preference
@@ -288,6 +305,11 @@ def build_service(spec: Mapping[str, Any]):
     )
     pref = approx_preference(problem, weights=spec.get("weights"))
     method = spec.get("method") or ""
+    if method and method.lower() not in available_schedulers():
+        raise ValueError(
+            f"unknown scheduler {method!r}; "
+            f"choose from {list(available_schedulers())}"
+        )
     factory = (
         RegistryFactory(method, pref, seed=int(spec.get("seed", 0)))
         if method
@@ -315,12 +337,17 @@ def build_service(spec: Mapping[str, Any]):
         remediation=remediation,
     )
     if spec.get("slo"):
-        from repro.obs.health import HealthMonitor, SloRule
-
-        service.attach_observability(
-            monitor=HealthMonitor([SloRule.parse(s) for s in spec["slo"]])
-        )
+        attach_slo(service, spec["slo"])
     return service
+
+
+def attach_slo(service, rules: list[str]) -> None:
+    """Attach a registry-less health monitor over SLO rule strings."""
+    from repro.obs.health import HealthMonitor, SloRule
+
+    service.attach_observability(
+        monitor=HealthMonitor([SloRule.parse(rule) for rule in rules])
+    )
 
 
 @dataclass

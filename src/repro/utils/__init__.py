@@ -10,7 +10,6 @@ from repro.utils.validation import (
     check_in_range,
     check_array_1d,
     check_array_2d,
-    check_probability,
 )
 from repro.utils.mathx import (
     gcd_many,
@@ -29,7 +28,6 @@ __all__ = [
     "check_in_range",
     "check_array_1d",
     "check_array_2d",
-    "check_probability",
     "gcd_many",
     "is_harmonic",
     "normalize_minmax",

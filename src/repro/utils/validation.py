@@ -42,11 +42,6 @@ def check_in_range(
     return v
 
 
-def check_probability(name: str, value: float) -> float:
-    """Validate that ``value`` lies in [0, 1]."""
-    return check_in_range(name, value, 0.0, 1.0)
-
-
 def check_array_1d(name: str, arr, *, dtype=float, min_len: int = 0) -> np.ndarray:
     """Coerce to a 1-D ndarray, validating finiteness and minimum length."""
     a = np.asarray(arr, dtype=dtype)

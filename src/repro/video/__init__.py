@@ -10,7 +10,6 @@ from repro.video.synthetic import (
     SceneConfig,
     SyntheticClip,
     generate_clip,
-    generate_drifting_clip,
 )
 from repro.video.encoder import EncoderModel
 from repro.video.profiles import DeviceProfile, JETSON_NX_PROFILE
@@ -25,7 +24,6 @@ __all__ = [
     "SceneConfig",
     "SyntheticClip",
     "generate_clip",
-    "generate_drifting_clip",
     "EncoderModel",
     "DeviceProfile",
     "JETSON_NX_PROFILE",

@@ -9,7 +9,7 @@ density characteristics, mimicking the variety of MOT16 sequences
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -139,30 +139,3 @@ def generate_clip(
         frames.append(boxes[keep])
 
     return SyntheticClip(config=cfg, frames=frames, name=name)
-
-
-def generate_drifting_clip(
-    phases: list[tuple[SceneConfig, int]],
-    *,
-    rng: RngLike = None,
-    name: str = "drifting-clip",
-) -> SyntheticClip:
-    """A clip whose content characteristics change between phases.
-
-    ``phases`` lists (scene config, n_frames) segments; each segment is
-    generated with its own config and the frames concatenated.  Object
-    identity does not persist across phase boundaries (a scene cut),
-    which is exactly the content drift that invalidates a previously
-    profiled configuration and should trigger online re-optimization.
-
-    The returned clip carries the *first* phase's config (callers that
-    need per-phase metadata should keep ``phases``).
-    """
-    if not phases:
-        raise ValueError("need at least one phase")
-    gens = spawn(rng, len(phases))
-    frames: list[np.ndarray] = []
-    for (cfg, n), g in zip(phases, gens):
-        seg = generate_clip(cfg, n_frames=n, rng=g)
-        frames.extend(seg.frames)
-    return SyntheticClip(config=phases[0][0], frames=frames, name=name)

@@ -84,34 +84,3 @@ class TestResultsIO:
             data["algorithm1_jitter"]
         )
 
-
-class TestDriftingClip:
-    def test_phase_concatenation(self):
-        from repro.video import SceneConfig, generate_drifting_clip
-
-        clip = generate_drifting_clip(
-            [
-                (SceneConfig(n_objects=4), 10),
-                (SceneConfig(n_objects=20), 15),
-            ],
-            rng=0,
-        )
-        assert clip.n_frames == 25
-        early = np.mean([f.shape[0] for f in clip.frames[:10]])
-        late = np.mean([f.shape[0] for f in clip.frames[10:]])
-        assert late > early  # density jumped at the cut
-
-    def test_deterministic(self):
-        from repro.video import SceneConfig, generate_drifting_clip
-
-        phases = [(SceneConfig(n_objects=5), 5), (SceneConfig(n_objects=9), 5)]
-        a = generate_drifting_clip(phases, rng=1)
-        b = generate_drifting_clip(phases, rng=1)
-        for fa, fb in zip(a.frames, b.frames):
-            np.testing.assert_array_equal(fa, fb)
-
-    def test_empty_raises(self):
-        from repro.video import generate_drifting_clip
-
-        with pytest.raises(ValueError):
-            generate_drifting_clip([])

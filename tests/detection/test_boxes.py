@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.detection import Box, box_area, clip_boxes, iou_matrix
+from repro.detection import box_area, clip_boxes, iou_matrix
 
 
 def _box_strategy():
@@ -14,22 +14,6 @@ def _box_strategy():
     return st.tuples(coord, coord, size, size).map(
         lambda t: np.array([t[0], t[1], t[0] + t[2], t[1] + t[3]])
     )
-
-
-class TestBox:
-    def test_area(self):
-        assert Box(0, 0, 4, 5).area == 20
-
-    def test_center(self):
-        assert Box(0, 0, 4, 6).center == (2.0, 3.0)
-
-    def test_degenerate_raises(self):
-        with pytest.raises(ValueError):
-            Box(5, 0, 1, 1)
-
-    def test_as_array_roundtrip(self):
-        b = Box(1, 2, 3, 4)
-        np.testing.assert_array_equal(b.as_array(), [1, 2, 3, 4])
 
 
 class TestBoxArea:

@@ -18,7 +18,6 @@ from repro.bo.eubo import eubo_batch, eubo_closed_form
 from repro.gp import (
     ComparisonData,
     GPRegressor,
-    Matern32Kernel,
     Matern52Kernel,
     PreferenceGP,
     RBFKernel,
@@ -49,15 +48,7 @@ def _ref_matern52(kern, x):
     return k, [k] + [common * per_dim[..., d] for d in range(kern.n_dims)]
 
 
-def _ref_matern32(kern, x):
-    per_dim = _scaled_diffsq(x, x, kern.lengthscales)
-    sr = np.sqrt(3.0) * np.sqrt(np.clip(per_dim.sum(axis=-1), 0.0, None))
-    k = kern.outputscale * (1.0 + sr) * np.exp(-sr)
-    common = kern.outputscale * 3.0 * np.exp(-sr)
-    return k, [k] + [common * per_dim[..., d] for d in range(kern.n_dims)]
-
-
-_REF = {RBFKernel: _ref_rbf, Matern52Kernel: _ref_matern52, Matern32Kernel: _ref_matern32}
+_REF = {RBFKernel: _ref_rbf, Matern52Kernel: _ref_matern52}
 
 
 def _ref_kernel(kern, x):
@@ -68,11 +59,10 @@ def _kernels(d):
     return [
         RBFKernel(np.linspace(0.4, 1.6, d), outputscale=1.7),
         Matern52Kernel(np.linspace(0.7, 1.3, d), outputscale=0.6),
-        Matern32Kernel(np.linspace(1.1, 0.5, d), outputscale=2.3),
     ]
 
 
-@pytest.mark.parametrize("idx", range(3), ids=["rbf", "m52", "m32"])
+@pytest.mark.parametrize("idx", range(2), ids=["rbf", "m52"])
 class TestKernelFromDiff:
     def test_matches_call_gradients_and_reference(self, idx, rng):
         x = rng.uniform(0.0, 1.0, (23, 5))
@@ -130,7 +120,7 @@ def _fitted(kernel, n=40, d=5, seed=3):
 
 
 class TestNegMllAndGrad:
-    @pytest.mark.parametrize("idx", range(3), ids=["rbf", "m52", "m32"])
+    @pytest.mark.parametrize("idx", range(2), ids=["rbf", "m52"])
     def test_random_theta_bit_identical(self, idx):
         model = _fitted(_kernels(5)[idx])
         diff = pairwise_diff(model._x, model._x)

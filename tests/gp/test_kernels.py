@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.gp import Matern32Kernel, Matern52Kernel, RBFKernel
+from repro.gp import Matern52Kernel, RBFKernel
 
-KERNELS = [RBFKernel, Matern52Kernel, Matern32Kernel]
+KERNELS = [RBFKernel, Matern52Kernel]
 
 
 @pytest.fixture(params=KERNELS)
@@ -112,9 +112,3 @@ class TestMaternSmoothness:
         sr = np.sqrt(5)
         expected = (1 + sr + sr**2 / 3) * np.exp(-sr)
         assert kern(np.array([[0.0]]), np.array([[r]]))[0, 0] == pytest.approx(expected)
-
-    def test_matern32_value(self):
-        kern = Matern32Kernel([1.0], outputscale=1.0)
-        sr = np.sqrt(3)
-        expected = (1 + sr) * np.exp(-sr)
-        assert kern(np.array([[0.0]]), np.array([[1.0]]))[0, 0] == pytest.approx(expected)

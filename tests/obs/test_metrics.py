@@ -2,7 +2,9 @@
 
 import math
 import random
+import sys
 import threading
+import time
 
 import pytest
 
@@ -88,6 +90,81 @@ class TestRollingWindow:
                 assert w.sorted == tail
                 for q in (0.0, 0.5, 0.95, 0.99, 1.0):
                     assert w.percentile(q) == percentile(tail, q)
+        assert len(w) == DECISION_WINDOW
+
+    def test_concurrent_reader_never_sees_a_shrunk_window(self):
+        """A scrape thread reads the window while the serve loop writes.
+
+        ``percentile`` reads ``len`` and then indexes, so any moment at
+        which the list holds fewer values than before lets a read index
+        past the end.  The list below runs a reader check after every
+        single list operation — every state a concurrent reader could
+        see."""
+
+        class ReaderList(list):
+            def insert(self, i, v):
+                super().insert(i, v)
+                check(self)
+
+            def __setitem__(self, k, v):
+                super().__setitem__(k, v)
+                check(self)
+
+            def __delitem__(self, k):
+                super().__delitem__(k)
+                check(self)
+
+        seen = []
+
+        def check(values):
+            assert len(values) == min(len(seen) + 1, DECISION_WINDOW)
+            assert values == sorted(values)
+            assert percentile(values, 1.0) == values[-1]
+            seen.append(len(values))
+
+        rng = random.Random(3)
+        w = RollingWindow()
+        w.sorted = ReaderList()
+        for _ in range(3 * DECISION_WINDOW):
+            w.observe(rng.random())
+        assert len(seen) == 3 * DECISION_WINDOW  # one operation per observe
+        assert len(w) == DECISION_WINDOW
+
+    def test_threaded_reads_during_eviction(self):
+        """Stress: one writer evicting, more readers than cores."""
+        w = RollingWindow()
+        for v in range(DECISION_WINDOW):
+            w.observe(float(v))
+        stop = threading.Event()
+        errors = []
+
+        def write():
+            rng = random.Random(0)
+            while not stop.is_set():
+                w.observe(rng.random())
+
+        def read():
+            while not stop.is_set():
+                try:
+                    w.percentile(1.0)
+                except IndexError as exc:
+                    errors.append(exc)
+
+        threads = [threading.Thread(target=write)]
+        threads += [threading.Thread(target=read) for _ in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            time.sleep(0.5)
+        finally:
+            stop.set()
+            for t in threads:
+                t.join(timeout=10)
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
         assert len(w) == DECISION_WINDOW
 
 

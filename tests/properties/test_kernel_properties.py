@@ -11,9 +11,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gp import Matern32Kernel, Matern52Kernel, RBFKernel
+from repro.gp import Matern52Kernel, RBFKernel
 
-KERNELS = (RBFKernel, Matern32Kernel, Matern52Kernel)
+KERNELS = (RBFKernel, Matern52Kernel)
 
 
 @st.composite

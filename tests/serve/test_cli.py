@@ -99,6 +99,12 @@ class TestServeRun:
         assert rc == 2
         assert "cannot resume" in capsys.readouterr().err
 
+    def test_unknown_method_is_a_clean_error(self, capsys):
+        rc = main(["serve", "run", "--method", "skynet", "--hours", "0.01"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: unknown scheduler 'skynet'")
+
     def test_bandwidth_mismatch_errors(self, capsys):
         rc = main(
             ["serve", "run", "--streams", "3", "--servers", "2",
@@ -106,6 +112,130 @@ class TestServeRun:
         )
         assert rc == 2
         assert "error" in capsys.readouterr().err
+
+
+def _cut_run(event_log, tmp_path, *flags):
+    """A checkpointed run stopped after a few epochs; returns the checkpoint."""
+    ckpt = tmp_path / "serve.ckpt"
+    rc = main(
+        [
+            "serve", "run", "--events", str(event_log), "--seed", "0",
+            "--max-epochs", "5", "--checkpoint", str(ckpt), *flags,
+        ]
+    )
+    assert rc == 0
+    return ckpt
+
+
+class TestResumeKeepsCheckpointConfiguration:
+    """A resumed run keeps its checkpoint's configuration."""
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--join-rate", "0.5", "--max-queue-depth", "3"],
+            ["--priority-map", "0=2,default=1"],
+            ["--join-rate", "0.5"],
+            ["--max-queue-depth", "0"],
+            ["--breaker"],
+            ["--breaker-deadline", "0.1"],
+            ["--brownout-slo", "decision_p95_s < 1"],
+            ["--slo", "decision_p95_s < 1"],
+        ],
+        ids=lambda flags: flags[0].lstrip("-") + ("+" if len(flags) > 2 else ""),
+    )
+    def test_reconfiguring_flags_are_rejected(
+        self, event_log, tmp_path, capsys, flags
+    ):
+        wal = tmp_path / "serve.wal"
+        ckpt = _cut_run(event_log, tmp_path, "--wal", str(wal))
+        before = (ckpt.read_bytes(), wal.read_bytes())
+        rc = main(
+            ["serve", "run", "--resume", str(ckpt), "--wal", str(wal),
+             "--checkpoint", str(ckpt), *flags]
+        )
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"error: {flags[0]}")
+        assert "--resume" in err
+        # nothing ran: checkpoint and journal are untouched, and the
+        # journal still recovers bit-identically on its own
+        assert (ckpt.read_bytes(), wal.read_bytes()) == before
+        assert main(["serve", "recover", "--wal", str(wal)]) == 0
+        assert "bit-identical" in capsys.readouterr().out
+
+    def test_plain_resume_appends_a_recoverable_journal(
+        self, event_log, tmp_path, capsys
+    ):
+        wal = tmp_path / "serve.wal"
+        ckpt = _cut_run(
+            event_log, tmp_path, "--wal", str(wal), "--join-rate", "0.5"
+        )
+        assert main(["serve", "run", "--resume", str(ckpt), "--wal", str(wal)]) == 0
+        assert main(["serve", "recover", "--wal", str(wal)]) == 0
+        assert "bit-identical" in capsys.readouterr().out
+
+    def test_resume_reports_the_checkpoints_method(
+        self, event_log, tmp_path, capsys
+    ):
+        ckpt = _cut_run(event_log, tmp_path, "--method", "random")
+        capsys.readouterr()
+        assert main(["serve", "run", "--resume", str(ckpt)]) == 0
+        assert "method random" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("kind", ["missing", "empty", "not-a-wal"])
+    def test_resume_needs_the_runs_journal(self, event_log, tmp_path, capsys, kind):
+        ckpt = _cut_run(event_log, tmp_path)
+        wal = tmp_path / "serve.wal"
+        if kind == "empty":
+            wal.write_text("")
+        elif kind == "not-a-wal":
+            wal.write_text('{"t":"ep","epoch":1,"mode":"normal"}\n')
+        before = ckpt.read_bytes()
+        rc = main(
+            ["serve", "run", "--resume", str(ckpt), "--wal", str(wal),
+             "--checkpoint", str(ckpt)]
+        )
+        assert rc == 2
+        assert "error: cannot journal to --wal" in capsys.readouterr().err
+        assert ckpt.read_bytes() == before  # no epoch ran
+        assert wal.exists() == (kind != "missing")
+
+    def test_metrics_port_keeps_the_checkpoints_monitor(
+        self, event_log, tmp_path
+    ):
+        from repro.serve import SchedulerService
+
+        ckpt = _cut_run(
+            event_log, tmp_path,
+            "--brownout-slo", "overload: benefit_drop_ratio < 0.05",
+        )
+        after = tmp_path / "after.ckpt"
+        rc = main(
+            ["serve", "run", "--resume", str(ckpt), "--metrics-port", "0",
+             "--checkpoint", str(after)]
+        )
+        assert rc == 0
+        service = SchedulerService.resume(after)
+        assert [rule.name for rule in service.monitor.rules] == ["overload"]
+        assert service.remediation.brownout_severity == "degraded"
+
+    def test_metrics_port_adds_stock_rules_when_checkpoint_has_none(
+        self, event_log, tmp_path
+    ):
+        from repro.obs import default_rules
+        from repro.serve import SchedulerService
+
+        ckpt = _cut_run(event_log, tmp_path)
+        assert SchedulerService.resume(ckpt).monitor is None
+        after = tmp_path / "after.ckpt"
+        rc = main(
+            ["serve", "run", "--resume", str(ckpt), "--metrics-port", "0",
+             "--checkpoint", str(after)]
+        )
+        assert rc == 0
+        rules = SchedulerService.resume(after).monitor.rules
+        assert rules == default_rules()
 
 
 class TestServeReport:

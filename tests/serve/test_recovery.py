@@ -7,6 +7,7 @@ bit-identically via ``repro serve recover``, and SIGTERM drains
 gracefully with exit code 0.
 """
 
+import json
 import os
 import signal
 import subprocess
@@ -16,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.cli import main
 from repro.obs import telemetry
 from repro.serve import (
     ServeEvent,
@@ -120,6 +122,111 @@ class TestRecoverService:
         assert info.torn_lines == 1
         recovered.run()
         assert info.verify(recovered) == []
+
+
+CLI_RUN = [
+    "--streams", "5", "--servers", "3", "--seed", "3",
+    "--hours", "0.05", "--arrivals-per-hour", "300",
+    "--departures-per-hour", "200", "--drifts-per-hour", "40",
+    "--flaps-per-hour", "20",
+]
+ADMISSION = [
+    "--priority-map", "0=2,1=2,default=1", "--join-rate", "0.5",
+    "--max-queue-depth", "3", "--protect-priority", "2",
+]
+
+
+class TestCliWalOnlyRecovery:
+    """``serve recover --wal`` alone rebuilds a CLI run of any flag set.
+
+    The journal's meta record is the only description of the service,
+    so every configuration flag must reach it and come back out.
+    """
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            [],
+            ADMISSION,
+            ["--breaker"],
+            ["--weights", "3,1,1,1,1"],
+            ["--slo", "impossible: cache_hit_ratio > 2"],
+            ["--brownout-slo", "overload: decision_p95_s < 1e-9 ! degraded"],
+            ["--metrics-port", "0"],
+            ["--method", "random"],
+            ["--reoptimize-every", "4"],
+            ["--events"],
+        ],
+        ids=lambda flags: flags[0].lstrip("-") if flags else "default",
+    )
+    def test_recovers_bit_identically(self, tmp_path, capsys, flags):
+        if flags == ["--events"]:
+            events = tmp_path / "events.json"
+            assert main(["serve", "loadgen", *CLI_RUN, "-o", str(events)]) == 0
+            flags = ["--events", str(events)]
+        wal = tmp_path / "serve.wal"
+        assert main(["serve", "run", *CLI_RUN, *flags, "--wal", str(wal)]) == 0
+        capsys.readouterr()
+        assert main(["serve", "recover", "--wal", str(wal)]) == 0
+        assert "bit-identical" in capsys.readouterr().out
+
+    def test_resolved_snapshot_meta_spec_still_recovers(self, tmp_path, capsys):
+        """Journals written before the CLI built its service from the spec
+        store the admission snapshot with a resolved ``join_burst`` and
+        ``max_evictions_per_join``, every remediation field and each
+        SLO rule in its normalized ``name: spec`` form."""
+        wal = tmp_path / "serve.wal"
+        rc = main(
+            [
+                "serve", "run", *CLI_RUN, *ADMISSION, "--breaker",
+                "--slo", "impossible: cache_hit_ratio > 2",
+                "--brownout-slo", "overload: benefit_drop_ratio < 0.05 ! degraded",
+                "--wal", str(wal),
+            ]
+        )
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "shed" in out and "brownout epochs" in out
+
+        def recover_with(**parts):
+            meta, *records = wal.read_text().splitlines()
+            meta = json.loads(meta)
+            meta["spec"].update(parts)
+            wal.write_text("\n".join([json.dumps(meta), *records]) + "\n")
+            return main(["serve", "recover", "--wal", str(wal)])
+
+        resolved = dict(
+            admission={
+                "priority_map": {"0": 2, "1": 2},
+                "default_priority": 1,
+                "join_rate_per_epoch": 0.5,
+                "join_burst": 1.0,
+                "max_queue_depth": 3,
+                "protect_priority": 2,
+                "max_evictions_per_join": 4,
+            },
+            breaker={
+                "failure_threshold": 3,
+                "cooldown_epochs": 8,
+                "probe_successes": 1,
+                "deadline_s": None,
+            },
+            slo=[
+                "impossible: cache_hit_ratio > 2",
+                "overload: benefit_drop_ratio < 0.05",
+            ],
+            remediation={
+                "brownout_severity": "degraded",
+                "shed_severity": None,
+                "checkpoint_severity": None,
+            },
+        )
+        assert recover_with(**resolved) == 0
+        assert "bit-identical" in capsys.readouterr().out
+        # the meta record really drives the rebuild: another admission
+        # configuration diverges from the journaled decisions
+        assert recover_with(admission=None) == 1
+        assert "diverged" in capsys.readouterr().err
 
 
 def _cli(*args):

@@ -8,7 +8,6 @@ from repro.utils import (
     check_array_2d,
     check_in_range,
     check_positive,
-    check_probability,
 )
 
 
@@ -48,15 +47,6 @@ class TestCheckInRange:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             check_in_range("x", 3.0, 0.0, 2.0)
-
-
-class TestCheckProbability:
-    def test_valid(self):
-        assert check_probability("p", 0.5) == 0.5
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            check_probability("p", 1.5)
 
 
 class TestCheckArray1d:
