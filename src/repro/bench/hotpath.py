@@ -12,7 +12,10 @@ Each benchmark drives one hot kernel on fixed seeds and emits a
 * ``assignment_cache`` — memoized Hungarian group→server solves;
 * ``serve_full_solve`` — the serve planner's full re-solve
   (:meth:`~repro.serve.engine.IncrementalPlanner.solve_all`) over a
-  seeded stream population.
+  seeded stream population;
+* ``alg1_grouping`` — one batch Algorithm 1 grouping pass
+  (:func:`~repro.sched.grouping.group_streams`) at M = 100 up to 2000
+  streams, with the wall time of each size in the record's ``scaling``.
 
 Each record carries wall time, iterations/s and the ``repro.obs``
 cache/vectorization counters of the timed run.  The counters are
@@ -47,6 +50,7 @@ _COUNTERS = (
     "sched.assign_cache_misses",
     "serve.engine.solve_all_calls",
     "serve.engine.upgrade_attempts",
+    "sched.grouping.group_scans",
 )
 
 #: Per-benchmark sizing knobs.  ``medium`` is the acceptance
@@ -60,6 +64,7 @@ PROFILES: dict[str, dict[str, dict[str, int]]] = {
         "eubo_pairs": {"items": 24, "pairs": 80, "repeats": 4},
         "assignment_cache": {"streams": 8, "servers": 4, "variants": 5, "repeats": 100},
         "serve_full_solve": {"streams": 120, "servers": 16, "repeats": 3},
+        "alg1_grouping": {"streams_min": 100, "streams_max": 400, "sizes": 3, "repeats": 1},
     },
     "medium": {
         "bo_hot_path": {"m": 16, "iters": 50, "n_init": 100, "pool": 6, "n_samples": 16},
@@ -68,6 +73,7 @@ PROFILES: dict[str, dict[str, dict[str, int]]] = {
         "eubo_pairs": {"items": 80, "pairs": 500, "repeats": 10},
         "assignment_cache": {"streams": 12, "servers": 6, "variants": 20, "repeats": 2000},
         "serve_full_solve": {"streams": 120, "servers": 16, "repeats": 30},
+        "alg1_grouping": {"streams_min": 100, "streams_max": 2000, "sizes": 5, "repeats": 1},
     },
 }
 
@@ -328,6 +334,47 @@ def bench_serve_full_solve(cfg: dict[str, int], seed: int) -> dict:
     return _record("serve_full_solve", cfg, seed, run, repeats)
 
 
+def bench_alg1_grouping(cfg: dict[str, int], seed: int) -> dict:
+    """Algorithm 1's grouping pass as M grows (geometric sizes).
+
+    Each size M draws a seeded knob decision for M streams on M // 2
+    servers (the paper's 10-on-5 ratio), splits the stream set once and
+    times best-effort :func:`group_streams` on it, so every size places
+    every stream.  ``sched.grouping.group_scans`` counts the groups the
+    passes examined; ``scaling`` holds the seconds per pass per size.
+    """
+    from repro.bench.harness import make_problem
+    from repro.sched.grouping import group_streams
+
+    sizes = np.geomspace(cfg["streams_min"], cfg["streams_max"], cfg["sizes"])
+    cases = []
+    for m in (int(v) for v in np.round(sizes)):
+        problem = make_problem(m, max(1, m // 2), rng=seed)
+        r, s = problem.sample_decision(rng=seed + m)
+        cases.append((m, problem.n_servers, problem.make_streams(r, s)))
+    repeats = cfg["repeats"]
+    scaling: list[dict] = []
+
+    def run() -> None:
+        scaling.clear()
+        for m, n, streams in cases:
+            start = time.perf_counter()
+            for _ in range(repeats):
+                group_streams(streams, n, strict=False)
+            scaling.append(
+                {
+                    "streams": m,
+                    "servers": n,
+                    "substreams": len(streams),
+                    "wall_s": (time.perf_counter() - start) / repeats,
+                }
+            )
+
+    record = _record("alg1_grouping", cfg, seed, run, len(cases) * repeats)
+    record["scaling"] = list(scaling)
+    return record
+
+
 BENCHMARKS: dict[str, Callable[[dict, int], dict]] = {
     "bo_hot_path": bench_bo_hot_path,
     "gp_update": bench_gp_update,
@@ -335,6 +382,7 @@ BENCHMARKS: dict[str, Callable[[dict, int], dict]] = {
     "eubo_pairs": bench_eubo_pairs,
     "assignment_cache": bench_assignment_cache,
     "serve_full_solve": bench_serve_full_solve,
+    "alg1_grouping": bench_alg1_grouping,
 }
 
 

@@ -704,6 +704,8 @@ def _parse_bandwidths(args: argparse.Namespace, n_servers: int) -> list[float]:
     """--bandwidths (or defaults drawn from --seed); ValueError on a malformed flag."""
     from repro.utils import as_generator
 
+    if n_servers < 1:
+        raise ValueError(f"--servers must be >= 1, got {n_servers}")
     if args.bandwidths:
         return _parse_floats("--bandwidths", args.bandwidths, n_servers, "servers")
     choices = [5.0, 10.0, 15.0, 20.0, 25.0, 30.0]
@@ -772,6 +774,30 @@ _RESUME_FIXED = (
     "--protect-priority", "--breaker", "--breaker-deadline",
     "--brownout-slo", "--slo",
 )
+
+
+#: ``serve run`` flags by the constructor keyword they set: a value that
+#: a constructor inside ``build_service`` rejects is reported by its flag.
+_SERVE_FLAG_OF = {
+    "n_streams": "--streams",
+    "epoch_s": "--epoch",
+    "reoptimize_every": "--reoptimize-every",
+    "join_rate_per_epoch": "--join-rate",
+    "join_burst": "--join-burst",
+    "max_queue_depth": "--max-queue-depth",
+    "failure_threshold": "--breaker-failures",
+    "cooldown_epochs": "--breaker-cooldown",
+    "probe_successes": "--breaker-probes",
+    "deadline_s": "--breaker-deadline",
+}
+
+
+def _flag_message(exc: ValueError) -> str:
+    """``exc``'s message with a leading constructor keyword named as its flag."""
+    msg = str(exc)
+    keyword, _, rest = msg.partition(" ")
+    flag = _SERVE_FLAG_OF.get(keyword)
+    return f"{flag} {rest}" if flag else msg
 
 
 def _parse_rules(flag: str, specs: list[str]):
@@ -855,15 +881,16 @@ def _serve_live(args, service, log, spec) -> int:
     """Attach the WAL and metrics, drain the run; return an exit code.
 
     A fresh run's WAL starts with ``spec`` as its meta record; a resumed
-    run appends to its journal, which must already exist.  Everything
-    attached here is torn down before returning (signal handlers
-    restored, WAL closed, metrics server stopped).
+    run appends to the journal its checkpoint was cut from, which must
+    end at the checkpoint's ``wal_seq``.  Everything attached here is
+    torn down before returning (signal handlers restored, WAL closed,
+    metrics server stopped).
     """
     import signal as _signal
 
     from repro.obs import telemetry
     from repro.sched.grouping import InfeasibleScheduleError
-    from repro.serve import WriteAheadLog
+    from repro.serve import WriteAheadLog, read_wal
 
     wal = None
     if args.wal:
@@ -871,11 +898,22 @@ def _serve_live(args, service, log, spec) -> int:
             print(f"error: cannot write WAL: {err}", file=sys.stderr)
             return 2
         try:
-            wal = (
-                WriteAheadLog.open(args.wal)
-                if args.resume
-                else WriteAheadLog.create(args.wal, spec)
-            )
+            if args.resume:
+                # Appended to any other journal (another run's, or this
+                # run's past the checkpoint) the records would make a
+                # journal that recovery replays into different decisions.
+                last_seq = read_wal(args.wal).last_seq
+                if last_seq != service.wal_seq:
+                    raise ValueError(
+                        f"its last event is seq {last_seq}, but the checkpoint "
+                        f"ends at seq {service.wal_seq}, so it is not the journal "
+                        f"this checkpoint was cut from (to rebuild a crashed run "
+                        f"use `repro serve recover --wal {args.wal} "
+                        f"--checkpoint {args.resume}`)"
+                    )
+                wal = WriteAheadLog.open(args.wal)
+            else:
+                wal = WriteAheadLog.create(args.wal, spec)
         except (OSError, ValueError) as exc:
             print(f"error: cannot journal to --wal {args.wal}: {exc}", file=sys.stderr)
             return 2
@@ -996,7 +1034,7 @@ def _cmd_serve_run(args: argparse.Namespace) -> int:
             spec = _serve_spec(args, n_streams, n_servers)
             service = build_service(spec)
         except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
+            print(f"error: {_flag_message(exc)}", file=sys.stderr)
             return 2
         if log is None:
             log = generate_load(

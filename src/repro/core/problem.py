@@ -21,7 +21,7 @@ from repro.obs.diagnostics import emit_schedule_diagnostics
 from repro.obs.telemetry import telemetry
 from repro.outcomes.functions import OutcomeFunctions
 from repro.sched.assignment import resolve_assignment
-from repro.sched.grouping import InfeasibleScheduleError, group_streams
+from repro.sched.grouping import _EPS, InfeasibleScheduleError, group_streams
 from repro.sched.streams import PeriodicStream, split_high_rate_streams
 from repro.sim.runner import simulate_schedule
 from repro.utils import as_generator, check_array_1d
@@ -184,20 +184,58 @@ class EVAProblem:
         return assignment, streams
 
     def is_feasible(self, resolutions, fps) -> bool:
-        """True iff Algorithm 1 finds a Const2-satisfying grouping."""
+        """True iff Algorithm 1 finds a Const2-satisfying grouping.
+
+        A decision that fails the Theorem-2 pre-check
+        (:meth:`_exceeds_const1`) is infeasible without building its
+        streams or running Algorithm 1; the verdict is the same.
+        """
         r, s = self._check_decision(resolutions, fps)
         key = np.column_stack([r, s]).tobytes()
         cached = self._feasible_cache.get(key)
         if cached is not None:
             return cached
-        try:
-            self.schedule(r, s, strict=True)
-            result = True
-        except InfeasibleScheduleError:
+        if self._exceeds_const1(r, s):
             result = False
+        else:
+            try:
+                self.schedule(r, s, strict=True)
+                result = True
+            except InfeasibleScheduleError:
+                result = False
         if len(self._feasible_cache) < 100_000:
             self._feasible_cache[key] = result
         return result
+
+    def _exceeds_const1(self, r: np.ndarray, s: np.ndarray) -> bool:
+        """Theorem-2 pre-check: is Σ p_i·s_i beyond what strict Algorithm 1 packs?
+
+        Theorem 2 (Const2 ⇒ Const1) says a Const2 grouping keeps the
+        total utilisation Σ p_i·s_i within N.  Algorithm 1 accepts
+        groups with ``sched.grouping._EPS`` of slack, so the bound a
+        strict grouping can reach is N·(1 + _EPS·s_max), s_max the
+        largest frame rate:
+
+        * a group of two or more members passed ``first_fit``, so
+          Σp ≤ p_min + _EPS; every member's period is at least p_min,
+          so its utilisation Σ p/T ≤ Σp / p_min ≤ 1 + _EPS / p_min;
+        * a group's first member is placed unchecked, but splitting
+          (``split_count``) leaves p ≤ T + 1e-12, so p/T ≤ 1 + 1e-12/T;
+        * splitting only lengthens periods, so every T ≥ 1/s_max, and
+          each group's utilisation is at most 1 + _EPS·s_max.
+
+        Splitting keeps a stream's total utilisation p·s, so the N
+        groups of a strict grouping hold Σ p_i·s_i ≤ N·(1 + _EPS·s_max).
+        The float sums here and in ``first_fit`` round by less than
+        (M + Σ p·s)·2⁻⁵² relative, which the bound widens by twice over.
+        A decision above it makes ``group_streams(strict=True)`` raise.
+        """
+        load = 0.0
+        for ri, si in zip(r, s):
+            load += self.profile.processing_time(ri) * si
+        bound = self.n_servers * (1.0 + _EPS * float(np.max(s)))
+        rounding = 4.0 * (r.size + load) * np.finfo(float).eps
+        return bool(load > bound * (1.0 + rounding))
 
     # ------------------------------------------------------------------
     def evaluate(self, resolutions, fps) -> np.ndarray:

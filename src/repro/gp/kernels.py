@@ -7,12 +7,19 @@ work in an unconstrained space, plus ``gradients`` returning
 
     dL/dθ_j = ½ tr((α αᵀ − K⁻¹) · dK/dθ_j).
 
-Everything is vectorized over an ``(n1, n2, d)`` pairwise-difference
-tensor (:func:`pairwise_diff`): ``from_diff`` turns it into K and, in
-the same pass, the per-dimension gradient terms, never looping over
-samples.  Each kernel supplies only its profile in the scaled squared
-distance (``_profile``); ``__call__`` and ``gradients`` are thin
-wrappers around ``from_diff``.
+Everything is vectorized over a dimension-major ``(d, n1, n2)``
+pairwise-difference tensor (:func:`pairwise_diff`): ``from_diff`` turns
+it into K and, in the same pass, the per-dimension gradient terms,
+never looping over samples.  Each kernel supplies only its profile in
+the scaled squared distance (``_profile``); ``__call__`` and
+``gradients`` are thin wrappers around ``from_diff``.
+
+The layout puts the few input dimensions (d = 2 for the outcome GPs,
+d = 5 for the preference GP) on the outer axis, so every elementwise
+pass and the sum over dimensions run over contiguous ``n1·n2`` planes
+instead of a length-d inner loop.  numpy adds the d planes in order,
+which is also how it sums a contiguous axis shorter than 8, so for
+d < 8 the results equal the ``(n1, n2, d)`` form's bit for bit.
 """
 
 from __future__ import annotations
@@ -25,13 +32,16 @@ from repro.utils import check_array_2d, check_positive
 
 
 def pairwise_diff(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-    """Pairwise differences ``x1_i − x2_j`` of shape ``(n1, n2, d)``.
+    """Pairwise differences: ``out[d, i, j] = x1[i, d] − x2[j, d]``.
 
-    Independent of every hyperparameter, so a marginal-likelihood fit
-    builds it once per training set and hands it to each
-    :meth:`Kernel.from_diff` evaluation.
+    Shape ``(d, n1, n2)``, built from contiguous rows of ``x1.T`` and
+    ``x2.T``.  Independent of every hyperparameter, so a
+    marginal-likelihood fit builds it once per training set and hands
+    it to each :meth:`Kernel.from_diff` evaluation.
     """
-    return x1[:, None, :] - x2[None, :, :]
+    a = np.ascontiguousarray(x1.T)
+    b = np.ascontiguousarray(x2.T)
+    return a[:, :, None] - b[:, None, :]
 
 
 class Kernel(abc.ABC):
@@ -90,19 +100,22 @@ class Kernel(abc.ABC):
         One pass computes the covariance and, when ``grads``, its
         derivatives in the log-parameters (an empty list otherwise).
         """
-        per_dim = (diff / self.lengthscales) ** 2  # ((x1_i − x2_j)/ℓ_d)²
-        # Without grads the (n1, n2, d) tensors are dropped before the
+        # per_dim[d, i, j] = ((x1_i − x2_j)_d / ℓ_d)², squared in place
+        per_dim = diff / self.lengthscales[:, None, None]
+        np.square(per_dim, out=per_dim)
+        # Without grads the (d, n1, n2) tensor is dropped before the
         # O(n1·n2) work: large cross-covariances (BO candidate sets)
-        # otherwise keep two extra big buffers alive, and the allocator
+        # otherwise keep an extra big buffer alive, and the allocator
         # returns memory to the OS and page-faults it back on every call.
         del diff
-        d2 = per_dim.sum(axis=-1)
+        d2 = per_dim.sum(axis=0)
         if not grads:
             del per_dim
             return self._profile(d2, grads=False)[0], []
         k, common = self._profile(d2, grads=True)
-        # d/d log σ² = K;  d/d log ℓ_d = common · (Δ_d/ℓ_d)²
-        return k, [k] + [common * per_dim[..., d] for d in range(self.n_dims)]
+        # d/d log σ² = K;  d/d log ℓ_d = common · (Δ_d/ℓ_d)², in place
+        per_dim *= common
+        return k, [k, *per_dim]
 
     @abc.abstractmethod
     def _profile(
@@ -119,7 +132,9 @@ class RBFKernel(Kernel):
     """Squared-exponential: k = σ² exp(−½ Σ_d (Δ_d/ℓ_d)²)."""
 
     def _profile(self, d2, *, grads):
-        k = self.outputscale * np.exp(-0.5 * d2)
+        k = np.multiply(d2, -0.5)
+        np.exp(k, out=k)
+        k *= self.outputscale
         return k, k
 
 
@@ -129,9 +144,22 @@ class Matern52Kernel(Kernel):
     _SQRT5 = np.sqrt(5.0)
 
     def _profile(self, d2, *, grads):
-        sr = self._SQRT5 * np.sqrt(np.clip(d2, 0.0, None))
-        k = self.outputscale * (1.0 + sr + sr**2 / 3.0) * np.exp(-sr)
+        # d2 is a sum of squares (never negative), so no clip before the
+        # root.  Each product below is formed in place, in the operation
+        # order of σ² · ((1 + sr) + sr²/3) · exp(−sr).
+        sr = np.sqrt(d2)
+        sr *= self._SQRT5
+        decay = np.negative(sr)
+        np.exp(decay, out=decay)
+        one_sr = 1.0 + sr
+        k = np.square(sr)
+        k /= 3.0
+        k += one_sr
+        k *= self.outputscale
+        k *= decay
         if not grads:
             return k, None
         # dk/d(log ℓ_d) = σ² (5/3)(1 + √5 r) exp(−√5 r) · (Δ_d/ℓ_d)²
-        return k, self.outputscale * (5.0 / 3.0) * (1.0 + sr) * np.exp(-sr)
+        one_sr *= self.outputscale * (5.0 / 3.0)
+        one_sr *= decay
+        return k, one_sr

@@ -15,11 +15,13 @@ evaluation, triangular solves for α and the predictive terms.
 
 The marginal-likelihood objective is the hot loop (hundreds of L-BFGS-B
 evaluations per fit), so it does only the arithmetic it needs: the
-pairwise-difference tensor of the training set is built once per fit
-and passed in, each evaluation makes one kernel-plus-gradient pass
-(:meth:`Kernel.from_diff`), and α and K⁻¹ come straight from LAPACK's
-``dpotrs`` (:func:`cho_solve_lower`, the routine ``cho_solve`` wraps).
-The results are bit-identical to the wrapped calls.
+dimension-major ``(d, n, n)`` pairwise-difference tensor of the
+training set (:func:`~repro.gp.kernels.pairwise_diff`) is built once
+per fit and passed in, each evaluation makes one kernel-plus-gradient
+pass over its contiguous ``n × n`` planes (:meth:`Kernel.from_diff`),
+and α and K⁻¹ come straight from LAPACK's ``dpotrs``
+(:func:`cho_solve_lower`, the routine ``cho_solve`` wraps).  The
+results are bit-identical to the wrapped calls.
 """
 
 from __future__ import annotations
@@ -120,8 +122,8 @@ class GPRegressor:
     ) -> tuple[float, np.ndarray]:
         """Negative log marginal likelihood and gradient in log-params.
 
-        theta = [kernel log-params..., log noise]; ``diff`` is
-        ``pairwise_diff(x, x)`` of the training inputs.
+        theta = [kernel log-params..., log noise]; ``diff`` is the
+        ``(d, n, n)`` tensor ``pairwise_diff(x, x)`` of the training inputs.
         """
         assert self.kernel is not None and self._y is not None
         self.kernel.set_log_params(theta[:-1])

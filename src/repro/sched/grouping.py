@@ -34,6 +34,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
+from repro.obs.telemetry import telemetry
 from repro.sched.streams import PeriodicStream
 from repro.sched.theory import theorem3_conditions
 
@@ -224,6 +225,10 @@ def group_streams(
         with the lowest resulting utilization (best effort; the caller
         must then expect jitter), which is what baseline schedulers that
         ignore Const2 effectively do.
+
+    Emits ``sched.grouping.group_scans``: the groups examined over all
+    placements (a stream that lands in group j costs j + 1, one that
+    fits nowhere costs N), the pass's deterministic work count.
     """
     if n_servers < 1:
         raise ValueError(f"n_servers must be >= 1, got {n_servers}")
@@ -237,13 +242,17 @@ def group_streams(
     final = [by_period[i] for i in order]
 
     groups = [ZeroJitterGroup() for _ in range(n_servers)]
+    scans = 0
     for s in final:
-        for grp in groups:
+        for j, grp in enumerate(groups):
             if not grp.members or grp.fits(s):
                 grp.add(s)
+                scans += j + 1
                 break
         else:
+            scans += n_servers
             if strict:
+                telemetry.counter("sched.grouping.group_scans", scans)
                 raise InfeasibleScheduleError(
                     f"stream {s.stream_id} (T={s.period:.4f}s, p={s.processing_time:.4f}s) "
                     f"fits in none of {n_servers} groups"
@@ -252,4 +261,5 @@ def group_streams(
             loads = [sum(x.load for x in g.members) for g in groups]
             groups[loads.index(min(loads))].add(s)
 
+    telemetry.counter("sched.grouping.group_scans", scans)
     return GroupingResult(groups=[g.members for g in groups])

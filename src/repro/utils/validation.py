@@ -8,13 +8,15 @@ offending name and value.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
 def check_positive(name: str, value: float, *, strict: bool = True) -> float:
     """Validate that ``value`` is a positive (or non-negative) finite scalar."""
     v = float(value)
-    if not np.isfinite(v):
+    if not math.isfinite(v):
         raise ValueError(f"{name} must be finite, got {value!r}")
     if strict and v <= 0:
         raise ValueError(f"{name} must be > 0, got {value!r}")
@@ -33,7 +35,7 @@ def check_in_range(
 ) -> float:
     """Validate ``lo <= value <= hi`` (or strict if ``inclusive=False``)."""
     v = float(value)
-    if not np.isfinite(v):
+    if not math.isfinite(v):
         raise ValueError(f"{name} must be finite, got {value!r}")
     ok = (lo <= v <= hi) if inclusive else (lo < v < hi)
     if not ok:
@@ -49,7 +51,7 @@ def check_array_1d(name: str, arr, *, dtype=float, min_len: int = 0) -> np.ndarr
         raise ValueError(f"{name} must be 1-D, got shape {a.shape}")
     if a.size < min_len:
         raise ValueError(f"{name} must have at least {min_len} elements, got {a.size}")
-    if np.issubdtype(a.dtype, np.floating) and not np.all(np.isfinite(a)):
+    if a.dtype.kind == "f" and not np.isfinite(a).all():
         raise ValueError(f"{name} contains non-finite values")
     return a
 
@@ -69,6 +71,6 @@ def check_array_2d(
         raise ValueError(f"{name} must be 2-D, got shape {a.shape}")
     if n_cols is not None and a.shape[1] != n_cols:
         raise ValueError(f"{name} must have {n_cols} columns, got {a.shape[1]}")
-    if np.issubdtype(a.dtype, np.floating) and not np.all(np.isfinite(a)):
+    if a.dtype.kind == "f" and not np.isfinite(a).all():
         raise ValueError(f"{name} contains non-finite values")
     return a

@@ -63,6 +63,16 @@ class TestHarness:
         attempts = r["counters"]["serve.engine.upgrade_attempts"]
         assert attempts > 0 and attempts % repeats == 0
 
+    def test_alg1_grouping_records_each_size(self):
+        r = run_benchmark("alg1_grouping", profile="smoke", seed=0)
+        assert [row["streams"] for row in r["scaling"]] == [100, 200, 400]
+        for row in r["scaling"]:
+            assert row["servers"] == row["streams"] // 2
+            assert row["substreams"] >= row["streams"]
+            assert row["wall_s"] > 0
+        assert r["iterations"] == len(r["scaling"])
+        assert r["counters"]["sched.grouping.group_scans"] > 0
+
     def test_run_benchmarks_default_runs_all(self):
         results = run_benchmarks(profile="smoke")
         assert [r["name"] for r in results] == list(BENCHMARKS)

@@ -85,6 +85,66 @@ class TestKernelFromDiff:
         assert np.array_equal(k, kern(a, b))
 
 
+# -- the workload's shapes: (d, n1, n2) tensors against the (n1, n2, d) oracles --
+def _ref_cross(kern, x1, x2):
+    """K(x1, x2) from the (n1, n2, d) squared differences, as the oracles form it."""
+    d2 = _scaled_diffsq(x1, x2, kern.lengthscales).sum(axis=-1)
+    if isinstance(kern, RBFKernel):
+        return kern.outputscale * np.exp(-0.5 * d2)
+    sr = np.sqrt(5.0) * np.sqrt(np.clip(d2, 0.0, None))
+    return kern.outputscale * (1.0 + sr + sr**2 / 3.0) * np.exp(-sr)
+
+
+def _knob_grid_draw(gen, n):
+    """``n`` normalized (r, s) rows drawn with repeats from the 6×6 knob grid."""
+    from repro.core.problem import ConfigSpace
+
+    grid = ConfigSpace().all_configs()
+    x = grid[gen.integers(0, len(grid), n)]
+    lo, hi = grid.min(axis=0), grid.max(axis=0)
+    return (x - lo) / (hi - lo)
+
+
+class TestWorkloadShapes:
+    def test_pairwise_diff_is_the_dimension_major_transpose(self, rng):
+        a, b = rng.normal(size=(9, 4)), rng.normal(size=(6, 4))
+        diff = pairwise_diff(a, b)
+        assert diff.shape == (4, 9, 6)
+        assert np.array_equal(diff, np.moveaxis(a[:, None, :] - b[None, :, :], -1, 0))
+
+    @pytest.mark.parametrize("idx", range(2), ids=["rbf", "m52"])
+    def test_outcome_training_set_with_repeated_knobs(self, idx):
+        gen = np.random.default_rng(20 + idx)
+        x = _knob_grid_draw(gen, 60)
+        assert len(np.unique(x, axis=0)) < len(x)  # repeats give exact zero distances
+        kern = [RBFKernel([0.3, 0.7], outputscale=1.3), Matern52Kernel([0.3, 0.3])][idx]
+        k, grads = kern.from_diff(pairwise_diff(x, x))
+        ref_k, ref_grads = _ref_kernel(kern, x)
+        assert np.array_equal(k, ref_k)
+        for g, ref in zip(grads, ref_grads, strict=True):
+            assert np.array_equal(g, ref)
+
+    def test_outcome_cross_covariance_60_by_240(self):
+        gen = np.random.default_rng(31)
+        train, pool = _knob_grid_draw(gen, 60), _knob_grid_draw(gen, 240)
+        kern = Matern52Kernel([0.21, 0.47], outputscale=0.8)
+        k = kern(train, pool)
+        assert k.shape == (60, 240)
+        assert np.array_equal(k, _ref_cross(kern, train, pool))
+
+    def test_preference_rbf_d5(self):
+        gen = np.random.default_rng(5)
+        items = gen.uniform(0.0, 1.0, (48, 5))
+        kern = RBFKernel(np.linspace(0.2, 0.9, 5))
+        k, grads = kern.from_diff(pairwise_diff(items, items))
+        ref_k, ref_grads = _ref_kernel(kern, items)
+        assert np.array_equal(k, ref_k)
+        for g, ref in zip(grads, ref_grads, strict=True):
+            assert np.array_equal(g, ref)
+        queries = gen.uniform(0.0, 1.0, (30, 5))
+        assert np.array_equal(kern(items, queries), _ref_cross(kern, items, queries))
+
+
 # -- the marginal-likelihood objective ----------------------------------------
 def _ref_neg_mll_and_grad(model, theta):
     """The objective evaluated through ``kernel(x)``, ``gradients(x)`` and ``cho_solve``."""

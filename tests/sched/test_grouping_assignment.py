@@ -97,6 +97,32 @@ class TestGroupStreams:
         with pytest.raises(ValueError):
             group_streams([_stream(0, 10, 0.01)], 0)
 
+    @pytest.mark.parametrize(
+        ("n_servers", "strict", "scans"),
+        [
+            (3, True, 1 + 2 + 3),  # each stream opens the next group
+            (2, True, 1 + 2 + 2),  # the third fits nowhere: N scans, then raise
+            (2, False, 1 + 2 + 2),  # best effort places it after the same N scans
+        ],
+    )
+    def test_group_scans_count_the_groups_examined(self, n_servers, strict, scans):
+        from repro.obs import telemetry
+
+        streams = [_stream(i, 10, 0.09) for i in range(3)]  # no two share a group
+        telemetry.reset()
+        telemetry.enable()
+        try:
+            if strict and n_servers < 3:
+                with pytest.raises(InfeasibleScheduleError):
+                    group_streams(streams, n_servers, strict=True)
+            else:
+                group_streams(streams, n_servers, strict=strict)
+            counters = telemetry.snapshot()["counters"]
+        finally:
+            telemetry.disable()
+            telemetry.reset()
+        assert counters["sched.grouping.group_scans"] == scans
+
     @given(
         st.lists(
             st.tuples(st.sampled_from([1, 2, 5, 10, 15, 30]), st.floats(0.005, 0.03)),

@@ -105,6 +105,21 @@ class TestServeRun:
         assert rc == 2
         assert err.startswith("error: unknown scheduler 'skynet'")
 
+    @pytest.mark.parametrize(
+        ("flags", "message"),
+        [
+            (["--join-rate", "-1"], "--join-rate must be > 0"),
+            (["--epoch", "0"], "--epoch must be > 0"),
+            (["--streams", "0"], "--streams must be >= 1"),
+            (["--breaker", "--breaker-failures", "0"], "--breaker-failures must be >= 1"),
+        ],
+        ids=["join-rate", "epoch", "streams", "breaker-failures"],
+    )
+    def test_rejected_value_names_its_flag(self, capsys, flags, message):
+        rc = main(["serve", "run", "--hours", "0.01", *flags])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}, got ")
+
     def test_bandwidth_mismatch_errors(self, capsys):
         rc = main(
             ["serve", "run", "--streams", "3", "--servers", "2",
@@ -200,6 +215,45 @@ class TestResumeKeepsCheckpointConfiguration:
         assert "error: cannot journal to --wal" in capsys.readouterr().err
         assert ckpt.read_bytes() == before  # no epoch ran
         assert wal.exists() == (kind != "missing")
+
+    def test_resume_refuses_another_runs_journal(self, tmp_path, capsys):
+        # Checkpoint A is cut from run A; B.wal is a different run's journal
+        # with a valid meta record.  Appending A's resumed epochs to it would
+        # leave a journal that `serve recover` replays into other decisions.
+        a_ckpt, a_wal, b_wal = (tmp_path / n for n in ("A.ckpt", "A.wal", "B.wal"))
+        common = ["serve", "run", "--hours", "0.2"]
+        assert main(common + ["--seed", "1", "--max-epochs", "5",
+                              "--checkpoint", str(a_ckpt), "--wal", str(a_wal)]) == 0
+        assert main(common + ["--seed", "2", "--wal", str(b_wal)]) == 0
+        capsys.readouterr()
+        before = (a_ckpt.read_bytes(), b_wal.read_bytes())
+        rc = main(["serve", "run", "--resume", str(a_ckpt), "--wal", str(b_wal)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"error: cannot journal to --wal {b_wal}: its last event is seq ")
+        assert f"repro serve recover --wal {b_wal}" in err
+        assert (a_ckpt.read_bytes(), b_wal.read_bytes()) == before
+        assert main(["serve", "recover", "--wal", str(b_wal)]) == 0
+        assert "bit-identical" in capsys.readouterr().out
+        # its own journal still takes the resumed run
+        assert main(["serve", "run", "--resume", str(a_ckpt), "--wal", str(a_wal)]) == 0
+        assert main(["serve", "recover", "--wal", str(a_wal)]) == 0
+        assert "bit-identical" in capsys.readouterr().out
+
+    def test_resume_refuses_a_journal_past_the_checkpoint(
+        self, event_log, tmp_path, capsys
+    ):
+        wal = tmp_path / "serve.wal"
+        ckpt = _cut_run(event_log, tmp_path, "--wal", str(wal))
+        # a resumed run that journals more churn but writes no checkpoint
+        assert main(["serve", "run", "--resume", str(ckpt), "--wal", str(wal),
+                     "--events", str(event_log), "--max-epochs", "2"]) == 0
+        capsys.readouterr()
+        before = wal.read_bytes()
+        rc = main(["serve", "run", "--resume", str(ckpt), "--wal", str(wal)])
+        assert rc == 2
+        assert "but the checkpoint ends at seq" in capsys.readouterr().err
+        assert wal.read_bytes() == before
 
     def test_metrics_port_keeps_the_checkpoints_monitor(
         self, event_log, tmp_path
