@@ -30,7 +30,6 @@ from repro.bench.hotpath import (
     BENCHMARKS,
     check_result,
     run_benchmark,
-    run_benchmarks,
     save_bench,
 )
 
@@ -57,6 +56,5 @@ __all__ = [
     "BENCHMARKS",
     "check_result",
     "run_benchmark",
-    "run_benchmarks",
     "save_bench",
 ]

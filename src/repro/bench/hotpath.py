@@ -32,7 +32,7 @@ from __future__ import annotations
 import copy
 import time
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -395,16 +395,6 @@ def run_benchmark(name: str, *, profile: str = "medium", seed: int = 0) -> dict:
     result = BENCHMARKS[name](dict(PROFILES[profile][name]), seed)
     result["profile"] = profile
     return result
-
-
-def run_benchmarks(
-    names: Sequence[str] | None = None, *, profile: str = "medium", seed: int = 0
-) -> list[dict]:
-    """Run the named benchmarks (default: all) in declaration order."""
-    return [
-        run_benchmark(n, profile=profile, seed=seed)
-        for n in (names or list(BENCHMARKS))
-    ]
 
 
 def save_bench(result: dict, out_dir=".") -> Path:

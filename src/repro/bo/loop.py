@@ -32,10 +32,6 @@ class SurrogateAdapter(Protocol):
         """Joint posterior benefit samples, shape (n_samples, len(x))."""
         ...
 
-    def benefit_mean(self, x: np.ndarray) -> np.ndarray:
-        """Posterior-mean benefit at configurations ``x``."""
-        ...
-
     def update(self, x: np.ndarray, observations) -> None:
         """Condition the models on newly observed configurations."""
         ...

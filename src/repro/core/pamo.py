@@ -121,18 +121,6 @@ class _BenefitSurrogate:
         z = self._utility_of(agg.reshape(s * n, k), rng)
         return z.reshape(s, n)
 
-    def benefit_mean(self, x) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        n = x.shape[0]
-        m = self.problem.n_streams
-        mean, _ = self.bank.predict_per_stream(x.reshape(n * m, 2))
-        agg = self.bank.aggregate(mean.reshape(n, m, len(OBJECTIVES)))
-        agg[..., 0] += np.array([self._tx_mean(xi) for xi in x])
-        if self.true_preference is not None:
-            return self.true_preference.value(agg)
-        assert self.learner is not None
-        return self.learner.utility(agg)
-
     def update(self, x, observations) -> None:
         per_stream_x, per_stream_y = observations["per_stream"]
         # Held-out RMSE: score the *pre-update* bank on the batch it is

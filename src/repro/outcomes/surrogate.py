@@ -20,7 +20,6 @@ import numpy as np
 from repro.gp.kernels import Matern52Kernel
 from repro.gp.regression import GPRegressor
 from repro.outcomes.functions import OBJECTIVES
-from repro.outcomes.profiler import OutcomeSample
 from repro.utils import as_generator, check_array_2d
 from repro.utils.rng import RngLike
 
@@ -103,15 +102,6 @@ class OutcomeSurrogateBank:
                 gp.fit(xn, y[:, j], optimize=False)
             self.models[name] = gp
         return self
-
-    def fit_samples(
-        self, samples: Sequence[OutcomeSample], **kwargs
-    ) -> "OutcomeSurrogateBank":
-        """Fit from a list of profiler samples."""
-        from repro.outcomes.profiler import samples_to_arrays
-
-        x, y = samples_to_arrays(list(samples))
-        return self.fit(x, y, **kwargs)
 
     def update(self, x_new, y_new) -> "OutcomeSurrogateBank":
         """Condition on additional observations (no re-optimization).

@@ -161,17 +161,6 @@ class CircuitBreaker:
             self.failures = 0
         return None
 
-    def force_state(self, state: str, *, epoch: int = 0) -> None:
-        """Set the state directly (crash recovery reconstructing a run)."""
-        if state not in BREAKER_STATES:
-            raise ValueError(
-                f"unknown breaker state {state!r}; choose from {BREAKER_STATES}"
-            )
-        self.state = state
-        self.failures = 0
-        self.successes = 0
-        self.opened_epoch = int(epoch) if state == "open" else None
-
     def snapshot(self) -> dict[str, Any]:
         """JSON-safe state dump (``/varz``, summaries, WAL meta)."""
         return {

@@ -166,22 +166,6 @@ class FaultPlan:
         """Time of the last event (0.0 for an empty plan)."""
         return self.events[-1].time if self.events else 0.0
 
-    def scaled(self, factor: float) -> "FaultPlan":
-        """Copy with every event time multiplied by ``factor``.
-
-        Lets one plan expressed in fractional run progress ([0, 1])
-        replay onto a concrete simulation horizon.
-        """
-        if factor <= 0:
-            raise ValueError(f"factor must be > 0, got {factor}")
-        return FaultPlan(
-            events=tuple(
-                FaultEvent(e.time * factor, e.kind, e.target, e.value)
-                for e in self.events
-            ),
-            seed=self.seed,
-        )
-
     def to_dict(self) -> dict:
         return {
             "seed": self.seed,

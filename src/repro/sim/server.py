@@ -60,19 +60,6 @@ class EdgeServer:
         self._crashed = False
         self._crash_epoch = 0
 
-    @property
-    def backlog(self) -> int:
-        """Number of frames waiting (excluding the one being processed)."""
-        return len(self._pending)
-
-    @property
-    def busy(self) -> bool:
-        return self._busy
-
-    @property
-    def crashed(self) -> bool:
-        return self._crashed
-
     def crash(self) -> int:
         """Fail the server: drop queued and in-flight frames.
 

@@ -52,10 +52,6 @@ class _GPAdapter:
     def sample_benefit(self, x, n_samples, rng):
         return self.gp.sample_posterior(np.atleast_2d(x), n_samples, rng=rng)
 
-    def benefit_mean(self, x):
-        mean, _ = self.gp.predict(np.atleast_2d(x))
-        return mean
-
     def update(self, x, observations):
         self.x = np.vstack([self.x, np.atleast_2d(x)])
         self.z = np.concatenate([self.z, np.asarray(observations, dtype=float)])

@@ -80,9 +80,6 @@ class TestThompsonSampling:
             def sample_benefit(self, x, n, rng):
                 return self.gp.sample_posterior(np.atleast_2d(x), n, rng=rng)
 
-            def benefit_mean(self, x):
-                return self.gp.predict(np.atleast_2d(x))[0]
-
             def update(self, x, obs):
                 self.x = np.vstack([self.x, np.atleast_2d(x)])
                 self.z = np.concatenate([self.z, np.asarray(obs)])

@@ -40,18 +40,6 @@ class TestBenefitSurrogate:
         assert z.shape == (7, 4)
         assert np.all(np.isfinite(z))
 
-    def test_benefit_mean_tracks_truth_ordering(self, setup):
-        problem, pref, pamo = setup
-        adapter = _BenefitSurrogate(problem, pamo.bank, true_preference=pref)
-        good = problem.encode(np.full(3, 600.0), np.full(3, 5.0))
-        bad = problem.encode(np.full(3, 2000.0), np.full(3, 30.0))
-        means = adapter.benefit_mean(np.stack([good, bad]))
-        truths = [
-            pref.value(problem.evaluate(np.full(3, 600.0), np.full(3, 5.0))),
-            pref.value(problem.evaluate(np.full(3, 2000.0), np.full(3, 30.0))),
-        ]
-        assert (means[0] > means[1]) == (truths[0] > truths[1])
-
     def test_tx_cache_reused(self, setup):
         problem, pref, pamo = setup
         adapter = _BenefitSurrogate(problem, pamo.bank, learner=pamo.learner)

@@ -68,7 +68,7 @@ class TestProfileConfiguration:
 class TestOutcomeSurrogateBank:
     @pytest.fixture(scope="class")
     def bank(self, grid_samples):
-        return OutcomeSurrogateBank().fit_samples(grid_samples, rng=0)
+        return OutcomeSurrogateBank().fit(*samples_to_arrays(grid_samples), rng=0)
 
     def test_predict_shapes(self, bank):
         mean, var = bank.predict_per_stream([[960.0, 10.0], [1500.0, 20.0]])

@@ -30,10 +30,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             CircuitBreaker(**kw)
 
-    def test_force_state_rejects_unknown(self):
-        with pytest.raises(ValueError, match="unknown breaker state"):
-            CircuitBreaker().force_state("ajar")
-
 
 class TestStateMachine:
     def test_starts_closed_and_allows(self):
@@ -132,11 +128,3 @@ class TestTelemetryAndState:
         assert clone.failures == 1
         assert clone.state == "closed"
         assert clone.cooldown_epochs == 4
-
-    def test_force_state(self):
-        b = CircuitBreaker()
-        b.force_state("open", epoch=7)
-        assert b.state == "open"
-        assert b.opened_epoch == 7
-        b.force_state("closed")
-        assert b.opened_epoch is None

@@ -94,10 +94,6 @@ class TestFaultPlan:
         assert [e.kind for e in plan] == ["server_crash", "server_recover"]
         assert plan.horizon == 3.0
 
-    def test_scaled(self):
-        plan = FaultPlan.from_specs(["crash:0@1", "recover:0@2"]).scaled(2.0)
-        assert [e.time for e in plan] == [2.0, 4.0]
-
     def test_dict_roundtrip(self):
         plan = FaultPlan.from_specs(["crash:1@0.5", "bw:0@2.0x0.5"])
         assert tuple(FaultPlan.from_dict(plan.to_dict())) == tuple(plan)

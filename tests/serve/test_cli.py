@@ -106,19 +106,27 @@ class TestServeRun:
         assert err.startswith("error: unknown scheduler 'skynet'")
 
     @pytest.mark.parametrize(
-        ("flags", "message"),
+        ("command", "flags", "message"),
         [
-            (["--join-rate", "-1"], "--join-rate must be > 0"),
-            (["--epoch", "0"], "--epoch must be > 0"),
-            (["--streams", "0"], "--streams must be >= 1"),
-            (["--breaker", "--breaker-failures", "0"], "--breaker-failures must be >= 1"),
+            ("run", ["--join-rate", "-1"], "--join-rate must be > 0"),
+            ("run", ["--epoch", "0"], "--epoch must be > 0"),
+            ("run", ["--streams", "0"], "--streams must be >= 1"),
+            ("run", ["--breaker", "--breaker-failures", "0"], "--breaker-failures must be >= 1"),
+            ("run", ["--diurnal-amplitude", "1.5"], "--diurnal-amplitude must be in [0, 1)"),
+            ("run", ["--hours", "0"], "--hours must be > 0"),
+            ("run", ["--burst-start", "1", "--burst-multiplier", "0.5"],
+             "--burst-multiplier must be >= 1"),
+            ("loadgen", ["--hours", "0"], "--hours must be > 0"),
         ],
-        ids=["join-rate", "epoch", "streams", "breaker-failures"],
+        ids=["join-rate", "epoch", "streams", "breaker-failures", "diurnal-amplitude",
+             "hours", "burst-multiplier", "loadgen-hours"],
     )
-    def test_rejected_value_names_its_flag(self, capsys, flags, message):
-        rc = main(["serve", "run", "--hours", "0.01", *flags])
+    def test_rejected_value_names_its_flag(self, tmp_path, capsys, command, flags, message):
+        out = ["-o", str(tmp_path / "events.json")] if command == "loadgen" else []
+        rc = main(["serve", command, "--hours", "0.01", *flags, *out])
         assert rc == 2
         assert capsys.readouterr().err.startswith(f"error: {message}, got ")
+        assert list(tmp_path.iterdir()) == []
 
     def test_bandwidth_mismatch_errors(self, capsys):
         rc = main(
@@ -127,6 +135,102 @@ class TestServeRun:
         )
         assert rc == 2
         assert "error" in capsys.readouterr().err
+
+
+
+_ADMISSION_ON = ("--priority-map", "--join-rate", "--max-queue-depth")
+_BREAKER_ON = ("--breaker", "--breaker-deadline")
+
+
+#: ``(command, flag, value, flags one of which switches its feature on)``
+DEPENDENT = [
+    ("run", "--breaker-failures", "2", _BREAKER_ON),
+    ("run", "--breaker-cooldown", "2", _BREAKER_ON),
+    ("run", "--breaker-probes", "2", _BREAKER_ON),
+    ("run", "--join-burst", "2", _ADMISSION_ON),
+    ("run", "--protect-priority", "1", _ADMISSION_ON),
+    ("run", "--checkpoint-every", "2", ("--checkpoint",)),
+    ("run", "--telemetry-max-mb", "1", ("--telemetry",)),
+    ("run", "--telemetry-backups", "2", ("--telemetry",)),
+    ("run", "--metrics-host", "0.0.0.0", ("--metrics-port",)),
+    *(
+        (command, flag, value, needs)
+        for command in ("run", "loadgen")
+        for flag, value, needs in [
+            ("--burst-duration", "60", ("--burst-start",)),
+            ("--burst-multiplier", "4", ("--burst-start",)),
+            ("--diurnal-period", "600", ("--diurnal-amplitude",)),
+        ]
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    ("command", "flag", "value", "needs"),
+    DEPENDENT,
+    ids=[f"{command}{flag}" for command, flag, _, _ in DEPENDENT],
+)
+def test_flag_without_the_flag_that_enables_it_is_refused(
+    tmp_path, monkeypatch, capsys, command, flag, value, needs
+):
+    """A tuning flag given without any flag that switches its feature on
+    would do nothing, so the command exits 2 naming both before running."""
+    monkeypatch.chdir(tmp_path)  # where `serve loadgen` writes by default
+    wal = ["--wal", str(tmp_path / "serve.wal")] if command == "run" else []
+    rc = main(["serve", command, "--hours", "0.01", flag, value, *wal])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"error: {flag} has no effect without ")
+    assert all(enabler in err for enabler in needs)
+    assert list(tmp_path.iterdir()) == []  # no WAL, checkpoint or event log
+
+
+#: ``chaos-overload`` CI job's ``serve run`` flags.
+CI_OVERLOAD = [
+    "--streams", "6", "--servers", "4", "--seed", "0",
+    "--hours", "0.5", "--arrivals-per-hour", "250", "--departures-per-hour", "150",
+    "--drifts-per-hour", "20", "--flaps-per-hour", "6",
+    "--burst-start", "300", "--burst-duration", "300", "--burst-multiplier", "8",
+    "--join-rate", "2", "--max-queue-depth", "12",
+    "--priority-map", "0=2,1=2,default=1", "--protect-priority", "2",
+    "--reoptimize-every", "6",
+    "--breaker", "--breaker-deadline", "0.00001", "--breaker-failures", "2",
+    "--breaker-cooldown", "10",
+    "--brownout-slo", "overload: decision_p95_s < 0.5 for 3 ! degraded",
+]
+
+
+@pytest.mark.parametrize(
+    ("flags", "meta"),
+    [
+        (
+            [],
+            '{"t":"meta","version":1,"spec":{"n_streams":6,'
+            '"bandwidths_mbps":[30.0,20.0,20.0,10.0],"seed":0,"method":"",'
+            '"weights":null,"epoch_s":1.0,"reoptimize_every":0,"admission":null,'
+            '"breaker":null,"slo":null,"remediation":null}}',
+        ),
+        (
+            CI_OVERLOAD,
+            '{"t":"meta","version":1,"spec":{"n_streams":6,'
+            '"bandwidths_mbps":[30.0,20.0,20.0,10.0],"seed":0,"method":"",'
+            '"weights":null,"epoch_s":1.0,"reoptimize_every":6,"admission":'
+            '{"priority_map":{"0":2,"1":2},"default_priority":1,'
+            '"join_rate_per_epoch":2.0,"join_burst":null,"max_queue_depth":12,'
+            '"protect_priority":2},"breaker":{"failure_threshold":2,'
+            '"cooldown_epochs":10,"probe_successes":1,"deadline_s":1e-05},'
+            '"slo":["overload: decision_p95_s < 0.5 for 3 ! degraded"],'
+            '"remediation":{"brownout_severity":"degraded"}}}',
+        ),
+    ],
+    ids=["flagless", "ci-overload"],
+)
+def test_journaled_meta_record(tmp_path, capsys, flags, meta):
+    """The WAL meta record is the recovery recipe of a run: its bytes,
+    key order included, are pinned per flag set."""
+    wal = tmp_path / "serve.wal"
+    assert main(["serve", "run", *flags, "--max-epochs", "1", "--wal", str(wal)]) == 0
+    assert wal.read_text().splitlines()[0] == meta
 
 
 def _cut_run(event_log, tmp_path, *flags):
@@ -154,6 +258,9 @@ class TestResumeKeepsCheckpointConfiguration:
             ["--max-queue-depth", "0"],
             ["--breaker"],
             ["--breaker-deadline", "0.1"],
+            ["--breaker-failures", "0"],
+            ["--breaker-cooldown", "5"],
+            ["--breaker-probes", "2"],
             ["--brownout-slo", "decision_p95_s < 1"],
             ["--slo", "decision_p95_s < 1"],
         ],

@@ -137,6 +137,10 @@ class TestTelemetry:
         assert not telemetry.enabled
 
 
+#: The paper's figures ``repro figure`` regenerates.
+FIGURE_IDS = ["2", "3", "4", "6", "7", "8", "9", "10a", "10b"]
+
+
 class TestFigure:
     def test_fig4(self, capsys):
         assert main(["figure", "4"]) == 0
@@ -154,6 +158,27 @@ class TestFigure:
 
     def test_unknown_figure_errors(self, capsys):
         assert main(["figure", "99"]) == 2
+
+    @pytest.mark.parametrize("fig", FIGURE_IDS)
+    def test_every_figure_runs_quick(self, capsys, fig):
+        assert main(["figure", fig, "--quick"]) == 0
+        assert capsys.readouterr().out
+
+    def test_info_and_help_list_the_table_ids(self, capsys):
+        import re
+
+        from repro.cli import _FIGURE_TABLE
+
+        assert list(_FIGURE_TABLE) == FIGURE_IDS
+        assert main(["info"]) == 0
+        line = next(
+            ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("figures: ")
+        )
+        assert line.removeprefix("figures: ").split(", ") == FIGURE_IDS
+        with pytest.raises(SystemExit):
+            main(["figure", "--help"])
+        listed = re.search(r"^  id +(\S+)$", capsys.readouterr().out, re.MULTILINE)
+        assert listed.group(1).split("|") == FIGURE_IDS
 
     def test_output_flag_writes_json(self, capsys, tmp_path):
         out_path = tmp_path / "fig4.json"

@@ -1,11 +1,16 @@
-"""Guard against dead library code: every ``repro`` module must be reached.
+"""Guard against dead library code: every ``repro`` module, public
+function and public method must be reached.
 
 The program is what ``src/repro``, ``examples/`` and ``benchmarks/`` run.
 A module counts as reached when some other file of the program — not a
 package ``__init__.py``, whose re-exports alone reach nothing — either
 imports the module itself or imports one of the module's top-level names
-from the module or from a package that contains it.  Code that only its
-own tests import is not reached and should be deleted with its tests.
+from the module or from a package that contains it.  A public function or
+method (top level, or in a top-level class) counts as reached, by a
+heuristic that goes by name alone, when a file of the program other than
+a package ``__init__.py`` names it: as a variable, an attribute, an
+imported name or a string constant.  Code that only its own tests reach
+is not reached and should be deleted with its tests.
 """
 
 import ast
@@ -89,4 +94,107 @@ def test_every_module_is_reached_by_the_program():
     assert not unreached, (
         "modules no CLI command, library path, example or benchmark imports "
         f"(delete them with their tests): {', '.join(unreached)}"
+    )
+
+
+#: Public names the program need not name itself, each with the reason.
+EXEMPT_FUNCTIONS = {
+    "_Handler.do_GET": "framework callback: http.server dispatches GET to it by name",
+    "_Handler.log_message": "framework callback: overrides http.server's request log",
+    "ServeDecision.signature": "readable replay fingerprint tests compare runs by",
+    "exhaustive_best": "brute-force optimum tests compare the schedulers against",
+    "eubo_closed_form": "scalar closed form tests check the batched EUBO against",
+    "GroupingResult.validate": "the Theorem-3 check tests run on every grouping",
+}
+
+#: Public names only their own unit tests reach, still to be deleted with
+#: those tests.  The guard holds this set exact, so it can only shrink.
+UNREACHED_FUNCTIONS = {
+    "ConfigSpace.n_configs",
+    "DecisionMaker.rank_pair",
+    "EdgeServer.schedule_slowdown",
+    "EdgeServer.speed_factor",
+    "EncoderModel.transmission_time",
+    "Event.cancel",
+    "EventLog.from_fault_plan",
+    "EventQueue.schedule_in",
+    "GPRegressor.log_predictive_density",
+    "GroupingResult.n_nonempty",
+    "IncrementalPlanner.rank_configs",
+    "IncrementalPlanner.set_config",
+    "Kernel.gradients",
+    "LinearL1Preference.with_weights",
+    "PeriodicStream.is_high_rate",
+    "PreferenceGP.predict_pair_probability",
+    "PreferenceGP.utilities",
+    "PreferenceLearner.sample_utility",
+    "SimulationReport.completion_ratio",
+    "SloRule.holds",
+    "StreamMetrics.jitter_std",
+    "StreamMetrics.p99_latency",
+    "SyntheticClip.duration",
+    "SyntheticClip.mean_object_count",
+    "TieredTariff.marginal_rate",
+    "assignment_cache_size",
+    "log1mexp",
+}
+
+
+def _public_functions(tree: ast.Module):
+    """Yield ``(qualified name, name)`` of the public top-level functions
+    and the public methods of top-level classes."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in tree.body:
+        if isinstance(node, functions) and not node.name.startswith("_"):
+            yield node.name, node.name
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, functions) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item.name
+
+
+def _named(tree: ast.Module) -> set:
+    """Every identifier the file names: variables, attributes, imported
+    names and identifier-shaped string constants."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rpartition(".")[2])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                names.add(node.value)
+    return names
+
+
+def unreached_functions() -> list:
+    defined = []  # (qualified name, name)
+    named = set()
+    for directory in PROGRAM_DIRS:
+        for path in sorted(directory.rglob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            if directory.name == "repro":
+                defined.extend(_public_functions(tree))
+            if path.name != "__init__.py":
+                named |= _named(tree)
+    return sorted(
+        qualified
+        for qualified, name in defined
+        if name not in named and qualified not in EXEMPT_FUNCTIONS
+    )
+
+
+def test_every_public_function_is_reached_by_the_program():
+    unreached = set(unreached_functions())
+    new = sorted(unreached - UNREACHED_FUNCTIONS)
+    assert not new, (
+        "public functions/methods no CLI command, library path, example or "
+        f"benchmark names (delete them with their tests): {', '.join(new)}"
+    )
+    gone = sorted(UNREACHED_FUNCTIONS - unreached)
+    assert not gone, (
+        f"now reached or deleted; drop from UNREACHED_FUNCTIONS: {', '.join(gone)}"
     )
