@@ -353,7 +353,7 @@ _FIGURE_TABLE = {
         _show_fig6,
     ),
     "7": ("fig7_scaling", dict(node_counts=(5,), video_counts=(7,)), {}, _show_fig7),
-    "8": ("fig8_outcome_r2", dict(train_sizes=(50, 150), n_reps=1), {}, _show_fig8),
+    "8": ("fig8_outcome_r2", dict(train_sizes=(20, 40), n_reps=1), {}, _show_fig8),
     "9": (
         "fig9_preference_accuracy",
         dict(pair_counts=(3, 18), n_test_pairs=100, n_reps=1),
@@ -757,12 +757,18 @@ def _dest(flag: str) -> str:
     return flag.lstrip("-").replace("-", "_")
 
 
+#: ``command -> {flag: the flags it replaces}``: ``chaos --faults`` is
+#: the whole plan, so the random-plan flags would be ignored.
+_OVERRIDES = {"chaos": {"--faults": ("--n-faults", "--horizon")}}
+
+
 def _settle_flags(args: argparse.Namespace) -> None:
     """Check the command's parsed flags and fill in the absent ones' defaults.
 
     Every flag parses to None when absent, so a given flag is told from
     a default here.  Raises :class:`_UsageError` for a flag ``--resume``
-    refuses and for a flag given without any flag in its ``needs``.  An
+    refuses, for a flag given without any flag in its ``needs`` and for
+    a flag given with one that :data:`_OVERRIDES` says replaces it.  An
     empty value (``--priority-map ''``) switches nothing on.
     """
     flags = _FLAGS.get(args.flag_command, ())
@@ -778,6 +784,11 @@ def _settle_flags(args: argparse.Namespace) -> None:
             *others, last = f.needs
             either = f"{', '.join(others)} or {last}" if others else last
             raise _UsageError(f"{f.flag} has no effect without {either}")
+    for flag, replaced in _OVERRIDES.get(args.flag_command, {}).items():
+        clash = [f for f in replaced if f in given]
+        if clash and _switched_on(args, (flag,)):
+            verb = "has" if len(clash) == 1 else "have"
+            raise _UsageError(f"{', '.join(clash)} {verb} no effect with {flag}")
     for f in flags:
         if getattr(args, f.dest) is None:
             setattr(args, f.dest, _default(f))
@@ -1037,10 +1048,12 @@ def _serve_live(args, service, log, spec) -> int:
 
 
 def _cmd_serve_run(args: argparse.Namespace) -> int:
+    from repro.obs import telemetry
     from repro.serve import (
         ChurnProfile,
         EventLog,
         SchedulerService,
+        ServeSummary,
         build_service,
         generate_load,
     )
@@ -1093,40 +1106,28 @@ def _cmd_serve_run(args: argparse.Namespace) -> int:
     if rc:
         return rc
 
-    s = service.summary()
     method = getattr(service.scheduler_factory, "method", "") or "greedy (engine)"
-    print(f"serve run: {s['epochs']} epochs, method {method}")
-    print(
-        f"  streams {s['n_streams']} (end)   alive servers {s['n_alive_servers']}"
+    summary = ServeSummary(
+        path=args.telemetry,
+        trace_id=telemetry.trace_id if args.telemetry else None,
+        stats=service.stats,
+        n_streams_last=len(service.planner.entries),
+        alerts=service.alerts,
     )
-    print(
-        f"  full solves {s['full_solves']}   cache hits {s['cache_hits']}   "
-        f"re-solved {s['solved']}   rejects {s['rejected']}   "
-        f"evicted {s['evicted']}"
-    )
-    if s["shed"] or s["brownout_epochs"] or s["breaker_opens"]:
-        print(
-            f"  shed {s['shed']}   brownout epochs {s['brownout_epochs']}   "
-            f"breaker {s['breaker_state'] or 'off'} "
-            f"(opened {s['breaker_opens']}x)"
+    extra = [("alive servers", service.planner.n_alive)]
+    if service.breaker is not None:
+        extra.append(
+            ("breaker", f"{service.breaker.state} (opened {service.breaker.opens}x)")
         )
-    print(
-        f"  decision latency p50 {s['decision_p50_s'] * 1e3:.3f} ms   "
-        f"p95 {s['decision_p95_s'] * 1e3:.3f} ms   "
-        f"max {s['decision_max_s'] * 1e3:.3f} ms   "
-        f"(window {s['decision_window']} epochs)"
-    )
-    if s["alerts_fired"] or s["health"] != "ok":
-        print(
-            f"  health {s['health']}   alerts fired {s['alerts_fired']}"
-        )
-    if s["benefit_last"] is not None:
-        print(
-            f"  benefit {s['benefit_first']:+.4f} (warm-up) -> "
-            f"{s['benefit_last']:+.4f} (final)"
-        )
+    if service.monitor is not None:
+        extra.append(("health", service.monitor.state))
     if args.checkpoint:
-        print(f"  checkpoint written to {args.checkpoint}")
+        extra.append(("checkpoint", f"written to {args.checkpoint}"))
+    print(
+        summary.render(
+            title=f"serve run: {summary.epochs} epochs, method {method}", extra=extra
+        )
+    )
     if args.telemetry:
         print(f"telemetry events written to {args.telemetry}")
         print(
@@ -1312,7 +1313,8 @@ _FLAGS = {
         _Flag("--checkpoint", str, "", "PATH",
               "pickle a resumable checkpoint here every --checkpoint-every iterations"),
         _Flag("--checkpoint-every", int, 2, "N",
-              "BO iterations between checkpoints (with --checkpoint; default 2)"),
+              "BO iterations between checkpoints (with --checkpoint; default 2)",
+              needs=("--checkpoint",)),
         _Flag("--resume", str, "", "CKPT",
               "resume an interrupted run from a checkpoint (ignores problem flags)"),
     ),

@@ -92,10 +92,6 @@ class SloRule:
         if not self.name:
             object.__setattr__(self, "name", self.spec())
 
-    def holds(self, value: float) -> bool:
-        """True when the healthy condition is satisfied."""
-        return _OPS[self.op](float(value), self.threshold)
-
     def spec(self) -> str:
         """Compact string form; :meth:`parse` round-trips it."""
         out = f"{self.metric} {self.op} {self.threshold:g}"

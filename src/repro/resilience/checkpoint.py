@@ -27,8 +27,9 @@ from typing import Any
 from repro.obs import telemetry
 
 #: Bump when the checkpoint payload layout changes (3: the serve
-#: service's latency window became a ``RollingWindow``).
-CHECKPOINT_VERSION = 3
+#: service's latency window became a ``RollingWindow``; 4: its window
+#: grew into the ``ServeStats`` tally).
+CHECKPOINT_VERSION = 4
 
 
 @dataclass

@@ -25,7 +25,6 @@ from repro.serve.events import (
     EventLog,
     EventQueue,
     ServeEvent,
-    from_fault,
 )
 from repro.serve.greedy import GreedyScheduler
 from repro.serve.loadgen import ChurnProfile, generate_load
@@ -38,6 +37,7 @@ from repro.serve.service import (
     SchedulerService,
     ServeDecision,
     ServeEpochTick,
+    ServeStats,
 )
 from repro.serve.top import fetch_varz, render_top, run_top
 from repro.serve.wal import (
@@ -67,12 +67,12 @@ __all__ = [
     "ServeDecision",
     "ServeEpochTick",
     "ServeEvent",
+    "ServeStats",
     "ServeSummary",
     "WriteAheadLog",
     "approx_preference",
     "build_service",
     "fetch_varz",
-    "from_fault",
     "generate_load",
     "parse_priority_map",
     "read_wal",

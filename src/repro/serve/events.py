@@ -2,10 +2,7 @@
 
 The serve loop consumes a time-ordered stream of :class:`ServeEvent`
 records — stream churn, bandwidth drift, server membership, and drift
-alarms — grouped into epochs by the service's epoch clock.  The kinds
-mirror :data:`repro.resilience.faults.FAULT_KINDS` (``from_fault``
-converts a :class:`~repro.resilience.faults.FaultEvent` one-to-one), so
-a chaos fault plan replays onto a live service unchanged.
+alarms — grouped into epochs by the service's epoch clock.
 
 Determinism is the core contract: a :class:`EventQueue` pops events in
 ``(time, submission order)`` order regardless of push order, and an
@@ -21,14 +18,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from repro.resilience.faults import FaultEvent
-
 __all__ = [
     "SERVE_EVENT_KINDS",
     "ServeEvent",
     "EventQueue",
     "EventLog",
-    "from_fault",
 ]
 
 #: Recognized serve event kinds (the ``serve.*`` glossary of the README).
@@ -40,16 +34,6 @@ SERVE_EVENT_KINDS = (
     "server_up",
     "drift",
 )
-
-#: fault kind -> (serve kind, value transform)
-_FAULT_TO_SERVE = {
-    "server_crash": "server_down",
-    "server_recover": "server_up",
-    "bandwidth_drop": "bandwidth_drift",
-    "bandwidth_restore": "bandwidth_drift",
-    "stream_leave": "stream_leave",
-    "stream_join": "stream_join",
-}
 
 
 @dataclass(frozen=True)
@@ -110,21 +94,6 @@ class ServeEvent:
             target=int(d.get("target", -1)),
             value=d.get("value"),
         )
-
-
-def from_fault(event: FaultEvent) -> ServeEvent:
-    """Convert a resilience fault event into its serve equivalent.
-
-    ``bandwidth_restore`` becomes a drift back to factor 1.0; the other
-    kinds map one-to-one (crash/recover to membership, churn verbatim).
-    """
-    kind = _FAULT_TO_SERVE[event.kind]
-    value: float | None = None
-    if event.kind == "bandwidth_drop":
-        value = event.value
-    elif event.kind == "bandwidth_restore":
-        value = 1.0
-    return ServeEvent(time=event.time, kind=kind, target=event.target, value=value)
 
 
 class EventQueue:
@@ -222,14 +191,3 @@ class EventLog:
     @classmethod
     def load(cls, path) -> "EventLog":
         return cls.from_dict(json.loads(Path(path).read_text()))
-
-    @classmethod
-    def from_fault_plan(cls, plan, *, n_streams: int = 0, n_servers: int = 0) -> "EventLog":
-        """Replay a :class:`~repro.resilience.faults.FaultPlan` as serve events."""
-        return cls(
-            events=tuple(from_fault(e) for e in plan),
-            seed=getattr(plan, "seed", None),
-            n_streams=n_streams,
-            n_servers=n_servers,
-            horizon_s=getattr(plan, "horizon", 0.0),
-        )

@@ -35,10 +35,14 @@ instead of only reporting them.
 through a caller-supplied environment each epoch, and a
 :class:`DriftDetector` verdict triggers a fresh batch solve.
 
-Counters: ``serve.replans`` (epoch decisions), ``serve.full_solves``,
+Every count derived from decisions — epochs, solves, hits, rejects,
+evictions, sheds, brownout epochs, the latency window — lives in one
+:class:`ServeStats` tally that ``summary()``, ``/varz``, ``/healthz``,
+the SLO rules, the ``repro_serve_*_total`` counters and ``repro serve
+report`` all read.  Telemetry counters: ``serve.replans`` (epoch
+decisions), ``serve.full_solves`` (full solves a decision records),
 ``serve.cache_hits``, ``serve.events``, ``serve.solved``,
-``serve.repairs``, ``serve.evictions``, ``serve.admission_rejects``,
-plus the hardening families ``admit.rejected``/``admit.shed``/
+``serve.repairs``, plus the hardening families ``admit.rejected``/``admit.shed``/
 ``admit.evicted_for``, ``breaker.*``, ``serve.brownout_*``, and
 ``serve.suppressed_full_solves``.
 
@@ -82,84 +86,152 @@ __all__ = [
     "SchedulerService",
     "ServeDecision",
     "ServeEpochTick",
+    "ServeStats",
     "RegistryFactory",
 ]
 
-#: Instrument keys mirrored as monotone counters, and how many latency
-#: samples may sit in the scrape-time flush buffer before the serve
-#: thread flushes inline (bounds memory on scraper-less runs).
-_COUNTER_KEYS = (
-    "epochs", "full_solves", "cache_hits", "solved", "rejects", "evictions",
-    "shed",
-)
+#: How many latency samples may sit in the scrape-time flush buffer
+#: before the serve thread flushes inline (bounds memory on scraper-less
+#: runs).
 _FLUSH_EVERY = 4096
 
+#: ``ServeStats`` total -> its ``repro_serve_*_total`` counter: name, help.
+_COUNTERS = {
+    "epochs": ("serve_epochs_total", "epoch decisions made"),
+    "full_solves": ("serve_full_solves_total", "full re-solves"),
+    "cache_hits": ("serve_cache_hits_total", "cached stream decisions"),
+    "solved": ("serve_solved_total", "re-solved stream decisions"),
+    "rejected": ("serve_admission_rejects_total", "rejected joins"),
+    "evicted": ("serve_evictions_total", "evicted streams"),
+    "shed": ("serve_sheds_total", "joins shed by admission control"),
+}
 
-class _WindowStats:
-    """Per-epoch stats over the last :data:`DECISION_WINDOW` epochs.
 
-    :meth:`SchedulerService.summary`, :meth:`SchedulerService.
-    health_snapshot` and :func:`repro.serve.report.summarize_serve_run`
-    all read decision-latency percentiles from a
-    :class:`~repro.obs.metrics.RollingWindow` fed with
-    :attr:`ServeDecision.latency_s`, so a scrape mid-run and a post-hoc
-    report agree exactly.  The cache-hit and benefit aggregates are
-    running sums updated on push/evict — a full O(n) pass per epoch
-    would blow the <2% metrics-overhead budget.
+class ServeStats:
+    """The one tally of serve decisions: lifetime totals plus the window.
+
+    :meth:`SchedulerService._emit_decision` pushes each
+    :class:`ServeDecision` and :func:`repro.serve.report.
+    summarize_serve_run` pushes each logged ``serve.decision`` record, so
+    :meth:`SchedulerService.summary`, ``/varz``, :meth:`SchedulerService.
+    health_snapshot`, the SLO rules, the ``repro_serve_*_total`` counters
+    and ``repro serve report`` read every decision-derived count from
+    one definition.  The window parts — decision-latency percentiles, the
+    cache-hit ratio and the benefit baseline — cover the last
+    :data:`DECISION_WINDOW` decisions through a
+    :class:`~repro.obs.metrics.RollingWindow` and running sums updated on
+    push/evict; a full O(n) pass per epoch would blow the <2%
+    metrics-overhead budget.
     """
 
     def __init__(self) -> None:
-        self.latency = RollingWindow()
-        self.entries: deque[tuple] = deque()
-        self.hits = 0
+        self.epochs = 0
+        self.events = 0
+        self.full_solves = 0
+        self.cache_hits = 0
         self.solved = 0
-        self.benefit_sum = 0.0
-        self.benefit_n = 0
-        self.last_benefit: float | None = None
+        self.rejected = 0
+        self.evicted = 0
+        self.shed = 0
+        self.brownout_epochs = 0
+        self.latency_sum = 0.0
+        self.benefit_first: float | None = None
+        self.benefit_last: float | None = None
+        self.latency = RollingWindow()
+        self._entries: deque[tuple] = deque()
+        self._window_hits = 0
+        self._window_solved = 0
+        self._benefit_sum = 0.0
+        self._benefit_n = 0
 
     def push(
         self,
+        *,
         latency_s: float,
         benefit: float | None,
+        events: int,
+        full_solve: bool,
         cache_hits: int,
         solved: int,
+        rejected: int,
+        evicted: int,
+        shed: int,
+        brownout: bool,
     ) -> None:
+        """Count one decision (list-valued fields as their lengths)."""
+        self.epochs += 1
+        self.events += events
+        self.full_solves += full_solve
+        self.cache_hits += cache_hits
+        self.solved += solved
+        self.rejected += rejected
+        self.evicted += evicted
+        self.shed += shed
+        self.brownout_epochs += brownout
+        self.latency_sum += latency_s
         self.latency.observe(latency_s)
-        if len(self.entries) >= DECISION_WINDOW:
-            old_benefit, old_hits, old_solved = self.entries.popleft()
-            self.hits -= old_hits
-            self.solved -= old_solved
+        if len(self._entries) >= DECISION_WINDOW:
+            old_benefit, old_hits, old_solved = self._entries.popleft()
+            self._window_hits -= old_hits
+            self._window_solved -= old_solved
             if old_benefit is not None:
-                self.benefit_sum -= old_benefit
-                self.benefit_n -= 1
+                self._benefit_sum -= old_benefit
+                self._benefit_n -= 1
         if benefit is not None:
             benefit = float(benefit)
-            self.benefit_sum += benefit
-            self.benefit_n += 1
-            self.last_benefit = benefit
-        self.entries.append((benefit, int(cache_hits), int(solved)))
-        self.hits += int(cache_hits)
-        self.solved += int(solved)
+            self._benefit_sum += benefit
+            self._benefit_n += 1
+            if self.benefit_first is None:
+                self.benefit_first = benefit
+            self.benefit_last = benefit
+        self._entries.append((benefit, cache_hits, solved))
+        self._window_hits += cache_hits
+        self._window_solved += solved
 
     @property
     def baseline(self) -> float | None:
         """Rolling mean benefit over the window (None before any score)."""
-        return self.benefit_sum / self.benefit_n if self.benefit_n else None
+        return self._benefit_sum / self._benefit_n if self._benefit_n else None
+
+    @property
+    def cache_hit_ratio(self) -> float:
+        """Windowed cached / (cached + re-solved) decisions (0 when none)."""
+        total = self._window_hits + self._window_solved
+        return self._window_hits / total if total else 0.0
+
+    def to_dict(self) -> dict:
+        """Every decision-derived count, keyed as ``summary()`` reports it."""
+        lat = self.latency
+        return {
+            "epochs": self.epochs,
+            "events": self.events,
+            "full_solves": self.full_solves,
+            "cache_hits": self.cache_hits,
+            "solved": self.solved,
+            "rejected": self.rejected,
+            "evicted": self.evicted,
+            "shed": self.shed,
+            "brownout_epochs": self.brownout_epochs,
+            "benefit_first": self.benefit_first,
+            "benefit_last": self.benefit_last,
+            "cache_hit_ratio": self.cache_hit_ratio,
+            "decision_window": len(lat),
+            "decision_p50_s": lat.percentile(0.50),
+            "decision_p95_s": lat.percentile(0.95),
+            "decision_p99_s": lat.percentile(0.99),
+            "decision_max_s": lat.percentile(1.0),
+            "decision_mean_s": self.latency_sum / self.epochs if self.epochs else 0.0,
+        }
 
 
-def _get_cache_hit_ratio(svc, w: _WindowStats) -> float:
-    total = w.hits + w.solved
-    return w.hits / total if total else 0.0
-
-
-def _get_benefit_drop(svc, w: _WindowStats) -> float | None:
-    benefit, baseline = w.last_benefit, w.baseline
+def _get_benefit_drop(svc, w: ServeStats) -> float | None:
+    benefit, baseline = w.benefit_last, w.baseline
     if benefit is None or baseline is None:
         return None
     return max(0.0, (baseline - benefit) / max(abs(baseline), 1e-12))
 
 
-#: ``metric name -> getter(service, window)``: THE definition of every
+#: ``metric name -> getter(service, stats)``: THE definition of every
 #: :meth:`SchedulerService.health_snapshot` key, in documented order.
 #: The snapshot evaluates all of them; the compiled SLO probe
 #: (:meth:`SchedulerService._build_slo_probe`) only the getters the
@@ -172,11 +244,11 @@ _SLO_GETTERS: dict[str, Callable] = {
     "decision_p95_s": lambda svc, w: w.latency.percentile(0.95),
     "decision_p99_s": lambda svc, w: w.latency.percentile(0.99),
     "decision_max_s": lambda svc, w: w.latency.percentile(1.0),
-    "cache_hit_ratio": _get_cache_hit_ratio,
+    "cache_hit_ratio": lambda svc, w: w.cache_hit_ratio,
     "queue_depth": lambda svc, w: len(svc.queue),
     "n_streams": lambda svc, w: len(svc.planner.entries),
     "n_alive_servers": lambda svc, w: svc.planner.n_alive,
-    "benefit": lambda svc, w: w.last_benefit,
+    "benefit": lambda svc, w: w.benefit_last,
     "benefit_baseline": lambda svc, w: w.baseline,
     "benefit_drop_ratio": _get_benefit_drop,
     "mode_brownout": lambda svc, w: 1 if svc.mode == "brownout" else 0,
@@ -505,9 +577,8 @@ class SchedulerService:
         # which full solves rebuild the problem from live state instead
         # of reusing the constructor's problem object.
         self._topology_dirty = False
-        # Rolling per-epoch stats (latency, benefit, hits, solved) —
-        # the bounded window behind summary()/health_snapshot().
-        self._window = _WindowStats()
+        # The tally every decision-derived count is read from.
+        self.stats = ServeStats()
         # Live observability (attach_observability): a MetricsRegistry
         # and a HealthMonitor driving /healthz + alert events.
         self.metrics = None
@@ -515,10 +586,10 @@ class SchedulerService:
         self.alerts: list[dict] = []
         self._mhandles: dict | None = None
         self._slo_probe: Callable[[], dict] | None = None
-        # Counter deltas accumulate in plain ints per epoch and flush
-        # into the registry at scrape time (or every _FLUSH_EVERY
-        # epochs) — the per-epoch path stays lock- and registry-free.
-        self._mcounts: dict[str, int] | None = None
+        # The counters flush from self.stats, and latency samples from
+        # _mpending, into the registry at scrape time (or every
+        # _FLUSH_EVERY epochs) — the per-epoch path stays lock- and
+        # registry-free.
         self._mflushed: dict[str, int] = {}
         self._mpending: list[float] = []
         self._mpending_done = 0
@@ -710,16 +781,12 @@ class SchedulerService:
                             telemetry.counter(
                                 "admit.evicted_for", len(out.evicted)
                             )
-                            telemetry.counter(
-                                "serve.evictions", len(out.evicted)
-                            )
                     elif out.action == "shed":
                         shed.append(sid)
                         telemetry.counter("admit.shed")
                     else:
                         rejected.append(sid)
                         telemetry.counter("admit.rejected")
-                        telemetry.counter("serve.admission_rejects")
                     for vid in out.dropped:  # failed rollback (pathological)
                         self.textures.pop(vid, None)
                         touched.add(vid)
@@ -898,7 +965,6 @@ class SchedulerService:
         state); ``None`` on the batch-scheduler path, where only
         ``last_decision`` is updated.
         """
-        telemetry.counter("serve.full_solves")
         if self.scheduler_factory is None:
             stats = self.planner.solve_all(dict(self.textures))
             for sid in stats.get("rejected", []):
@@ -989,9 +1055,22 @@ class SchedulerService:
                 sig=decision.sig_hash(),
             )
         latency_s = decision.latency_s = time.perf_counter() - t0
-        self._window.push(latency_s, benefit, cache_hits, solved)
+        self.stats.push(
+            latency_s=latency_s,
+            benefit=benefit,
+            events=len(events),
+            full_solve=full_solve,
+            cache_hits=cache_hits,
+            solved=solved,
+            rejected=len(rejected),
+            evicted=len(evicted),
+            shed=len(decision.shed),
+            brownout=mode == "brownout",
+        )
         telemetry.counter("serve.replans")
-        if not full_solve:  # serve.full_solves counted in _full_solve
+        if full_solve:
+            telemetry.counter("serve.full_solves")
+        else:
             telemetry.counter("serve.cache_hits", cache_hits)
         telemetry.counter("serve.solved", solved)
         if telemetry.enabled:
@@ -1038,27 +1117,10 @@ class SchedulerService:
         self.metrics = metrics
         self.monitor = monitor
         self._mhandles = None if metrics is None else {
-            "epochs": metrics.counter(
-                "serve_epochs_total", "epoch decisions made"
-            ),
-            "full_solves": metrics.counter(
-                "serve_full_solves_total", "full re-solves"
-            ),
-            "cache_hits": metrics.counter(
-                "serve_cache_hits_total", "cached stream decisions"
-            ),
-            "solved": metrics.counter(
-                "serve_solved_total", "re-solved stream decisions"
-            ),
-            "rejects": metrics.counter(
-                "serve_admission_rejects_total", "rejected joins"
-            ),
-            "evictions": metrics.counter(
-                "serve_evictions_total", "evicted streams"
-            ),
-            "shed": metrics.counter(
-                "serve_sheds_total", "joins shed by admission control"
-            ),
+            **{
+                key: metrics.counter(name, help_)
+                for key, (name, help_) in _COUNTERS.items()
+            },
             "latency": metrics.histogram(
                 "serve_decision_latency_seconds",
                 "per-epoch decision latency",
@@ -1095,17 +1157,15 @@ class SchedulerService:
         self._slo_probe = (
             None if monitor is None else self._build_slo_probe(monitor)
         )
-        self._mcounts = (
-            None
-            if metrics is None
-            else {key: 0 for key in _COUNTER_KEYS}
-        )
-        self._mflushed = {key: 0 for key in _COUNTER_KEYS}
+        self._mflushed = dict.fromkeys(_COUNTERS, 0)
         self._mpending = []
         self._mpending_done = 0
         if metrics is not None:
             metrics.add_collect_hook(self._refresh_gauges)
             self._observe(self.decisions[-1] if self.decisions else None)
+            # The counters flush the lifetime tally, so a registry attached
+            # mid-run (a resumed service) gets every earlier latency too.
+            self._mpending.extend(d.latency_s for d in self.decisions[:-1])
 
     def _build_slo_probe(self, monitor) -> Callable[[], dict]:
         """Compile a minimal per-epoch snapshot for ``monitor``'s rules.
@@ -1122,18 +1182,19 @@ class SchedulerService:
         probes = [(k, g) for k, g in _SLO_GETTERS.items() if k in needed]
 
         def probe() -> dict:
-            window = self._window
-            return {k: g(self, window) for k, g in probes}
+            stats = self.stats
+            return {k: g(self, stats) for k, g in probes}
 
         return probe
 
     def _observe(self, decision: ServeDecision | None) -> None:
-        """Per-epoch observability: event counters, histogram, SLO rules.
+        """Per-epoch observability: latency histogram, SLO rules.
 
         Hot path — one call per epoch; the ``test_metrics_overhead``
-        bench holds it under 2% of the serve loop.  Counter deltas and
-        latency samples land in plain Python state (no locks, no
-        registry calls) and flush on scrape; derived gauges refresh at
+        bench holds it under 2% of the serve loop.  Latency samples land
+        in a plain list (no locks, no registry calls) and flush on
+        scrape with the counters, which read :attr:`stats`
+        (already pushed by :meth:`_emit_decision`); derived gauges refresh at
         scrape time too (:meth:`_refresh_gauges`, a registry collect
         hook).  ``serve_health`` is additionally bumped on alert edges
         so the gauge moves with the event, and SLO rules run against
@@ -1141,19 +1202,7 @@ class SchedulerService:
         """
         if decision is None:
             return
-        c = self._mcounts
-        if c is not None:
-            c["epochs"] += 1
-            if decision.full_solve:
-                c["full_solves"] += 1
-            c["cache_hits"] += decision.cache_hits
-            c["solved"] += decision.solved
-            if decision.rejected:
-                c["rejects"] += len(decision.rejected)
-            if decision.evicted:
-                c["evictions"] += len(decision.evicted)
-            if decision.shed:
-                c["shed"] += len(decision.shed)
+        if self._mhandles is not None:
             self._mpending.append(decision.latency_s)
             if len(self._mpending) >= _FLUSH_EVERY:
                 with self.metrics.lock:
@@ -1174,24 +1223,23 @@ class SchedulerService:
                 self._mhandles["health"].set(severity_rank(self.monitor.state))
 
     def _flush_metrics_locked(self, *, trim: bool = False) -> None:
-        """Push accumulated counter deltas and latency samples.
+        """Push the counters' growth in :attr:`stats` and the latency samples.
 
-        Caller must hold the registry lock.  Counter totals are
+        Caller must hold the registry lock.  The tally's totals are
         monotone, so a delta missed by one flush (a racing increment)
         is picked up by the next — nothing is lost or double-counted.
         ``trim`` drops already-flushed samples from the pending list;
         only the serve thread (the list's sole writer) may pass it.
         """
         h = self._mhandles
-        c = self._mcounts
-        if h is None or c is None:
+        if h is None:
             return
         flushed = self._mflushed
-        for key in _COUNTER_KEYS:
-            delta = c[key] - flushed[key]
-            if delta:
-                h[key].inc_locked(delta)
-                flushed[key] = c[key]
+        for key in _COUNTERS:
+            total = getattr(self.stats, key)
+            if total != flushed[key]:
+                h[key].inc_locked(total - flushed[key])
+                flushed[key] = total
         pending = self._mpending
         done = self._mpending_done
         n = len(pending)
@@ -1208,8 +1256,8 @@ class SchedulerService:
         """Scrape-time refresh (registry collect hook).
 
         Runs on the scraper's thread whenever the registry is collected
-        (``/metrics``, ``/varz``, ``to_dict``): flushes the counter
-        accumulator, then recomputes derived gauges — so all of this
+        (``/metrics``, ``/varz``, ``to_dict``): flushes the counters
+        from :attr:`stats`, then recomputes derived gauges — so all of this
         costs the serve loop nothing between scrapes.
         """
         h = self._mhandles
@@ -1244,8 +1292,8 @@ class SchedulerService:
         and ``repro serve report`` use — so an alert threshold means
         the same thing everywhere.
         """
-        w = self._window
-        return {k: g(self, w) for k, g in _SLO_GETTERS.items()}
+        stats = self.stats
+        return {k: g(self, stats) for k, g in _SLO_GETTERS.items()}
 
     def health_status(self) -> dict:
         """``/healthz`` document: monitor verdict plus the snapshot."""
@@ -1259,12 +1307,11 @@ class SchedulerService:
 
     def varz(self) -> dict:
         """``/varz`` service section: summary + snapshot + alert history."""
+        summary = self.summary()
         return {
-            "summary": self.summary(),
+            "summary": summary,
             "snapshot": self.health_snapshot(),
-            "alerts_fired": sum(
-                1 for a in self.alerts if a.get("event") == "alert.fired"
-            ),
+            "alerts_fired": summary["alerts_fired"],
             "recent_alerts": self.alerts[-10:],
         }
 
@@ -1393,7 +1440,6 @@ class SchedulerService:
         state["_stop"] = False
         state["_mhandles"] = None
         state["_slo_probe"] = None  # compiled closures don't pickle
-        state["_mcounts"] = None  # accumulator belongs to the registry
         state["_mflushed"] = {}
         state["_mpending"] = []
         state["_mpending_done"] = 0
@@ -1407,27 +1453,17 @@ class SchedulerService:
 
     # -- summary -----------------------------------------------------------
     def summary(self) -> dict:
-        """Aggregate run statistics over all decisions so far.
+        """Run statistics: the :attr:`stats` tally plus the live state.
 
-        Counts are lifetime totals; the latency percentiles are the
-        *rolling-window* definition (last :data:`DECISION_WINDOW`
-        epochs) shared with :meth:`health_snapshot` and ``repro serve
-        report`` — lifetime percentiles go stale on hours-long runs,
-        reporting warm-up latencies forever.
+        Counts are lifetime totals; the latency percentiles, the
+        cache-hit ratio and the benefit baseline are the rolling-window
+        definition (last :data:`DECISION_WINDOW` epochs) shared with
+        :meth:`health_snapshot` and ``repro serve report`` — lifetime
+        percentiles go stale on hours-long runs, reporting warm-up
+        latencies forever.
         """
-        lat = self._window.latency
-        benefits = [d.benefit for d in self.decisions if d.benefit is not None]
         return {
-            "epochs": len(self.decisions),
-            "full_solves": sum(1 for d in self.decisions if d.full_solve),
-            "cache_hits": sum(d.cache_hits for d in self.decisions),
-            "solved": sum(d.solved for d in self.decisions),
-            "rejected": sum(len(d.rejected) for d in self.decisions),
-            "evicted": sum(len(d.evicted) for d in self.decisions),
-            "shed": sum(len(d.shed) for d in self.decisions),
-            "brownout_epochs": sum(
-                1 for d in self.decisions if d.mode == "brownout"
-            ),
+            **self.stats.to_dict(),
             "mode": self.mode,
             "breaker_state": (
                 None if self.breaker is None else self.breaker.state
@@ -1435,13 +1471,6 @@ class SchedulerService:
             "breaker_opens": 0 if self.breaker is None else self.breaker.opens,
             "n_streams": len(self.planner.entries),
             "n_alive_servers": self.planner.n_alive,
-            "benefit_first": benefits[0] if benefits else None,
-            "benefit_last": benefits[-1] if benefits else None,
-            "decision_window": len(lat),
-            "decision_p50_s": lat.percentile(0.50),
-            "decision_p95_s": lat.percentile(0.95),
-            "decision_p99_s": lat.percentile(0.99),
-            "decision_max_s": lat.percentile(1.0),
             "alerts_fired": sum(
                 1 for a in self.alerts if a.get("event") == "alert.fired"
             ),

@@ -8,9 +8,11 @@ from repro.obs.health import SEVERITIES, severity_rank
 
 class TestSloRule:
     def test_holds_is_healthy_while(self):
-        rule = SloRule(metric="p95", op="<", threshold=0.25)
-        assert rule.holds(0.1)
-        assert not rule.holds(0.3)
+        """The rule's comparison is its healthy condition: a monitor stays
+        quiet while it holds and fires once it does not."""
+        mon = HealthMonitor([SloRule(metric="p95", op="<", threshold=0.25)])
+        assert mon.evaluate({"p95": 0.1}) == []
+        assert [e["event"] for e in mon.evaluate({"p95": 0.3})] == ["alert.fired"]
 
     def test_bad_op_rejected(self):
         with pytest.raises(ValueError, match="comparator"):

@@ -1,10 +1,8 @@
-"""Serve events: validation, queue ordering, log round-trips, fault bridge."""
+"""Serve events: validation, queue ordering, log round-trips."""
 
 import pytest
 
-from repro.resilience import FaultPlan
-from repro.resilience.faults import FaultEvent
-from repro.serve import EventLog, EventQueue, ServeEvent, from_fault
+from repro.serve import EventLog, EventQueue, ServeEvent
 
 
 class TestServeEvent:
@@ -100,42 +98,3 @@ class TestEventLog:
         a = log.save(tmp_path / "a.json").read_text()
         b = log.save(tmp_path / "b.json").read_text()
         assert a == b
-
-
-class TestFaultBridge:
-    @pytest.mark.parametrize(
-        "fault_kind,serve_kind",
-        [
-            ("server_crash", "server_down"),
-            ("server_recover", "server_up"),
-            ("stream_join", "stream_join"),
-            ("stream_leave", "stream_leave"),
-        ],
-    )
-    def test_kind_mapping(self, fault_kind, serve_kind):
-        e = from_fault(FaultEvent(time=1.0, kind=fault_kind, target=0))
-        assert e.kind == serve_kind
-        assert e.target == 0
-
-    def test_bandwidth_drop_keeps_factor(self):
-        e = from_fault(
-            FaultEvent(time=1.0, kind="bandwidth_drop", target=2, value=0.25)
-        )
-        assert e.kind == "bandwidth_drift"
-        assert e.value == 0.25
-
-    def test_bandwidth_restore_maps_to_unit_factor(self):
-        e = from_fault(FaultEvent(time=1.0, kind="bandwidth_restore", target=2))
-        assert e.kind == "bandwidth_drift"
-        assert e.value == 1.0
-
-    def test_from_fault_plan(self):
-        plan = FaultPlan.random(
-            n_servers=3, n_streams=5, horizon=10.0, n_faults=4, rng=0
-        )
-        log = EventLog.from_fault_plan(plan, n_streams=5, n_servers=3)
-        assert len(log) == len(plan)
-        assert all(e.kind in
-                   ("stream_join", "stream_leave", "bandwidth_drift",
-                    "server_down", "server_up", "drift")
-                   for e in log)

@@ -421,3 +421,149 @@ class TestCliEndToEnd:
         # The report stitches rotated segments back together.
         rep = summarize_serve_run(trace)
         assert rep.epochs > 0
+
+
+class _FailingResolve:
+    """A batch scheduler whose warm-up solve works and every re-solve raises."""
+
+    def __init__(self, problem, preference):
+        from repro.baselines import make_scheduler
+
+        self.inner = make_scheduler("random", problem, preference=preference, rng=0)
+
+    def optimize(self):
+        return self.inner.optimize()
+
+    def replan(self, problem, *, reason=""):
+        raise RuntimeError("solver down")
+
+
+class TestOneTally:
+    """``summary()``, ``/healthz``, the registry counters and ``repro serve
+    report`` read every decision-derived count from one tally, so they
+    agree on a finished run, on a killed run's log, and when full solves
+    fail under a circuit breaker."""
+
+    _DECISION_KEYS = (
+        "epochs", "events", "full_solves", "cache_hits", "solved",
+        "rejected", "evicted", "shed", "brownout_epochs", "benefit_first",
+        "benefit_last", "decision_window", "decision_p50_s",
+        "decision_p95_s", "decision_p99_s", "decision_max_s",
+        "decision_mean_s",
+    )
+    _REGISTRY_KEYS = {
+        "epochs": "repro_serve_epochs_total",
+        "full_solves": "repro_serve_full_solves_total",
+        "cache_hits": "repro_serve_cache_hits_total",
+        "solved": "repro_serve_solved_total",
+        "rejected": "repro_serve_admission_rejects_total",
+        "evicted": "repro_serve_evictions_total",
+        "shed": "repro_serve_sheds_total",
+    }
+
+    @staticmethod
+    def _logged_run(svc, events, path):
+        reg = MetricsRegistry()
+        svc.attach_observability(metrics=reg)
+        telemetry.enable(JsonlSink(path))
+        svc.submit(events)
+        svc.run()
+        telemetry.emit_summary()
+        telemetry.disable()
+        return reg.to_dict()
+
+    def _assert_one_tally(self, svc, path):
+        rep = summarize_serve_run(path).to_dict()
+        s = svc.summary()
+        for key in self._DECISION_KEYS:
+            assert rep[key] == s[key], key
+        assert rep["admission_rejects"] == s["rejected"]
+        assert rep["decision_count"] == s["epochs"]
+        assert rep["cache_hit_ratio"] == svc.health_snapshot()["cache_hit_ratio"]
+        return rep, s
+
+    def _assert_registry(self, metrics, s):
+        for key, name in self._REGISTRY_KEYS.items():
+            assert metrics[name]["value"] == s[key], name
+        assert metrics["repro_serve_decision_latency_seconds"]["count"] == s["epochs"]
+
+    def test_churn_with_priority_admission(self, tmp_path):
+        from repro.serve import AdmissionController, ChurnProfile, generate_load
+
+        problem = _problem(n_streams=8, n_servers=3)
+        profile = ChurnProfile(
+            hours=0.25, arrivals_per_hour=2400.0, departures_per_hour=1200.0,
+            drifts_per_hour=40.0, flaps_per_hour=20.0,
+        )
+        log = generate_load(8, 3, profile=profile, seed=3)
+        svc = _service(
+            problem,
+            reoptimize_every=50,
+            admission=AdmissionController(
+                priority_map={sid: 2 for sid in range(0, 4000, 4)},
+                default_priority=1,
+                join_rate_per_epoch=0.8,
+                protect_priority=2,
+            ),
+        )
+        path = tmp_path / "churn.jsonl"
+        metrics = self._logged_run(svc, log.events, path)
+        rep, s = self._assert_one_tally(svc, path)
+        assert s["epochs"] > DECISION_WINDOW
+        assert s["rejected"] and s["evicted"] and s["shed"]
+        self._assert_registry(metrics, s)
+        # the windowed hit ratio, not the lifetime one
+        assert rep["cache_hit_ratio"] != s["cache_hits"] / (s["cache_hits"] + s["solved"])
+
+    def test_failing_full_solves_under_a_breaker_and_the_killed_log(self, tmp_path):
+        from repro.resilience.breaker import CircuitBreaker
+
+        problem = _problem()
+        pref = approx_preference(problem)
+        svc = SchedulerService(
+            problem,
+            preference=pref,
+            scheduler_factory=lambda prob, epoch: _FailingResolve(prob, pref),
+            breaker=CircuitBreaker(failure_threshold=2, cooldown_epochs=2),
+        )
+        events = [
+            ServeEvent(time=float(t), kind="drift") for t in (1, 2, 3)
+        ] + _churn(4)
+        path = tmp_path / "breaker.jsonl"
+        metrics = self._logged_run(svc, events, path)
+        rep, s = self._assert_one_tally(svc, path)
+        assert s["full_solves"] == 1  # only the warm-up solve was recorded
+        assert s["brownout_epochs"] > 0
+        assert rep["breaker_opens"] == 1
+        self._assert_registry(metrics, s)
+
+        killed = tmp_path / "killed.jsonl"
+        lines = path.read_text().splitlines()
+        kept = [ln for ln in lines if json.loads(ln).get("event") != "run.summary"]
+        assert len(kept) == len(lines) - 1
+        killed.write_text("\n".join(kept) + "\n")
+        assert summarize_serve_run(killed).counters == {}
+        self._assert_one_tally(svc, killed)
+
+    def test_registry_attached_mid_run_reads_the_whole_run(self):
+        svc = _service()
+        svc.submit(_churn())
+        svc.run(max_epochs=4)
+        reg = MetricsRegistry()
+        svc.attach_observability(metrics=reg)
+        svc.run()
+        self._assert_registry(reg.to_dict(), svc.summary())
+
+    def test_summary_and_varz_do_not_rescan_the_decisions(self):
+        class Unreadable(list):
+            def __iter__(self):
+                raise AssertionError("the decisions were re-scanned")
+
+        svc = _service()
+        svc.attach_observability(metrics=MetricsRegistry())
+        svc.submit(_churn())
+        svc.run()
+        expected = svc.summary()
+        svc.decisions = Unreadable(svc.decisions)
+        assert svc.summary() == expected
+        assert svc.varz()["summary"] == expected

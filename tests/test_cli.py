@@ -86,6 +86,32 @@ def test_malformed_list_flag_is_a_clean_error(command, flag, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv,named",
+    [
+        (["optimize", "--checkpoint-every", "3"], ("--checkpoint-every", "--checkpoint")),
+        (["chaos", "--faults", "crash:1@0.5", "--n-faults", "4"], ("--n-faults", "--faults")),
+        (["chaos", "--faults", "crash:1@0.5", "--horizon", "3"], ("--horizon", "--faults")),
+        (
+            ["chaos", "--faults", "crash:1@0.5", "--n-faults", "4", "--horizon", "3"],
+            ("--n-faults", "--horizon", "--faults"),
+        ),
+    ],
+    ids=["checkpoint-every", "n-faults", "horizon", "both-random-plan-flags"],
+)
+def test_ignored_flag_is_refused(argv, named, tmp_path, capsys, monkeypatch):
+    """A flag the command would silently ignore exits 2 naming it and the
+    flag that makes it moot, before any work (nothing is written)."""
+    monkeypatch.chdir(tmp_path)
+    rc = main([*argv, "--method", "random", "--streams", "2", "--servers", "2"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ")
+    assert all(flag in err for flag in named)
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestTelemetry:
     def test_pamo_alias_emits_iteration_records(self, capsys, tmp_path):
         """`repro pamo --telemetry out.jsonl` writes per-BO-iteration JSONL."""

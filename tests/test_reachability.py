@@ -116,7 +116,6 @@ UNREACHED_FUNCTIONS = {
     "EdgeServer.speed_factor",
     "EncoderModel.transmission_time",
     "Event.cancel",
-    "EventLog.from_fault_plan",
     "EventQueue.schedule_in",
     "GPRegressor.log_predictive_density",
     "GroupingResult.n_nonempty",
@@ -129,7 +128,6 @@ UNREACHED_FUNCTIONS = {
     "PreferenceGP.utilities",
     "PreferenceLearner.sample_utility",
     "SimulationReport.completion_ratio",
-    "SloRule.holds",
     "StreamMetrics.jitter_std",
     "StreamMetrics.p99_latency",
     "SyntheticClip.duration",
