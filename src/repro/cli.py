@@ -949,9 +949,6 @@ def _serve_live(args, service, log, spec) -> int:
 
     wal = None
     if args.wal:
-        if err := _check_writable(args.wal):
-            print(f"error: cannot write WAL: {err}", file=sys.stderr)
-            return 2
         try:
             if args.resume:
                 # Appended to any other journal (another run's, or this

@@ -161,11 +161,6 @@ class PaMO(SchedulerMixin):
         BO controls (b, δ, MaxIterNum, MC sample count).
     profile_noise:
         Relative measurement noise applied when profiling outcomes.
-    resilient:
-        Degrade instead of dying: wrap the acquisition in the
-        qNEI → qUCB → random fallback ladder and return a known-
-        feasible schedule if the BO loop hits a model pathology.  The
-        non-faulty path is bit-identical with or without it.
     checkpoint_path, checkpoint_every:
         When both are set, pickle a resumable checkpoint of the whole
         scheduler every ``checkpoint_every`` completed BO iterations
@@ -190,7 +185,6 @@ class PaMO(SchedulerMixin):
         n_mc_samples: int = 32,
         n_pool: int = 24,
         profile_noise: float = 0.02,
-        resilient: bool = True,
         checkpoint_path: str | None = None,
         checkpoint_every: int = 0,
         rng: RngLike = None,
@@ -215,7 +209,6 @@ class PaMO(SchedulerMixin):
         self.profile_noise = check_positive(
             "profile_noise", profile_noise, strict=False
         )
-        self.resilient = bool(resilient)
         self.checkpoint_path = checkpoint_path
         if checkpoint_every < 0:
             raise ValueError(
@@ -596,9 +589,7 @@ class PaMO(SchedulerMixin):
         # The acquisition ladder only changes behavior when the primary
         # rung fails (its success path delegates verbatim, same RNG
         # stream), so seeded non-faulty runs are unaffected.
-        acquisition = (
-            default_ladder(self.acquisition) if self.resilient else self.acquisition
-        )
+        acquisition = default_ladder(self.acquisition)
         checkpointing = (
             self.checkpoint_path is not None and self.checkpoint_every > 0
         )
@@ -625,8 +616,6 @@ class PaMO(SchedulerMixin):
             InfeasibleScheduleError,
             RuntimeError,
         ) as exc:
-            if not self.resilient:
-                raise
             return self._fallback_schedule(exc)
         self._last_observed = (res.observed_x, res.observed_z)
         r, s = self.problem.decode(res.best_x)

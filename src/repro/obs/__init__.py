@@ -17,13 +17,7 @@ is called, so library code is instrumented unconditionally.
 
 from repro.obs.exposition import MetricsServer, render_prometheus
 from repro.obs.health import Alert, HealthMonitor, SloRule, default_rules
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    RollingWindow,
-)
+from repro.obs.metrics import MetricsRegistry, RollingWindow
 from repro.obs.sinks import EventSink, JsonlSink, MemorySink, NullSink
 from repro.obs.telemetry import (
     Telemetry,
@@ -34,11 +28,8 @@ from repro.obs.telemetry import (
 
 __all__ = [
     "Alert",
-    "Counter",
     "EventSink",
-    "Gauge",
     "HealthMonitor",
-    "Histogram",
     "JsonlSink",
     "MemorySink",
     "MetricsRegistry",

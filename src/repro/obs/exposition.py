@@ -1,8 +1,8 @@
 """Metrics exposition: Prometheus text + JSON over a stdlib HTTP thread.
 
-:func:`render_prometheus` turns a
-:class:`~repro.obs.metrics.MetricsRegistry` snapshot into the
-Prometheus text exposition format (version 0.0.4 — ``# HELP`` /
+:func:`render_prometheus` turns the snapshots a
+:class:`~repro.obs.metrics.MetricsRegistry` collects from its sources
+into the Prometheus text exposition format (version 0.0.4 — ``# HELP`` /
 ``# TYPE`` headers, ``_bucket{le=...}`` / ``_sum`` / ``_count``
 histogram series), and :class:`MetricsServer` serves it from a daemon
 thread so a live ``repro serve run`` is scrapeable without touching the
@@ -48,30 +48,25 @@ def _fmt(value: float) -> str:
 
 
 def render_prometheus(registry: MetricsRegistry) -> str:
-    """Render every registered instrument as Prometheus text format.
+    """Render every series of ``registry`` as Prometheus text format.
 
-    Holds the registry lock for the whole render so one scrape is a
-    consistent point-in-time view (a histogram's ``+Inf`` bucket always
-    equals its ``_count``, even while writer threads race the scrape).
+    Reads each snapshot once, so a histogram's lines come from one
+    point-in-time dict (its ``+Inf`` bucket is its ``_count``).
     """
     lines: list[str] = []
-    with registry.lock:
-        return _render_locked(registry, lines)
-
-
-def _render_locked(registry: MetricsRegistry, lines: list[str]) -> str:
-    for name, metric in registry.collect():
-        if metric.help:
-            lines.append(f"# HELP {name} {metric.help}")
-        lines.append(f"# TYPE {name} {metric.kind}")
-        if metric.kind == "histogram":
-            for bound, cumulative in metric.cumulative_buckets():
-                le = "+Inf" if math.isinf(bound) else _fmt(bound)
+    for name, snap in registry.collect():
+        kind = snap["type"]
+        if snap["help"]:
+            lines.append(f"# HELP {name} {snap['help']}")
+        lines.append(f"# TYPE {name} {kind}")
+        if kind == "histogram":
+            for bound, cumulative in snap["buckets"]:
+                le = bound if bound == "+Inf" else _fmt(bound)
                 lines.append(f'{name}_bucket{{le="{le}"}} {cumulative}')
-            lines.append(f"{name}_sum {_fmt(metric.sum)}")
-            lines.append(f"{name}_count {metric.count}")
+            lines.append(f"{name}_sum {_fmt(snap['sum'])}")
+            lines.append(f"{name}_count {snap['count']}")
         else:
-            lines.append(f"{name} {_fmt(metric.value)}")
+            lines.append(f"{name} {_fmt(snap['value'])}")
     return "\n".join(lines) + "\n" if lines else ""
 
 

@@ -221,9 +221,9 @@ class HealthMonitor:
     def state(self) -> str:
         """Overall health: worst severity among firing alerts.
 
-        Read every epoch by the serve loop (the ``serve_health``
-        gauge), so it scans the raw rule states instead of building
-        :attr:`active`'s sorted list.
+        Read on every scrape (the ``repro_serve_health`` gauge) and
+        every ``summary()``, so it scans the raw rule states instead of
+        building :attr:`active`'s sorted list.
         """
         worst = 0
         for rule_state in self._states.values():

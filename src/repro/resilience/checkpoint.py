@@ -28,8 +28,9 @@ from repro.obs import telemetry
 
 #: Bump when the checkpoint payload layout changes (3: the serve
 #: service's latency window became a ``RollingWindow``; 4: its window
-#: grew into the ``ServeStats`` tally).
-CHECKPOINT_VERSION = 4
+#: grew into the ``ServeStats`` tally; 5: the tally gained the latency
+#: histogram's bucket counts).
+CHECKPOINT_VERSION = 5
 
 
 @dataclass

@@ -36,15 +36,16 @@ through a caller-supplied environment each epoch, and a
 :class:`DriftDetector` verdict triggers a fresh batch solve.
 
 Every count derived from decisions — epochs, solves, hits, rejects,
-evictions, sheds, brownout epochs, the latency window — lives in one
-:class:`ServeStats` tally that ``summary()``, ``/varz``, ``/healthz``,
-the SLO rules, the ``repro_serve_*_total`` counters and ``repro serve
-report`` all read.  Telemetry counters: ``serve.replans`` (epoch
-decisions), ``serve.full_solves`` (full solves a decision records),
-``serve.cache_hits``, ``serve.events``, ``serve.solved``,
-``serve.repairs``, plus the hardening families ``admit.rejected``/``admit.shed``/
-``admit.evicted_for``, ``breaker.*``, ``serve.brownout_*``, and
-``serve.suppressed_full_solves``.
+evictions, sheds, brownout epochs, the latency window and histogram —
+lives in one :class:`ServeStats` tally that ``summary()``, ``/varz``,
+``/healthz``, the SLO rules and ``repro serve report`` all read; the
+live ``/metrics`` series are a scrape-time view of it
+(:meth:`SchedulerService.metric_snapshot`).  Telemetry counters:
+``serve.replans`` (epoch decisions), ``serve.full_solves`` (full solves
+a decision records), ``serve.cache_hits``, ``serve.events``,
+``serve.solved``, ``serve.repairs``, plus the hardening families
+``admit.rejected``/``admit.shed``/``admit.evicted_for``, ``breaker.*``,
+``serve.brownout_*``, and ``serve.suppressed_full_solves``.
 
 The service pickles whole (planner, queue, scheduler, counters), so
 :func:`repro.resilience.checkpoint.save_checkpoint` gives mid-run
@@ -62,6 +63,7 @@ from __future__ import annotations
 import hashlib
 import struct
 import time
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
@@ -71,7 +73,12 @@ import numpy as np
 from repro.core.problem import EVAProblem
 from repro.core.result import ScheduleDecision
 from repro.obs import telemetry
-from repro.obs.metrics import DECISION_WINDOW, RollingWindow
+from repro.obs.metrics import (
+    DECISION_WINDOW,
+    DEFAULT_BUCKETS,
+    RollingWindow,
+    histogram_snapshot,
+)
 from repro.pref.decision_maker import LinearL1Preference
 from repro.sched.grouping import InfeasibleScheduleError
 from repro.serve.admission import AdmissionController
@@ -90,20 +97,41 @@ __all__ = [
     "RegistryFactory",
 ]
 
-#: How many latency samples may sit in the scrape-time flush buffer
-#: before the serve thread flushes inline (bounds memory on scraper-less
-#: runs).
-_FLUSH_EVERY = 4096
-
 #: ``ServeStats`` total -> its ``repro_serve_*_total`` counter: name, help.
 _COUNTERS = {
-    "epochs": ("serve_epochs_total", "epoch decisions made"),
-    "full_solves": ("serve_full_solves_total", "full re-solves"),
-    "cache_hits": ("serve_cache_hits_total", "cached stream decisions"),
-    "solved": ("serve_solved_total", "re-solved stream decisions"),
-    "rejected": ("serve_admission_rejects_total", "rejected joins"),
-    "evicted": ("serve_evictions_total", "evicted streams"),
-    "shed": ("serve_sheds_total", "joins shed by admission control"),
+    "epochs": ("repro_serve_epochs_total", "epoch decisions made"),
+    "full_solves": ("repro_serve_full_solves_total", "full re-solves"),
+    "cache_hits": ("repro_serve_cache_hits_total", "cached stream decisions"),
+    "solved": ("repro_serve_solved_total", "re-solved stream decisions"),
+    "rejected": ("repro_serve_admission_rejects_total", "rejected joins"),
+    "evicted": ("repro_serve_evictions_total", "evicted streams"),
+    "shed": ("repro_serve_sheds_total", "joins shed by admission control"),
+}
+
+#: ``health_snapshot()`` key -> its ``repro_serve_*`` gauge: name, help.
+#: A key whose value is ``None`` (no benefit scored yet) reads 0.
+_GAUGES = {
+    "n_streams": ("repro_serve_streams", "admitted streams"),
+    "n_alive_servers": ("repro_serve_alive_servers", "servers up"),
+    "queue_depth": ("repro_serve_queue_depth", "events waiting in the queue"),
+    "cache_hit_ratio": (
+        "repro_serve_cache_hit_ratio", "windowed cached/(cached+solved)"
+    ),
+    "benefit": ("repro_serve_benefit", "current total system benefit"),
+    "benefit_baseline": (
+        "repro_serve_benefit_baseline", "rolling mean benefit (window)"
+    ),
+    "benefit_drop_ratio": (
+        "repro_serve_benefit_drop_ratio",
+        "relative drop of current benefit vs rolling baseline",
+    ),
+    "mode_brownout": (
+        "repro_serve_mode", "operating mode (0=normal, 1=brownout)"
+    ),
+    "breaker_state": (
+        "repro_serve_breaker_state",
+        "circuit breaker (0=closed, 1=half_open, 2=open)",
+    ),
 }
 
 
@@ -114,13 +142,15 @@ class ServeStats:
     :class:`ServeDecision` and :func:`repro.serve.report.
     summarize_serve_run` pushes each logged ``serve.decision`` record, so
     :meth:`SchedulerService.summary`, ``/varz``, :meth:`SchedulerService.
-    health_snapshot`, the SLO rules, the ``repro_serve_*_total`` counters
-    and ``repro serve report`` read every decision-derived count from
-    one definition.  The window parts — decision-latency percentiles, the
-    cache-hit ratio and the benefit baseline — cover the last
-    :data:`DECISION_WINDOW` decisions through a
-    :class:`~repro.obs.metrics.RollingWindow` and running sums updated on
-    push/evict; a full O(n) pass per epoch would blow the <2%
+    health_snapshot`, the SLO rules, every ``repro_serve_*`` series and
+    ``repro serve report`` read every decision-derived count from one
+    definition.  The lifetime latency histogram is :attr:`epochs`,
+    :attr:`latency_sum` and :attr:`latency_buckets` (per-bucket counts
+    over :data:`~repro.obs.metrics.DEFAULT_BUCKETS`).  The window parts
+    — decision-latency percentiles, the cache-hit ratio and the benefit
+    baseline — cover the last :data:`DECISION_WINDOW` decisions through
+    a :class:`~repro.obs.metrics.RollingWindow` and running sums updated
+    on push/evict; a full O(n) pass per epoch would blow the <2%
     metrics-overhead budget.
     """
 
@@ -135,6 +165,7 @@ class ServeStats:
         self.shed = 0
         self.brownout_epochs = 0
         self.latency_sum = 0.0
+        self.latency_buckets = [0] * (len(DEFAULT_BUCKETS) + 1)  # +Inf last
         self.benefit_first: float | None = None
         self.benefit_last: float | None = None
         self.latency = RollingWindow()
@@ -169,6 +200,7 @@ class ServeStats:
         self.shed += shed
         self.brownout_epochs += brownout
         self.latency_sum += latency_s
+        self.latency_buckets[bisect_left(DEFAULT_BUCKETS, latency_s)] += 1
         self.latency.observe(latency_s)
         if len(self._entries) >= DECISION_WINDOW:
             old_benefit, old_hits, old_solved = self._entries.popleft()
@@ -580,19 +612,12 @@ class SchedulerService:
         # The tally every decision-derived count is read from.
         self.stats = ServeStats()
         # Live observability (attach_observability): a MetricsRegistry
-        # and a HealthMonitor driving /healthz + alert events.
+        # reading metric_snapshot() at scrape time, and a HealthMonitor
+        # driving /healthz + alert events.
         self.metrics = None
         self.monitor = None
         self.alerts: list[dict] = []
-        self._mhandles: dict | None = None
         self._slo_probe: Callable[[], dict] | None = None
-        # The counters flush from self.stats, and latency samples from
-        # _mpending, into the registry at scrape time (or every
-        # _FLUSH_EVERY epochs) — the per-epoch path stays lock- and
-        # registry-free.
-        self._mflushed: dict[str, int] = {}
-        self._mpending: list[float] = []
-        self._mpending_done = 0
 
     # -- topology ----------------------------------------------------------
     def current_problem(self) -> EVAProblem | None:
@@ -1099,73 +1124,69 @@ class SchedulerService:
     def attach_observability(self, *, metrics=None, monitor=None) -> None:
         """Attach a live metrics registry and/or a health monitor.
 
-        ``metrics`` is a :class:`repro.obs.metrics.MetricsRegistry`:
-        event-driven instruments (counters, the latency histogram) are
-        updated after every epoch decision, while derived gauges
-        (streams, queue depth, hit ratio, benefit) refresh lazily at
-        scrape time via a registry collect hook — the gauge-function
-        idiom, which keeps the per-epoch cost inside the <2% budget.
-        ``monitor`` is a :class:`repro.obs.health.HealthMonitor`
-        evaluated against :meth:`health_snapshot` each epoch, its edge
-        events appended to :attr:`alerts` and emitted as
-        ``alert.fired``/``alert.resolved`` telemetry.  Both are
-        transient: checkpoints drop the registry (it owns locks), so
-        re-attach after :meth:`resume`.
+        ``metrics`` is a :class:`repro.obs.metrics.MetricsRegistry`; the
+        service registers :meth:`metric_snapshot` as its source, so every
+        ``repro_serve_*`` series is read from :attr:`stats` and the live
+        state at scrape time and the per-epoch path never touches the
+        registry.  A registry attached mid-run (or after :meth:`resume`)
+        reads the whole run.  ``monitor`` is a
+        :class:`repro.obs.health.HealthMonitor` evaluated against
+        :meth:`health_snapshot` each epoch, its edge events appended to
+        :attr:`alerts` and emitted as ``alert.fired``/``alert.resolved``
+        telemetry.  Both are transient: checkpoints drop the registry
+        (it feeds an HTTP thread), so re-attach after :meth:`resume`.
         """
         if self.metrics is not None:
-            self.metrics.remove_collect_hook(self._refresh_gauges)
+            self.metrics.remove_source(self.metric_snapshot)
         self.metrics = metrics
         self.monitor = monitor
-        self._mhandles = None if metrics is None else {
-            **{
-                key: metrics.counter(name, help_)
-                for key, (name, help_) in _COUNTERS.items()
-            },
-            "latency": metrics.histogram(
-                "serve_decision_latency_seconds",
-                "per-epoch decision latency",
-            ),
-            "streams": metrics.gauge("serve_streams", "admitted streams"),
-            "alive": metrics.gauge("serve_alive_servers", "servers up"),
-            "queue": metrics.gauge(
-                "serve_queue_depth", "events waiting in the queue"
-            ),
-            "hit_ratio": metrics.gauge(
-                "serve_cache_hit_ratio", "windowed cached/(cached+solved)"
-            ),
-            "benefit": metrics.gauge(
-                "serve_benefit", "current total system benefit"
-            ),
-            "baseline": metrics.gauge(
-                "serve_benefit_baseline", "rolling mean benefit (window)"
-            ),
-            "drop": metrics.gauge(
-                "serve_benefit_drop_ratio",
-                "relative drop of current benefit vs rolling baseline",
-            ),
-            "health": metrics.gauge(
-                "serve_health", "health state (0=ok, 1=degraded, 2=unhealthy)"
-            ),
-            "mode": metrics.gauge(
-                "serve_mode", "operating mode (0=normal, 1=brownout)"
-            ),
-            "breaker": metrics.gauge(
-                "serve_breaker_state",
-                "circuit breaker (0=closed, 1=half_open, 2=open)",
-            ),
-        }
         self._slo_probe = (
             None if monitor is None else self._build_slo_probe(monitor)
         )
-        self._mflushed = dict.fromkeys(_COUNTERS, 0)
-        self._mpending = []
-        self._mpending_done = 0
         if metrics is not None:
-            metrics.add_collect_hook(self._refresh_gauges)
-            self._observe(self.decisions[-1] if self.decisions else None)
-            # The counters flush the lifetime tally, so a registry attached
-            # mid-run (a resumed service) gets every earlier latency too.
-            self._mpending.extend(d.latency_s for d in self.decisions[:-1])
+            metrics.add_source(self.metric_snapshot)
+
+    def metric_snapshot(self) -> dict[str, dict]:
+        """Every ``repro_serve_*`` series, read now (the registry source).
+
+        Runs on the scraper's thread.  The counters and the latency
+        histogram read :attr:`stats`, the gauges :meth:`health_snapshot`
+        and the monitor.  The histogram copies its buckets before it
+        reads the count, and :meth:`ServeStats.push` counts the epoch
+        before its bucket, so no bucket exceeds ``+Inf`` mid-epoch.
+        """
+        stats = self.stats
+        buckets = list(stats.latency_buckets)
+        out = {
+            name: {
+                "type": "counter",
+                "help": help_,
+                "value": float(getattr(stats, key)),
+            }
+            for key, (name, help_) in _COUNTERS.items()
+        }
+        out["repro_serve_decision_latency_seconds"] = histogram_snapshot(
+            "per-epoch decision latency", buckets, stats.epochs, stats.latency_sum
+        )
+        snap = self.health_snapshot()
+        for key, (name, help_) in _GAUGES.items():
+            value = snap[key]
+            out[name] = {
+                "type": "gauge",
+                "help": help_,
+                "value": 0.0 if value is None else float(value),
+            }
+        health = 0
+        if self.monitor is not None:
+            from repro.obs.health import severity_rank
+
+            health = severity_rank(self.monitor.state)
+        out["repro_serve_health"] = {
+            "type": "gauge",
+            "help": "health state (0=ok, 1=degraded, 2=unhealthy)",
+            "value": float(health),
+        }
+        return out
 
     def _build_slo_probe(self, monitor) -> Callable[[], dict]:
         """Compile a minimal per-epoch snapshot for ``monitor``'s rules.
@@ -1187,101 +1208,24 @@ class SchedulerService:
 
         return probe
 
-    def _observe(self, decision: ServeDecision | None) -> None:
-        """Per-epoch observability: latency histogram, SLO rules.
+    def _observe(self, decision: ServeDecision) -> None:
+        """Per-epoch SLO evaluation against the compiled minimal probe.
 
         Hot path — one call per epoch; the ``test_metrics_overhead``
-        bench holds it under 2% of the serve loop.  Latency samples land
-        in a plain list (no locks, no registry calls) and flush on
-        scrape with the counters, which read :attr:`stats`
-        (already pushed by :meth:`_emit_decision`); derived gauges refresh at
-        scrape time too (:meth:`_refresh_gauges`, a registry collect
-        hook).  ``serve_health`` is additionally bumped on alert edges
-        so the gauge moves with the event, and SLO rules run against
-        the compiled minimal probe, not the full snapshot.
+        bench holds it under 2% of the serve loop.  Metrics cost nothing
+        here: the registry reads :attr:`stats` at scrape time.
         """
-        if decision is None:
+        if self.monitor is None:
             return
-        if self._mhandles is not None:
-            self._mpending.append(decision.latency_s)
-            if len(self._mpending) >= _FLUSH_EVERY:
-                with self.metrics.lock:
-                    self._flush_metrics_locked(trim=True)
-        if self.monitor is not None:
-            snap_fn = self._slo_probe or self.health_snapshot
-            edges = self.monitor.evaluate(snap_fn(), epoch=decision.epoch)
-            for edge in edges:
-                self.alerts.append(dict(edge))
-                if self.remediation is not None:
-                    self._remediate(edge, epoch=decision.epoch)
-                kind = edge.pop("event")
-                telemetry.counter(f"serve.{kind.replace('.', '_')}")
-                telemetry.event(kind, epoch=decision.epoch, **edge)
-            if self._mhandles is not None and edges:
-                from repro.obs.health import severity_rank
-
-                self._mhandles["health"].set(severity_rank(self.monitor.state))
-
-    def _flush_metrics_locked(self, *, trim: bool = False) -> None:
-        """Push the counters' growth in :attr:`stats` and the latency samples.
-
-        Caller must hold the registry lock.  The tally's totals are
-        monotone, so a delta missed by one flush (a racing increment)
-        is picked up by the next — nothing is lost or double-counted.
-        ``trim`` drops already-flushed samples from the pending list;
-        only the serve thread (the list's sole writer) may pass it.
-        """
-        h = self._mhandles
-        if h is None:
-            return
-        flushed = self._mflushed
-        for key in _COUNTERS:
-            total = getattr(self.stats, key)
-            if total != flushed[key]:
-                h[key].inc_locked(total - flushed[key])
-                flushed[key] = total
-        pending = self._mpending
-        done = self._mpending_done
-        n = len(pending)
-        if done < n:
-            observe = h["latency"].observe_locked
-            for value in pending[done:n]:
-                observe(value)
-            self._mpending_done = n
-        if trim:
-            del pending[: self._mpending_done]
-            self._mpending_done = 0
-
-    def _refresh_gauges(self) -> None:
-        """Scrape-time refresh (registry collect hook).
-
-        Runs on the scraper's thread whenever the registry is collected
-        (``/metrics``, ``/varz``, ``to_dict``): flushes the counters
-        from :attr:`stats`, then recomputes derived gauges — so all of this
-        costs the serve loop nothing between scrapes.
-        """
-        h = self._mhandles
-        if h is None:
-            return
-        snap = self.health_snapshot()
-        with self.metrics.lock:
-            self._flush_metrics_locked()
-            h["streams"].set_locked(snap["n_streams"])
-            h["alive"].set_locked(snap["n_alive_servers"])
-            h["queue"].set_locked(snap["queue_depth"])
-            h["hit_ratio"].set_locked(snap["cache_hit_ratio"])
-            if snap["benefit"] is not None:
-                h["benefit"].set_locked(snap["benefit"])
-                h["baseline"].set_locked(snap["benefit_baseline"])
-                h["drop"].set_locked(snap["benefit_drop_ratio"])
-            if self.monitor is not None:
-                from repro.obs.health import severity_rank
-
-                h["health"].set_locked(severity_rank(self.monitor.state))
-            h["mode"].set_locked(1 if self.mode == "brownout" else 0)
-            h["breaker"].set_locked(
-                0 if self.breaker is None else self.breaker.rank
-            )
+        snap_fn = self._slo_probe or self.health_snapshot
+        edges = self.monitor.evaluate(snap_fn(), epoch=decision.epoch)
+        for edge in edges:
+            self.alerts.append(dict(edge))
+            if self.remediation is not None:
+                self._remediate(edge, epoch=decision.epoch)
+            kind = edge.pop("event")
+            telemetry.counter(f"serve.{kind.replace('.', '_')}")
+            telemetry.event(kind, epoch=decision.epoch, **edge)
 
     def health_snapshot(self) -> dict:
         """Windowed SLO inputs: the dict :class:`HealthMonitor` rules see.
@@ -1428,8 +1372,8 @@ class SchedulerService:
     def __getstate__(self) -> dict:
         """Checkpoint state: drop the live metrics registry.
 
-        The registry owns locks and feeds an HTTP thread — neither
-        belongs in a checkpoint.  The :class:`HealthMonitor` (pure
+        The registry feeds an HTTP thread — it does not belong in a
+        checkpoint.  The :class:`HealthMonitor` (pure
         state) and the alert history *do* pickle, so a resumed run
         keeps its firing alerts; re-attach a registry with
         :meth:`attach_observability` after :meth:`resume`.
@@ -1438,11 +1382,7 @@ class SchedulerService:
         state["metrics"] = None
         state["wal"] = None  # file handle; wal_seq (the high-water mark) stays
         state["_stop"] = False
-        state["_mhandles"] = None
         state["_slo_probe"] = None  # compiled closures don't pickle
-        state["_mflushed"] = {}
-        state["_mpending"] = []
-        state["_mpending_done"] = 0
         return state
 
     def __setstate__(self, state: dict) -> None:

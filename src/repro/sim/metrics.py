@@ -33,17 +33,9 @@ class StreamMetrics:
         return float(np.mean(self.latencies)) if self.latencies.size else float("nan")
 
     @property
-    def p99_latency(self) -> float:
-        return float(np.percentile(self.latencies, 99)) if self.latencies.size else float("nan")
-
-    @property
     def max_jitter(self) -> float:
         """Worst queueing delay; exactly zero for a zero-jitter schedule."""
         return float(np.max(self.queueing_delays)) if self.queueing_delays.size else 0.0
-
-    @property
-    def jitter_std(self) -> float:
-        return float(np.std(self.latencies)) if self.latencies.size else 0.0
 
 
 @dataclass
@@ -90,9 +82,3 @@ class SimulationReport:
     def computation_tflops(self) -> float:
         """Aggregate compute rate (TFLOP/s) over the horizon."""
         return self.total_flops / self.horizon
-
-    @property
-    def completion_ratio(self) -> float:
-        emitted = sum(m.frames_emitted for m in self.streams.values())
-        done = sum(m.frames_completed for m in self.streams.values())
-        return done / emitted if emitted else 1.0

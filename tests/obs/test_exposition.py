@@ -9,10 +9,22 @@ import pytest
 
 from repro.obs import MetricsRegistry, MetricsServer, render_prometheus
 from repro.obs.exposition import CONTENT_TYPE_LATEST
+from repro.obs.metrics import histogram_snapshot
 
 
 def _get(url, path):
     return urllib.request.urlopen(f"{url}{path}", timeout=5)
+
+
+def _registry(**series):
+    """A registry over one source serving ``series`` as given."""
+    reg = MetricsRegistry()
+    reg.add_source(lambda: dict(series))
+    return reg
+
+
+def _gauge(value, help=""):
+    return {"type": "gauge", "help": help, "value": value}
 
 
 class TestRenderPrometheus:
@@ -20,18 +32,21 @@ class TestRenderPrometheus:
         assert render_prometheus(MetricsRegistry()) == ""
 
     def test_golden_output(self):
-        reg = MetricsRegistry(namespace="repro")
-        reg.counter("serve_epochs_total", "epoch decisions made").inc(3)
-        reg.gauge("serve_queue_depth", "events waiting").set(2)
-        h = reg.histogram(
-            "serve_decision_latency_seconds",
-            "per-epoch decision latency",
-            buckets=(0.01, 0.1),
+        # Dyadic values 0.0078125, 0.0625 and 0.5: the _sum line reprs
+        # exactly (0.5703125).
+        reg = _registry(
+            repro_serve_queue_depth=_gauge(2.0, "events waiting"),
+            repro_serve_epochs_total={
+                "type": "counter", "help": "epoch decisions made", "value": 3.0
+            },
+            repro_serve_decision_latency_seconds={
+                "type": "histogram",
+                "help": "per-epoch decision latency",
+                "count": 3,
+                "sum": 0.5703125,
+                "buckets": [[0.01, 1], [0.1, 2], ["+Inf", 3]],
+            },
         )
-        # Dyadic values: the _sum line reprs exactly (0.5703125).
-        h.observe(0.0078125)
-        h.observe(0.0625)
-        h.observe(0.5)
         assert render_prometheus(reg) == (
             "# HELP repro_serve_decision_latency_seconds"
             " per-epoch decision latency\n"
@@ -50,22 +65,30 @@ class TestRenderPrometheus:
         )
 
     def test_no_help_line_when_help_empty(self):
-        reg = MetricsRegistry()
-        reg.counter("c").inc()
+        reg = _registry(repro_c={"type": "counter", "help": "", "value": 1.0})
         text = render_prometheus(reg)
         assert "# HELP" not in text
         assert "# TYPE repro_c counter" in text
 
     def test_integer_values_render_without_decimal(self):
-        reg = MetricsRegistry()
-        reg.gauge("g").set(4.0)
+        reg = _registry(repro_g=_gauge(4.0))
         assert "repro_g 4\n" in render_prometheus(reg)
 
     def test_bucket_counts_are_cumulative_and_monotone(self):
-        reg = MetricsRegistry()
-        h = reg.histogram("h", buckets=(0.1, 1.0, 10.0))
+        from repro.serve import ServeStats
+
+        stats = ServeStats()
         for v in (0.05, 0.5, 5.0, 50.0):
-            h.observe(v)
+            stats.push(
+                latency_s=v, benefit=None, events=0, full_solve=False,
+                cache_hits=0, solved=0, rejected=0, evicted=0, shed=0,
+                brownout=False,
+            )
+        reg = _registry(
+            h=histogram_snapshot(
+                "", stats.latency_buckets, stats.epochs, stats.latency_sum
+            )
+        )
         counts = [
             int(line.rsplit(" ", 1)[1])
             for line in render_prometheus(reg).splitlines()
@@ -78,8 +101,11 @@ class TestRenderPrometheus:
 class TestMetricsServer:
     @pytest.fixture
     def served(self):
-        reg = MetricsRegistry()
-        reg.counter("hits_total", "scrape fodder").inc(5)
+        reg = _registry(
+            repro_hits_total={
+                "type": "counter", "help": "scrape fodder", "value": 5.0
+            }
+        )
         health = {"status": "ok", "alerts": []}
         server = MetricsServer(
             reg,
@@ -148,42 +174,71 @@ class TestMetricsServer:
         server.stop()
 
     def test_concurrent_scrape_while_updating(self):
-        """Scrapes racing writer threads stay well-formed and monotone."""
+        """Scrapes racing a serve run in another thread stay well-formed
+        and monotone, and every histogram's +Inf bucket is its _count."""
+        from repro.core.problem import EVAProblem
+        from repro.serve import (
+            ChurnProfile,
+            SchedulerService,
+            approx_preference,
+            generate_load,
+        )
+
+        problem = EVAProblem(8, [10.0, 15.0, 20.0])
+        svc = SchedulerService(problem, preference=approx_preference(problem))
         reg = MetricsRegistry()
-        c = reg.counter("work_total")
-        h = reg.histogram("lat_seconds", buckets=(0.001, 0.01, 0.1))
-        stop = threading.Event()
-
-        def writer():
-            while not stop.is_set():
-                c.inc()
-                h.observe(0.002)
-
-        threads = [threading.Thread(target=writer) for _ in range(4)]
-        for th in threads:
-            th.start()
-        try:
-            with MetricsServer(reg) as server:
-                last_count = -1.0
-                for _ in range(20):
-                    with _get(server.url, "/metrics") as resp:
-                        body = resp.read().decode()
-                    sample = {}
-                    for line in body.splitlines():
-                        if line.startswith("#"):
-                            continue
+        svc.attach_observability(metrics=reg)
+        svc.submit(
+            generate_load(
+                8, 3, seed=0,
+                profile=ChurnProfile(
+                    hours=0.1, arrivals_per_hour=2400.0,
+                    departures_per_hour=1200.0, drifts_per_hour=40.0,
+                    flaps_per_hour=20.0,
+                ),
+            ).events
+        )
+        # Pacing releases the GIL between epochs, so scrapes land mid-run.
+        serve = threading.Thread(target=svc.run, kwargs={"pace_s": 0.001})
+        with MetricsServer(reg) as server:
+            serve.start()
+            last: dict[str, float] = {}
+            seen_epochs = set()
+            scrapes = 0
+            done = False
+            while not done:
+                done = not serve.is_alive() and scrapes >= 5
+                with _get(server.url, "/metrics") as resp:
+                    body = resp.read().decode()
+                scrapes += 1
+                types, sample = {}, {}
+                for line in body.splitlines():
+                    if line.startswith("# TYPE "):
+                        name, kind = line[len("# TYPE "):].split(" ")
+                        types[name] = kind
+                    elif not line.startswith("#"):
                         key, val = line.rsplit(" ", 1)
                         sample[key] = float(val)
-                    # Counter never goes backwards across scrapes.
-                    assert sample["repro_work_total"] >= last_count
-                    last_count = sample["repro_work_total"]
-                    # Histogram count equals its +Inf cumulative bucket:
-                    # the scrape saw one consistent point-in-time view.
-                    assert (
-                        sample['repro_lat_seconds_bucket{le="+Inf"}']
-                        == sample["repro_lat_seconds_count"]
-                    )
-        finally:
-            stop.set()
-            for th in threads:
-                th.join()
+                assert types and sample
+                for name, kind in types.items():
+                    if kind == "counter":
+                        # A counter never goes backwards across scrapes.
+                        assert sample[name] >= last.get(name, 0.0)
+                        last[name] = sample[name]
+                    elif kind == "histogram":
+                        buckets = [
+                            v for k, v in sample.items()
+                            if k.startswith(f"{name}_bucket")
+                        ]
+                        assert buckets == sorted(buckets)
+                        assert (
+                            sample[f'{name}_bucket{{le="+Inf"}}']
+                            == sample[f"{name}_count"]
+                        )
+                    else:
+                        assert name in sample
+                seen_epochs.add(last["repro_serve_epochs_total"])
+            serve.join()
+        # The last scrape began after the run ended; others saw it running.
+        assert last["repro_serve_epochs_total"] == len(svc.decisions) > 100
+        assert len(seen_epochs) > 2

@@ -1,4 +1,4 @@
-"""Tests for repro.obs.metrics: instruments, the rolling window, registry."""
+"""Tests for repro.obs.metrics: the source registry, histogram, rolling window."""
 
 import math
 import random
@@ -6,31 +6,13 @@ import sys
 import threading
 import time
 
-import pytest
-
 from repro.obs import MetricsRegistry, RollingWindow
 from repro.obs.metrics import (
     DECISION_WINDOW,
     DEFAULT_BUCKETS,
+    histogram_snapshot,
     percentile,
-    sanitize_metric_name,
 )
-
-
-class TestNames:
-    def test_valid_name_unchanged(self):
-        assert sanitize_metric_name("serve_epochs_total") == "serve_epochs_total"
-
-    def test_dots_become_underscores(self):
-        assert sanitize_metric_name("serve.cache_hits") == "serve_cache_hits"
-
-    def test_leading_digit_prefixed(self):
-        name = sanitize_metric_name("3d.render")
-        assert name.startswith("_")
-
-    def test_idempotent(self):
-        once = sanitize_metric_name("a.b-c d")
-        assert sanitize_metric_name(once) == once
 
 
 class TestPercentile:
@@ -168,115 +150,183 @@ class TestRollingWindow:
         assert len(w) == DECISION_WINDOW
 
 
+def _serve_run():
+    """A small churn run with a registry attached before ``start()``."""
+    import numpy as np
+
+    from repro.core.problem import EVAProblem
+    from repro.serve import SchedulerService, ServeEvent, approx_preference
+
+    rng = np.random.default_rng(0)
+    problem = EVAProblem(
+        6,
+        rng.choice([10.0, 15.0, 20.0, 25.0], size=4),
+        textures=rng.uniform(0.7, 1.3, size=6),
+    )
+    svc = SchedulerService(problem, preference=approx_preference(problem))
+    reg = MetricsRegistry()
+    svc.attach_observability(metrics=reg)
+    for i in range(6):
+        svc.submit(
+            [
+                ServeEvent(time=i + 1.0, kind="stream_leave", target=i % 3),
+                ServeEvent(time=i + 1.4, kind="stream_join", target=i % 3),
+            ]
+        )
+    return svc, reg
+
+
+def _counters(reg):
+    return {
+        name: snap["value"]
+        for name, snap in reg.collect()
+        if snap["type"] == "counter"
+    }
+
+
 class TestCounterGauge:
     def test_counter_monotonic(self):
-        reg = MetricsRegistry()
-        c = reg.counter("jobs_total")
-        c.inc()
-        c.inc(2.5)
-        assert c.value == 3.5
-        with pytest.raises(ValueError, match="cannot decrease"):
-            c.inc(-1)
+        """The service's counters read a lifetime tally: across scrapes
+        taken after every epoch, no counter ever goes backwards."""
+        svc, reg = _serve_run()
+        svc.start()
+        last = _counters(reg)
+        assert last["repro_serve_epochs_total"] == 1
+        while svc.queue:
+            svc.run(max_epochs=1)
+            now = _counters(reg)
+            assert set(now) == set(last)
+            assert all(now[k] >= last[k] for k in now)
+            last = now
+        assert last["repro_serve_epochs_total"] == len(svc.decisions)
 
     def test_gauge_last_value_wins(self):
-        g = MetricsRegistry().gauge("depth")
-        g.set(5)
-        g.set(4)
-        assert g.value == 4.0
+        """A source is read on every collect: a gauge shows its
+        producer's value at scrape time, not a stored copy."""
+        depth = {"value": 5}
+        reg = MetricsRegistry()
+        reg.add_source(
+            lambda: {"depth": {"type": "gauge", "help": "", "value": depth["value"]}}
+        )
+        assert reg.to_dict()["depth"]["value"] == 5
+        depth["value"] = 4
+        assert reg.to_dict()["depth"]["value"] == 4
 
 
 class TestHistogram:
     def test_cumulative_buckets_end_at_inf(self):
-        reg = MetricsRegistry()
-        h = reg.histogram("lat", buckets=(0.1, 1.0))
-        for v in (0.05, 0.5, 2.0):
-            h.observe(v)
-        assert h.cumulative_buckets() == [(0.1, 1), (1.0, 2), (math.inf, 3)]
-        assert h.count == 3
-        assert h.sum == pytest.approx(2.55)
+        counts = [0] * (len(DEFAULT_BUCKETS) + 1)
+        counts[0], counts[3], counts[-1] = 2, 1, 4
+        snap = histogram_snapshot("", counts, 7, 2.5)
+        bounds = [b for b, _ in snap["buckets"]]
+        cumulative = [c for _, c in snap["buckets"]]
+        assert bounds == [*DEFAULT_BUCKETS, "+Inf"]
+        assert cumulative[:4] == [2, 2, 2, 3]
+        assert cumulative[-2] == 3
+        assert cumulative[-1] == snap["count"] == 7
+        assert cumulative == sorted(cumulative)
 
     def test_boundary_value_lands_in_bucket(self):
-        h = MetricsRegistry().histogram("lat", buckets=(0.1, 1.0))
-        h.observe(0.1)  # le is inclusive
-        assert h.cumulative_buckets()[0] == (0.1, 1)
+        """``ServeStats`` counts a latency equal to a bound in that
+        bucket (le is inclusive)."""
+        from repro.serve import ServeStats
+
+        stats = ServeStats()
+        for latency in (DEFAULT_BUCKETS[1], math.nextafter(DEFAULT_BUCKETS[1], 1.0)):
+            stats.push(
+                latency_s=latency, benefit=None, events=0, full_solve=False,
+                cache_hits=0, solved=0, rejected=0, evicted=0, shed=0,
+                brownout=False,
+            )
+        snap = histogram_snapshot(
+            "", stats.latency_buckets, stats.epochs, stats.latency_sum
+        )
+        assert snap["buckets"][0] == [DEFAULT_BUCKETS[0], 0]
+        assert snap["buckets"][1] == [DEFAULT_BUCKETS[1], 1]
+        assert snap["buckets"][2] == [DEFAULT_BUCKETS[2], 2]
 
     def test_snapshot_is_buckets_count_sum(self):
-        h = MetricsRegistry().histogram("lat")
-        h.observe(0.002)
-        snap = h.snapshot()
+        snap = histogram_snapshot("lat", [1] + [0] * len(DEFAULT_BUCKETS), 1, 0.0002)
         assert set(snap) == {"type", "help", "count", "sum", "buckets"}
         assert snap["type"] == "histogram"
         assert snap["count"] == 1
-        assert snap["buckets"][-1][0] == "+Inf"
-
-    def test_rejects_empty_buckets(self):
-        with pytest.raises(ValueError, match="bucket"):
-            MetricsRegistry().histogram("lat", buckets=())
+        assert snap["sum"] == 0.0002
+        assert snap["buckets"][-1] == ["+Inf", 1]
 
 
 class TestRegistry:
-    def test_namespace_prefix(self):
-        reg = MetricsRegistry(namespace="repro")
-        c = reg.counter("epochs_total")
-        assert c.name == "repro_epochs_total"
-        # Already-prefixed names are not double-prefixed.
-        assert reg.counter("repro_epochs_total") is c
-
-    def test_get_or_create_returns_same_instrument(self):
+    def test_add_and_remove_source(self):
         reg = MetricsRegistry()
-        assert reg.counter("a") is reg.counter("a")
-        assert reg.gauge("g") is reg.gauge("g")
-        assert reg.histogram("h") is reg.histogram("h")
 
-    def test_kind_mismatch_raises(self):
-        reg = MetricsRegistry()
-        reg.counter("x")
-        with pytest.raises(ValueError, match="already registered"):
-            reg.gauge("x")
+        def source():
+            return {"a": {"type": "counter", "help": "", "value": 1.0}}
 
-    def test_contains_and_len(self):
-        reg = MetricsRegistry()
-        reg.counter("a")
-        assert "a" in reg
-        assert len(reg) == 1
+        reg.add_source(source)
+        reg.add_source(source)  # idempotent
+        assert reg.collect() == [("a", source()["a"])]
+        reg.remove_source(source)
+        reg.remove_source(source)  # idempotent
+        assert reg.collect() == []
 
     def test_collect_sorted(self):
         reg = MetricsRegistry()
-        reg.counter("zz")
-        reg.counter("aa")
-        assert [n for n, _ in reg.collect()] == ["repro_aa", "repro_zz"]
+        reg.add_source(lambda: {"zz": {"type": "counter", "help": "", "value": 0}})
+        reg.add_source(lambda: {"aa": {"type": "counter", "help": "", "value": 0}})
+        assert [n for n, _ in reg.collect()] == ["aa", "zz"]
 
     def test_to_dict_json_safe(self):
         import json
 
-        reg = MetricsRegistry()
-        reg.counter("c").inc()
-        reg.gauge("g").set(1.5)
-        reg.histogram("h").observe(0.01)
-        json.dumps(reg.to_dict())  # must not raise
+        svc, reg = _serve_run()
+        svc.run()
+        doc = json.loads(json.dumps(reg.to_dict()))
+        assert doc == reg.to_dict()
+        assert {snap["type"] for snap in doc.values()} == {
+            "counter", "gauge", "histogram"
+        }
 
     def test_default_window_shape(self):
-        h = MetricsRegistry().histogram("h")
-        assert h.buckets == tuple(sorted(DEFAULT_BUCKETS))
+        assert DEFAULT_BUCKETS == tuple(sorted(DEFAULT_BUCKETS))
+        snap = histogram_snapshot("", [0] * (len(DEFAULT_BUCKETS) + 1), 0, 0.0)
+        assert [b for b, _ in snap["buckets"][:-1]] == list(DEFAULT_BUCKETS)
         assert DECISION_WINDOW == 512
 
 
 class TestThreadSafety:
     def test_concurrent_updates_sum_exactly(self):
-        reg = MetricsRegistry()
-        c = reg.counter("hits")
-        h = reg.histogram("lat")
-        n_threads, n_iter = 8, 500
+        """Scrapes from more threads than cores while the serve loop
+        updates its tally: every scrape's histogram is consistent (no
+        finite bucket above ``+Inf``) and the final counts are exact."""
+        svc, reg = _serve_run()
+        stop = threading.Event()
+        errors = []
 
-        def work():
-            for _ in range(n_iter):
-                c.inc()
-                h.observe(0.001)
+        def scrape():
+            while not stop.is_set():
+                try:
+                    hist = reg.to_dict()["repro_serve_decision_latency_seconds"]
+                    cumulative = [c for _, c in hist["buckets"]]
+                    assert cumulative == sorted(cumulative)
+                    assert cumulative[-1] == hist["count"]
+                except Exception as exc:  # noqa: BLE001 — collected for the assert
+                    errors.append(exc)
 
-        threads = [threading.Thread(target=work) for _ in range(n_threads)]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join()
-        assert c.value == n_threads * n_iter
-        assert h.count == n_threads * n_iter
+        threads = [threading.Thread(target=scrape) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            svc.run()
+        finally:
+            stop.set()
+            for th in threads:
+                th.join(timeout=10)
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert errors == []
+        counts = _counters(reg)
+        summary = svc.summary()
+        assert counts["repro_serve_epochs_total"] == summary["epochs"]
+        assert counts["repro_serve_cache_hits_total"] == summary["cache_hits"]
+        assert counts["repro_serve_solved_total"] == summary["solved"]

@@ -53,16 +53,14 @@ class TestSaveLoad:
             load_checkpoint(path)
 
     def test_rejects_previous_version(self, tmp_path):
-        """A checkpoint from before the serve window grew into the
-        ServeStats tally (version 3) is refused, not half-loaded."""
+        """A checkpoint from before the ServeStats tally held the latency
+        histogram's buckets (version 4) is refused, not half-loaded."""
         path = tmp_path / "old.ckpt"
         path.write_bytes(
-            pickle.dumps(
-                {"version": CHECKPOINT_VERSION - 1, "scheduler": 0, "bo_state": 0}
-            )
+            pickle.dumps({"version": 4, "scheduler": 0, "bo_state": 0})
         )
-        assert CHECKPOINT_VERSION == 4
-        with pytest.raises(ValueError, match="version 3"):
+        assert CHECKPOINT_VERSION == 5
+        with pytest.raises(ValueError, match="version 4"):
             load_checkpoint(path)
 
     def test_failed_save_keeps_previous_checkpoint(self, tmp_path):

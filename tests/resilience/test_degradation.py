@@ -142,13 +142,3 @@ class TestPaMOFallback:
         assert out.extras.get("fallback") in ("incumbent", "min_config")
         assert problem.is_feasible(out.decision.resolutions, out.decision.fps)
         assert counters["pamo.bo_fallbacks"] == 1
-
-    def test_non_resilient_mode_reraises(self, monkeypatch):
-        _, pamo = self._pamo(resilient=False)
-
-        def _explode(self, **kw):
-            raise np.linalg.LinAlgError("bank collapsed")
-
-        monkeypatch.setattr(BOLoop, "run", _explode)
-        with pytest.raises(np.linalg.LinAlgError):
-            pamo.optimize()

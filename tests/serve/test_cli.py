@@ -51,6 +51,19 @@ class TestLoadgen:
 
 
 class TestServeRun:
+    def test_wal_under_a_regular_file_is_a_clean_error(self, event_log, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory")
+        before = sorted(tmp_path.iterdir())
+        wal = blocker / "serve.wal"
+        rc = main(["serve", "run", "--events", str(event_log), "--wal", str(wal)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot journal to --wal {wal}: ")
+        assert "Traceback" not in err
+        assert sorted(tmp_path.iterdir()) == before
+        assert blocker.read_text() == "not a directory"
+
     def test_replay_prints_summary(self, event_log, capsys):
         rc = main(["serve", "run", "--events", str(event_log), "--seed", "0"])
         assert rc == 0

@@ -165,7 +165,7 @@ class TestHealthAndAlerts:
         assert doc["status"] == "degraded"
         assert doc["alerts"][0]["metric"] == "cache_hit_ratio"
         assert svc.summary()["health"] == "degraded"
-        assert reg.gauge("serve_health").value == 1.0
+        assert reg.to_dict()["repro_serve_health"]["value"] == 1.0
 
     def test_alert_events_reach_telemetry(self, tmp_path):
         path = tmp_path / "serve.jsonl"
@@ -567,3 +567,119 @@ class TestOneTally:
         svc.decisions = Unreadable(svc.decisions)
         assert svc.summary() == expected
         assert svc.varz()["summary"] == expected
+
+
+class TestScrapeTimeView:
+    """Every ``repro_serve_*`` series is read from the service at scrape
+    time, and reads what per-epoch instruments fed from each decision
+    would hold: counters equal to the ``summary()`` counts, a histogram
+    over every decision's ``latency_s`` and gauges equal to their
+    ``health_snapshot()`` inputs — however late the registry attached."""
+
+    _GAUGES = {
+        "repro_serve_streams": "n_streams",
+        "repro_serve_alive_servers": "n_alive_servers",
+        "repro_serve_queue_depth": "queue_depth",
+        "repro_serve_cache_hit_ratio": "cache_hit_ratio",
+        "repro_serve_benefit": "benefit",
+        "repro_serve_benefit_baseline": "benefit_baseline",
+        "repro_serve_benefit_drop_ratio": "benefit_drop_ratio",
+        "repro_serve_mode": "mode_brownout",
+        "repro_serve_breaker_state": "breaker_state",
+    }
+
+    @staticmethod
+    def _service():
+        from repro.obs import default_rules
+        from repro.serve import AdmissionController, ChurnProfile, generate_load
+
+        problem = _problem(n_streams=8, n_servers=3)
+        svc = _service(
+            problem,
+            reoptimize_every=50,
+            admission=AdmissionController(
+                priority_map={sid: 2 for sid in range(0, 4000, 4)},
+                default_priority=1,
+                join_rate_per_epoch=0.8,
+                protect_priority=2,
+            ),
+        )
+        svc.attach_observability(monitor=HealthMonitor(default_rules()))
+        profile = ChurnProfile(
+            hours=0.1, arrivals_per_hour=2400.0, departures_per_hour=1200.0,
+            drifts_per_hour=40.0, flaps_per_hour=20.0,
+        )
+        svc.submit(generate_load(8, 3, profile=profile, seed=3).events)
+        return svc
+
+    def _assert_view(self, svc, reg, ordered):
+        from bisect import bisect_right, insort
+
+        from repro.obs.health import severity_rank
+
+        for d in svc.decisions[len(ordered):]:
+            insort(ordered, d.latency_s)
+        metrics = reg.to_dict()
+        assert set(metrics) == {
+            *TestOneTally._REGISTRY_KEYS.values(), *self._GAUGES,
+            "repro_serve_decision_latency_seconds", "repro_serve_health",
+        }
+        s = svc.summary()
+        for key, name in TestOneTally._REGISTRY_KEYS.items():
+            assert metrics[name]["value"] == s[key], name
+        hist = metrics["repro_serve_decision_latency_seconds"]
+        total = 0.0
+        for d in svc.decisions:
+            total += d.latency_s
+        assert hist["count"] == s["epochs"] == len(svc.decisions) == len(ordered)
+        assert hist["sum"] == svc.stats.latency_sum == total
+        for le, cumulative in hist["buckets"]:
+            expected = len(ordered) if le == "+Inf" else bisect_right(ordered, le)
+            assert cumulative == expected, le
+        snap = svc.health_snapshot()
+        for name, key in self._GAUGES.items():
+            expected = 0 if snap[key] is None else snap[key]
+            assert metrics[name]["value"] == expected, name
+        assert metrics["repro_serve_health"]["value"] == severity_rank(
+            svc.monitor.state
+        )
+
+    def _drain(self, svc, reg, ordered):
+        while svc.queue:
+            svc.run(max_epochs=1)
+            self._assert_view(svc, reg, ordered)
+
+    def test_attached_before_start(self):
+        svc = self._service()
+        reg = MetricsRegistry()
+        svc.attach_observability(metrics=reg, monitor=svc.monitor)
+        ordered = []
+        self._assert_view(svc, reg, ordered)  # no decision yet
+        svc.start()
+        self._assert_view(svc, reg, ordered)
+        self._drain(svc, reg, ordered)
+        s = svc.summary()
+        assert s["epochs"] > 100
+        assert s["rejected"] and s["evicted"] and s["shed"]
+
+    def test_attached_mid_run(self):
+        svc = self._service()
+        svc.run(max_epochs=60)
+        reg = MetricsRegistry()
+        svc.attach_observability(metrics=reg, monitor=svc.monitor)
+        ordered = []
+        self._assert_view(svc, reg, ordered)
+        self._drain(svc, reg, ordered)
+
+    def test_attached_after_resume(self, tmp_path):
+        svc = self._service()
+        svc.attach_observability(metrics=MetricsRegistry(), monitor=svc.monitor)
+        svc.run(max_epochs=60)
+        path = svc.save_checkpoint(tmp_path / "serve.ckpt")
+        resumed = SchedulerService.resume(path)
+        assert resumed.metrics is None
+        reg = MetricsRegistry()
+        resumed.attach_observability(metrics=reg, monitor=resumed.monitor)
+        ordered = []
+        self._assert_view(resumed, reg, ordered)
+        self._drain(resumed, reg, ordered)

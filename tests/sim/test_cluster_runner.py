@@ -153,9 +153,3 @@ class TestSimulateSchedule:
     def test_textures_length_mismatch(self):
         with pytest.raises(ValueError):
             simulate_schedule([960.0], [5.0], [0], [10.0], textures=[1.0, 2.0])
-
-    def test_report_completion_ratio(self):
-        rep = simulate_schedule(
-            [480.0], [10.0], [0], [50.0], horizon=3.0, profile=FAST_PROFILE
-        )
-        assert 0.8 <= rep.completion_ratio <= 1.0

@@ -22,10 +22,6 @@ class TestStreamMetrics:
         m = _stream_metrics([0.1, 0.2, 0.3], [0, 0, 0])
         assert m.mean_latency == pytest.approx(0.2)
 
-    def test_p99(self):
-        m = _stream_metrics(np.linspace(0, 1, 101), np.zeros(101))
-        assert m.p99_latency == pytest.approx(0.99)
-
     def test_max_jitter(self):
         m = _stream_metrics([0.1, 0.1], [0.0, 0.05])
         assert m.max_jitter == pytest.approx(0.05)
@@ -34,11 +30,6 @@ class TestStreamMetrics:
         m = _stream_metrics([], [], emitted=5, completed=0)
         assert np.isnan(m.mean_latency)
         assert m.max_jitter == 0.0
-        assert m.jitter_std == 0.0
-
-    def test_jitter_std(self):
-        m = _stream_metrics([0.1, 0.3], [0, 0])
-        assert m.jitter_std == pytest.approx(0.1)
 
 
 class TestSimulationReport:
@@ -72,12 +63,7 @@ class TestSimulationReport:
     def test_computation_rate(self):
         assert self._report().computation_tflops == pytest.approx(5.0)
 
-    def test_completion_ratio(self):
-        rep = self._report()
-        assert rep.completion_ratio == pytest.approx(1.0)
-
     def test_empty_report(self):
         rep = SimulationReport(horizon=1.0, streams={}, servers={}, total_flops=0.0)
         assert np.isnan(rep.mean_latency)
         assert rep.max_jitter == 0.0
-        assert rep.completion_ratio == 1.0

@@ -127,9 +127,6 @@ UNREACHED_FUNCTIONS = {
     "PreferenceGP.predict_pair_probability",
     "PreferenceGP.utilities",
     "PreferenceLearner.sample_utility",
-    "SimulationReport.completion_ratio",
-    "StreamMetrics.jitter_std",
-    "StreamMetrics.p99_latency",
     "SyntheticClip.duration",
     "SyntheticClip.mean_object_count",
     "TieredTariff.marginal_rate",
