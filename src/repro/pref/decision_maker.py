@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import ndtr
 
 from repro.outcomes.functions import OBJECTIVES
-from repro.utils import as_generator, check_array_1d, check_positive, normalize_minmax
+from repro.utils import as_generator, check_array_1d, check_positive
 from repro.utils.rng import RngLike
 
 
@@ -68,15 +69,42 @@ class LinearL1Preference(TruePreference):
         if np.any(self.weights < 0):
             raise ValueError("weights must be non-negative")
 
+    @cached_property
+    def _scale(self) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+        """(safe span, degenerate mask or None, normalized utopia).
+
+        :func:`~repro.utils.mathx.normalize_minmax`'s per-call terms,
+        derived once.  A cached property, not a field, so a preference
+        pickled before it existed derives it on first use.
+        """
+        span = self.hi - self.lo
+        degenerate = span <= 0
+        safe_span = np.where(degenerate, 1.0, span)
+        mask = degenerate if degenerate.any() else None
+        return safe_span, mask, self._normalized(self.utopia, safe_span, mask)
+
+    def _normalized(self, y, safe_span, mask) -> np.ndarray:
+        """``normalize_minmax(y, lo, hi)`` over precomputed terms, same floats.
+
+        ``np.where`` with an all-False mask returns its input unchanged,
+        so it is left out when no objective is degenerate.
+        """
+        out = (np.asarray(y, dtype=float) - self.lo) / safe_span
+        if mask is not None:
+            out = np.where(mask, 0.5, out)
+        return np.clip(out, 0.0, 1.0, out=out)
+
     def normalize(self, y: np.ndarray) -> np.ndarray:
         """Min-max normalize raw outcomes to [0, 1] per objective."""
-        return normalize_minmax(np.asarray(y, dtype=float), self.lo, self.hi)
+        safe_span, mask, _ = self._scale
+        return self._normalized(y, safe_span, mask)
 
     def value(self, y: np.ndarray) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        yn = self.normalize(y)
-        un = self.normalize(self.utopia)
-        dist = np.abs(yn - un) * self.weights
+        safe_span, mask, un = self._scale
+        dist = self._normalized(y, safe_span, mask)
+        dist -= un
+        np.abs(dist, out=dist)
+        dist *= self.weights
         return -dist.sum(axis=-1)
 
     @property
@@ -87,15 +115,6 @@ class LinearL1Preference(TruePreference):
         per objective under the normalized range.)
         """
         return -0.5 * float(np.sum(self.weights))
-
-    def with_weights(self, weights) -> "LinearL1Preference":
-        """Copy with a different weight vector (same utopia/bounds)."""
-        return LinearL1Preference(
-            weights=np.asarray(weights, dtype=float),
-            utopia=self.utopia,
-            lo=self.lo,
-            hi=self.hi,
-        )
 
 
 class DecisionMaker:

@@ -175,6 +175,146 @@ class ZeroJitterGroup:
             self.aligned = _all_multiples(self.periods, self.pmin)
 
 
+class GroupView:
+    """What :func:`first_fit` reads of a group, after moves not yet made.
+
+    ``total_p``, ``periods`` (only its keys are read), ``pmin`` and
+    ``aligned`` as a :class:`ZeroJitterGroup` would hold them, so a
+    caller can ask where a sub-stream would land without touching a
+    group.  Each derivation follows :meth:`ZeroJitterGroup.add` /
+    :meth:`~ZeroJitterGroup.remove` branch for branch.  The running
+    ``total_p`` is the caller's: it depends on the order of the float
+    operations the moves would make.
+
+    :meth:`without` and :meth:`plus` lean on the group invariant:
+    ``pmin == min(periods)`` (``inf`` when empty) and
+    ``aligned == _all_multiples(periods, pmin)``.
+    ``add`` keeps it (a new minimum re-checks every key; a new key above
+    the minimum is and-ed in; a repeated key changes nothing) and so
+    does ``remove`` (an emptied group resets; losing the minimum key
+    re-derives both; losing another key re-checks only when unaligned,
+    since a subset of multiples is still multiples; a key whose count
+    stays positive changes nothing).  Hence ``pmin`` and ``aligned``
+    are a function of the key set alone.
+    """
+
+    __slots__ = ("total_p", "periods", "pmin", "aligned")
+
+    def __init__(self, total_p: float, periods, pmin: float, aligned: bool) -> None:
+        self.total_p = total_p
+        self.periods = periods
+        self.pmin = pmin
+        self.aligned = aligned
+
+    @classmethod
+    def without(
+        cls, group: ZeroJitterGroup, period: float, count: int, total_p: float
+    ) -> "GroupView":
+        """``group`` after ``remove`` of ``count`` of its members of ``period``.
+
+        Only the last of those removals can drop the key, so the shape
+        is what ``remove`` derives at that one step.
+        """
+        if group.periods[period] > count:
+            return cls(total_p, group.periods, group.pmin, group.aligned)
+        if len(group.members) == count:
+            return cls(0.0, (), math.inf, True)
+        periods = tuple(q for q in group.periods if q != period)
+        pmin, aligned = group.pmin, group.aligned
+        if period == pmin:
+            pmin = min(periods)
+            aligned = _all_multiples(periods, pmin)
+        elif not aligned:
+            aligned = _all_multiples(periods, pmin)
+        return cls(total_p, periods, pmin, aligned)
+
+    def at(self, total_p: float) -> "GroupView":
+        """The same shape with another running ``total_p``."""
+        return GroupView(total_p, self.periods, self.pmin, self.aligned)
+
+    @classmethod
+    def plus(cls, group, period: float, processing_time: float) -> "GroupView":
+        """``group`` (a :class:`ZeroJitterGroup` or a view) after ``add``
+        of a member of ``period``."""
+        total_p = group.total_p + processing_time
+        periods = group.periods
+        if period < group.pmin:  # below the minimum, so a new key
+            periods = (*periods, period)
+            return cls(total_p, periods, period, _all_multiples(periods, period))
+        if period in periods:
+            return cls(total_p, periods, group.pmin, group.aligned)
+        aligned = group.aligned and _all_multiples((period,), group.pmin)
+        return cls(total_p, (*periods, period), group.pmin, aligned)
+
+
+class FitBound:
+    """A proved necessary condition for :func:`first_fit` to find a group.
+
+    Built once over ``groups`` whose state is fixed while the bound is
+    used, except the group at index ``open_``, whose ``pmin`` and
+    ``total_p`` the caller passes per query.  ``top`` is at least every
+    candidate period and processing time the bound will be asked about.
+    :meth:`excludes` is True only when such a candidate fits no group,
+    so a caller may skip the exact scan.
+
+    Proof.  Write T = ``period``, p = ``processing_time``, ε = ``_EPS``
+    and, per group g, t_g = ``total_p`` and m_g = ``pmin``.  Both
+    branches of :func:`first_fit` require fl(t_g + p) ≤ fl(Y_g + ε) with
+    Y_g = min(T, m_g): the new-minimum branch compares with T < m_g,
+    the other with m_g ≤ T.  Let A bound twice every finite t_g, m_g,
+    T, p and ε, and u = 2⁻⁵³.  Round-to-nearest gives |fl(x) − x| ≤ u|x|.
+    Then:
+
+    1. fl(t_g + p) ≥ t_g + p − uA and fl(Y_g + ε) ≤ Y_g + ε + uA, so
+       a fit implies p ≤ Y_g − t_g + ε + 2uA.
+    2. Y_g − t_g ≤ T − min t and Y_g − t_g ≤ m_g − t_g.  Over the fixed
+       groups, the computed fl(T − min t) and max fl(m_g − t_g) are
+       each within uA/2 of the exact values (min and max are exact),
+       and so is fl(min(T, m_o) − t_o) for the open group o.  So
+       Y_g − t_g ≤ B + uA/2 for the computed
+       B = max(min(T − min t, max slack), min(T, m_o) − t_o).
+    3. Hence a fit implies p ≤ B + ε + 3uA.  The test compares p with
+       fl(B + M), M = ε + 16uA (the power-of-two product is exact),
+       and |B + M| ≤ 2A, so fl(B + M) ≥ B + ε + 16uA − 2uA − uA
+       > B + ε + 3uA: p > fl(B + M) rules out every group.
+
+    An empty group (m_g = ∞) leaves slack T − 0.0, which the min with
+    T − min t already covers.  A is taken as twice the largest magnitude
+    seen at construction, so the last-bit drift the open group's
+    ``total_p`` may pick up between queries stays below it.
+    """
+
+    __slots__ = ("min_total_p", "max_slack", "margin")
+
+    def __init__(self, groups: Sequence[ZeroJitterGroup], open_: int, top: float) -> None:
+        min_total_p = math.inf
+        max_slack = -math.inf
+        for i, group in enumerate(groups):
+            total_p = group.total_p
+            if total_p > top:
+                top = total_p
+            if group.members and group.pmin > top:
+                top = group.pmin
+            if i == open_:
+                continue
+            if total_p < min_total_p:
+                min_total_p = total_p
+            if group.pmin - total_p > max_slack:
+                max_slack = group.pmin - total_p
+        self.min_total_p = min_total_p
+        self.max_slack = max_slack
+        # A = 2 max(top, ε), so M = ε + 16uA = ε + 2^-48 max(top, ε).
+        self.margin = _EPS + max(top, _EPS) * 2.0**-48
+
+    def excludes(self, period: float, processing_time: float, pmin: float,
+                 total_p: float) -> bool:
+        """True only if a candidate fits no group, the open one at
+        (``pmin``, ``total_p``) (see above)."""
+        slack = min(period - self.min_total_p, self.max_slack)
+        slack = max(slack, min(period, pmin) - total_p)
+        return processing_time > slack + self.margin
+
+
 def first_fit(groups: Sequence[ZeroJitterGroup], candidate, start: int = 0) -> int:
     """Index of the first of ``groups[start:]`` that ``candidate`` fits.
 

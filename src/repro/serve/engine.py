@@ -21,16 +21,26 @@ O(M²) divisor-priority pass on every join and leave.
   :func:`repro.sched.assignment.solve_group_assignment`.
 
 Only the ordering policy is the engine's own: joins are placed at their
-benefit-ranked knob pair, first fit over the live groups.  Every
-mutation is transactional: a failed insertion rolls back to the
-pre-call state, so the service can try candidates best-first and fall
-back cleanly.  The engine/Algorithm-1 equivalence tests check the
+benefit-ranked knob pair, first fit over the live groups.  A failed
+insertion takes back what it placed, so the service can try
+candidates best-first and fall back cleanly.  The full solve's upgrade
+pass asks before it moves: a non-mutating query
+(:meth:`IncrementalPlanner._landing`) scans
+:class:`~repro.sched.grouping.GroupView` copies of the groups the
+stream would vacate, a proved bound
+(:class:`~repro.sched.grouping.FitBound`) skips knobs that fit nowhere,
+and a miss costs only the float-only rollback of
+:meth:`IncrementalPlanner._settle_miss`, which leaves every sum,
+member order and period order as the detach → place → re-attach round
+trip would.  The engine/Algorithm-1 equivalence tests check the
 invariant with :func:`repro.sched.theory.const2_satisfied`.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from functools import cached_property
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -41,6 +51,8 @@ from repro.outcomes.functions import OutcomeFunctions
 from repro.pref.decision_maker import LinearL1Preference
 from repro.sched.assignment import solve_group_assignment
 from repro.sched.grouping import (
+    FitBound,
+    GroupView,
     InfeasibleScheduleError,
     ZeroJitterGroup,
     first_fit,
@@ -142,6 +154,11 @@ class _Knob(NamedTuple):
     ptime: float
     k: int
     period: float
+
+    @property
+    def processing_time(self) -> float:
+        """``ptime`` under the name :func:`first_fit` reads of a candidate."""
+        return self.ptime
 
 
 class _Entry:
@@ -285,6 +302,15 @@ class IncrementalPlanner:
             min(self.config_space.resolutions), min(self.config_space.fps_values)
         )
 
+    @cached_property
+    def _top(self) -> float:
+        """The largest knob period or processing time, :class:`FitBound`'s ``top``.
+
+        Derived on first use, so a planner pickled before it existed
+        resumes.
+        """
+        return max(max(c.period, c.ptime) for c in self._candidates)
+
     def _knob(self, r: float, s: float) -> _Knob:
         knob = self._knobs.get((float(r), float(s)))
         if knob is None:
@@ -388,15 +414,20 @@ class IncrementalPlanner:
         return stats
 
     # -- stream mutations --------------------------------------------------
-    def _new_entry(self, sid: int, texture: float) -> _Entry:
-        """An unplaced entry for a joining stream, θ_bit computed once."""
+    def _new_entry(self, sid: int, texture: float, terms=None) -> _Entry:
+        """An unplaced entry for a joining stream, θ_bit computed once.
+
+        ``terms`` passes a cached :meth:`_texture_terms` of ``texture``.
+        """
         if sid in self.entries:
             raise ValueError(f"stream {sid} already admitted")
         texture = float(texture)
+        return _Entry(sid, texture, *(terms or self._texture_terms(texture)))
+
+    def _texture_terms(self, texture: float) -> tuple[list[float], np.ndarray]:
+        """(θ_bit per resolution, θ_bit per candidate) of one texture."""
         frame_bits = self._frame_bits(texture)
-        return _Entry(
-            sid, texture, frame_bits, np.array(frame_bits)[self._cand_res]
-        )
+        return frame_bits, np.array(frame_bits)[self._cand_res]
 
     def _frame_bits(self, texture: float) -> list[float]:
         """θ_bit(r) per distinct resolution for one stream texture."""
@@ -612,6 +643,12 @@ class IncrementalPlanner:
         self.acc_sum = self.net_sum = self.com_sum = self.eng_sum = 0.0
         self.ptime_sum = self.bits_sum = 0.0
 
+    #: θ_bit terms per texture of the last full solve's population
+    #: (:meth:`_texture_terms` values), replaced whole by each solve so it
+    #: holds only live textures.  A class-level empty default: a planner
+    #: pickled before the cache existed starts with it empty.
+    _terms_by_texture: Mapping[float, tuple] = MappingProxyType({})
+
     def solve_all(
         self, textures: dict[int, float], *, priority_of=None
     ) -> dict:
@@ -620,13 +657,13 @@ class IncrementalPlanner:
         Admission first (every stream at the cheapest knob pair —
         maximizes the admitted population), then one benefit-ordered
         upgrade pass per stream (first higher-ranked config that still
-        fits zero-jitter wins; :meth:`set_config` rolls back cleanly on
-        misfit).  Both passes walk streams in id order, or — with a
-        ``priority_of`` callable — higher priority classes first, so
-        when capacity runs out it is the low classes that get rejected
-        or stay at min config.  The serve loop's "full solve" when no
-        batch scheduler is attached.  Returns
-        ``{"admitted", "rejected"}`` stats.
+        fits zero-jitter wins, see :meth:`_upgrade`).  Both passes walk
+        streams in id order, or — with a ``priority_of`` callable —
+        higher priority classes first, so when capacity runs out it is
+        the low classes that get rejected or stay at min config.  The
+        serve loop's "full solve" when no batch scheduler is attached.
+        Each texture's θ_bit terms carry over from the previous solve.
+        Returns ``{"admitted", "rejected"}`` stats.
         """
         if self.n_alive == 0:
             raise InfeasibleScheduleError("no alive server to solve onto")
@@ -636,26 +673,180 @@ class IncrementalPlanner:
         if priority_of is not None:
             order.sort(key=lambda sid: (-priority_of(sid), sid))
         stats = {"admitted": 0, "rejected": []}
+        known = self._terms_by_texture
+        kept: dict[float, tuple] = {}
         for sid in order:
-            if self._insert(self._new_entry(sid, textures[sid]), lowest):
+            texture = float(textures[sid])
+            terms = kept.get(texture) or known.get(texture)
+            if terms is None:
+                terms = self._texture_terms(texture)
+            kept[texture] = terms
+            if self._insert(self._new_entry(sid, texture, terms), lowest):
                 stats["admitted"] += 1
             else:
                 stats["rejected"].append(sid)
+        self._terms_by_texture = kept
         attempts = 0
         mean_bw = self._mean_bw()
         for sid in order:
             entry = self.entries.get(sid)
-            if entry is None:
-                continue  # rejected above
-            for knob in self._ranked(entry.cand_bits, mean_bw):
-                if knob is entry.knob:
-                    break  # already at the best feasible config
-                attempts += 1
-                if self._reconfigure(entry, knob):
-                    break
+            if entry is not None:  # else rejected above
+                attempts += self._upgrade(entry, self._ranked(entry.cand_bits, mean_bw))
         telemetry.counter("serve.engine.solve_all_calls")
         telemetry.counter("serve.engine.upgrade_attempts", attempts)
         return stats
+
+    def _upgrade(self, entry: _Entry, ranked: list[_Knob]) -> int:
+        """Move ``entry`` to the first knob of ``ranked`` that fits.
+
+        Tries the knobs ranked above the entry's own, best first, and
+        returns how many it tried (a skipped knob counts).  The result
+        and every float equal what :meth:`_reconfigure` per knob would
+        leave, without its detach → place → re-attach round trip:
+
+        * the entry's home group is taken out as a :class:`GroupView`
+          (``remove`` of its subs, mutating nothing), and
+          :meth:`_landing` runs the first-fit scan over it;
+        * a :class:`FitBound` over the other groups, built once per
+          entry, skips a knob whose processing time no group can take.
+          While attempts miss, the other groups stay as they are, bar
+          the last-bit re-rounding of a multi-sub miss that placed some
+          subs, after which the bound is rebuilt;
+        * only a knob the query lands is moved to, through
+          :meth:`_reconfigure`; a miss applies :meth:`_settle_miss`.
+
+        An entry whose subs sit in more than one group keeps the round
+        trip: its query would open several groups at once, each with its
+        own rollback chain.  A full solve makes one only when the
+        config space splits its lowest knob (the default's, 1 fps at the
+        lowest resolution, is one sub).
+        """
+        subs = entry.subs
+        own = subs[0]
+        home = own.group
+        attempts = 0
+        if any(sub.group is not home for sub in subs):
+            for knob in ranked:
+                if knob is entry.knob:
+                    break
+                attempts += 1
+                if self._reconfigure(entry, knob):
+                    break
+            return attempts
+        groups = self.groups
+        at_home = groups.index(home)
+        n, p0 = len(subs), own.processing_time
+        emptied = len(home.members) == n
+        shape = GroupView.without(home, own.period, n, 0.0)
+        bound = None
+        reorder = True
+        for knob in ranked:
+            if knob is entry.knob:
+                break  # already at the best feasible config
+            attempts += 1
+            total_p = 0.0  # what ``remove`` of the entry's subs leaves
+            if not emptied:
+                total_p = home.total_p
+                for _ in range(n):
+                    total_p -= p0
+            if bound is None:
+                bound = FitBound(groups, at_home, self._top)
+            if bound.excludes(knob.period, knob.ptime, shape.pmin, total_p):
+                landed = []
+            else:
+                landed = self._landing(knob, at_home, shape.at(total_p))
+                if len(landed) == knob.k:
+                    if self._reconfigure(entry, knob):
+                        break
+                    continue
+            self._settle_miss(entry, knob, at_home, landed, reorder)
+            reorder = False
+            if landed:
+                bound = None
+        return attempts
+
+    def _landing(self, knob: _Knob, at_home: int, view: GroupView) -> list[int]:
+        """Group indices ``knob``'s subs would land in, with ``view`` at home.
+
+        :meth:`_try_place`'s scan over the groups with the entry's home
+        group replaced by ``view``: sub j+1 resumes where sub j landed,
+        in that group's view with sub j added.  Fewer than ``knob.k``
+        indices means a miss; the list then holds the subs placed
+        before it.
+        """
+        scan = list(self.groups)
+        scan[at_home] = view
+        landed: list[int] = []
+        at = 0
+        for _ in range(knob.k):
+            at = first_fit(scan, knob, at)
+            if at < 0:
+                break
+            scan[at] = GroupView.plus(scan[at], knob.period, knob.ptime)
+            landed.append(at)
+        return landed
+
+    def _settle_miss(self, entry: _Entry, knob: _Knob, at_home: int,
+                     landed: list[int], reorder: bool) -> None:
+        """Leave the groups as a missed :meth:`_reconfigure` to ``knob`` would.
+
+        That round trip removes the entry's subs from their home group,
+        adds the subs of ``landed``, removes those again and re-adds the
+        entry's subs.  Per group that is a chain of float steps on
+        ``total_p`` and ``rate`` (each reset to 0.0 when the group
+        empties), replayed here in the same order.  Members and period
+        keys come back in their order, except that the entry's subs
+        move to the end of the home group's members, and their period
+        key to the end of ``periods`` when no other member has it.
+        ``pmin`` and ``aligned`` are a function of the key set (see
+        :class:`GroupView`), which ends as it began, so they keep
+        their values.  The moves to the end are idempotent, so the
+        caller asks for them (``reorder``) on an entry's first miss only.
+        """
+        subs = entry.subs
+        own = subs[0]
+        home = own.group
+        n = len(subs)
+        if not landed and n == 1:  # the common miss: one sub, nothing placed
+            if len(home.members) == 1:
+                home.total_p = 0.0 + own.processing_time
+                home.rate = 0.0 + own.rate
+            else:
+                home.total_p = (home.total_p - own.processing_time) + own.processing_time
+                home.rate = (home.rate - own.rate) + own.rate
+        else:
+            p = knob.ptime
+            r = entry.frame_bits[knob.res] / knob.period  # a _Sub's rate
+            for i in {at_home, *landed}:
+                group = self.groups[i]
+                back = n if i == at_home else 0
+                m = landed.count(i)
+                left = len(group.members) - back
+                total_p, rate = group.total_p, group.rate
+                for _ in range(back):
+                    total_p -= own.processing_time
+                    rate -= own.rate
+                if back and not left:
+                    total_p = rate = 0.0
+                for _ in range(m):
+                    total_p += p
+                    rate += r
+                for _ in range(m):
+                    total_p -= p
+                    rate -= r
+                if m and not left:
+                    total_p = rate = 0.0
+                for _ in range(back):
+                    total_p += own.processing_time
+                    rate += own.rate
+                group.total_p, group.rate = total_p, rate
+        if reorder:
+            if home.members[-n:] != subs:
+                for sub in subs:
+                    home.members.remove(sub)
+                home.members.extend(subs)
+            if home.periods[own.period] == n:
+                home.periods[own.period] = home.periods.pop(own.period)
 
     def rebuild(self, configs: dict[int, tuple[float, float]],
                 textures: dict[int, float]) -> dict:

@@ -16,7 +16,6 @@ from repro.utils.mathx import (
     is_harmonic,
     normalize_minmax,
     safe_cholesky,
-    log1mexp,
 )
 from repro.utils.serialization import to_jsonable
 
@@ -32,6 +31,5 @@ __all__ = [
     "is_harmonic",
     "normalize_minmax",
     "safe_cholesky",
-    "log1mexp",
     "to_jsonable",
 ]

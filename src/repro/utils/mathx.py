@@ -121,11 +121,3 @@ def safe_cholesky(a: np.ndarray, *, max_tries: int = 8, jitter: float = 1e-10) -
         f"matrix not PSD even with jitter {j:.3e} (diag mean {scale:.3e})"
     )
 
-
-def log1mexp(x: np.ndarray) -> np.ndarray:
-    """Numerically stable log(1 - exp(x)) for x < 0 (Mächler 2012)."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x >= 0):
-        raise ValueError("log1mexp requires x < 0")
-    cutoff = -np.log(2.0)
-    return np.where(x > cutoff, np.log(-np.expm1(x)), np.log1p(-np.exp(x)))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.pref import DecisionMaker, LinearL1Preference
+from repro.utils import normalize_minmax
 
 
 @pytest.fixture
@@ -28,7 +29,12 @@ class TestLinearL1Preference:
 
     def test_weights_emphasize_objectives(self, pref):
         # Heavier latency weight punishes latency deviation more.
-        heavy_ltc = pref.with_weights([5.0, 1.0, 1.0, 1.0, 1.0])
+        heavy_ltc = LinearL1Preference(
+            weights=np.array([5.0, 1.0, 1.0, 1.0, 1.0]),
+            utopia=pref.utopia,
+            lo=pref.lo,
+            hi=pref.hi,
+        )
         y_bad_ltc = np.array([1.0, 1.0, 0.0, 0.0, 0.0])
         y_bad_net = np.array([0.0, 1.0, 1.0, 0.0, 0.0])
         assert pref.value(y_bad_ltc) == pytest.approx(pref.value(y_bad_net))
@@ -50,12 +56,34 @@ class TestLinearL1Preference:
         # raw deviation of 50 -> normalized 0.5 per objective
         assert pref.value(np.full(5, 50.0)) == pytest.approx(-2.5)
 
+    @pytest.mark.parametrize("degenerate", [False, True])
+    def test_value_is_bit_equal_to_the_per_call_normalization(self, degenerate):
+        # value() derives the span, degenerate mask and normalized utopia
+        # once; the floats must equal normalize_minmax's on every call.
+        rng = np.random.default_rng(3)
+        lo, hi = rng.uniform(0, 1, 5), rng.uniform(1, 3, 5)
+        if degenerate:
+            hi[2] = lo[2]
+        pref = LinearL1Preference(
+            weights=rng.uniform(0, 2, 5), utopia=rng.uniform(0, 3, 5), lo=lo, hi=hi
+        )
+        un = normalize_minmax(pref.utopia, lo, hi)
+        for y in (rng.uniform(-1, 4, 5), rng.uniform(-1, 4, (7, 5))):
+            want = -(np.abs(normalize_minmax(y, lo, hi) - un) * pref.weights).sum(axis=-1)
+            assert np.array_equal(pref.value(y), want)
+            assert np.array_equal(pref.normalize(y), normalize_minmax(y, lo, hi))
+
     def test_worst_value(self, pref):
         assert pref.worst_value == pytest.approx(-2.5)
 
     def test_negative_weights_raise(self, pref):
         with pytest.raises(ValueError):
-            pref.with_weights([-1, 1, 1, 1, 1])
+            LinearL1Preference(
+                weights=np.array([-1.0, 1, 1, 1, 1]),
+                utopia=pref.utopia,
+                lo=pref.lo,
+                hi=pref.hi,
+            )
 
     def test_wrong_size_raises(self):
         with pytest.raises(ValueError):

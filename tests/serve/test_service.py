@@ -143,6 +143,33 @@ class TestDeterminism:
         assert len(straight) > 4
         assert resumed == straight
 
+    def test_resumes_a_checkpoint_without_the_derived_caches(self, tmp_path):
+        """A checkpoint written before the planner's per-texture θ_bit
+        cache, its fit-bound scale and the preference's cached
+        normalization existed holds none of them; each derives on first
+        use, bit-identically."""
+        import pickle
+
+        log = generate_load(6, 4, profile=self.PROFILE, seed=9)
+        straight = self._run(log)
+        svc = _service(_problem())
+        svc.start()
+        svc.submit(log)
+        svc.run(max_epochs=3)
+        assert svc.planner._terms_by_texture
+        svc.planner.__dict__.pop("_terms_by_texture")
+        svc.planner.__dict__.pop("_top")
+        for pref in (svc.preference, svc.planner.preference):
+            pref.__dict__.pop("_scale", None)
+        path = tmp_path / "serve.ckpt"
+        svc.save_checkpoint(path)
+        held = pickle.loads(path.read_bytes())["scheduler"]
+        assert not {"_terms_by_texture", "_top"} & set(vars(held.planner))
+        assert "_scale" not in vars(held.preference)
+        resumed = SchedulerService.resume(path)
+        resumed.run()
+        assert _signatures(resumed) == straight
+
     def test_resume_rejects_foreign_checkpoint(self, tmp_path):
         import pickle
 

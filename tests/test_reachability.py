@@ -122,7 +122,6 @@ UNREACHED_FUNCTIONS = {
     "IncrementalPlanner.rank_configs",
     "IncrementalPlanner.set_config",
     "Kernel.gradients",
-    "LinearL1Preference.with_weights",
     "PeriodicStream.is_high_rate",
     "PreferenceGP.predict_pair_probability",
     "PreferenceGP.utilities",
@@ -131,7 +130,6 @@ UNREACHED_FUNCTIONS = {
     "SyntheticClip.mean_object_count",
     "TieredTariff.marginal_rate",
     "assignment_cache_size",
-    "log1mexp",
 }
 
 

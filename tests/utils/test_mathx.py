@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.utils import gcd_many, is_harmonic, log1mexp, normalize_minmax, safe_cholesky
+from repro.utils import gcd_many, is_harmonic, normalize_minmax, safe_cholesky
 
 
 class TestGcdMany:
@@ -123,17 +123,3 @@ class TestSafeCholesky:
         with pytest.raises(np.linalg.LinAlgError):
             safe_cholesky(np.diag([1.0, -5.0]))
 
-
-class TestLog1mexp:
-    def test_matches_naive_midrange(self):
-        x = np.array([-1.0, -2.0, -0.5])
-        np.testing.assert_allclose(log1mexp(x), np.log(1 - np.exp(x)), rtol=1e-12)
-
-    def test_extreme_small(self):
-        # naive would underflow to log(1-1)= -inf for x near 0
-        out = log1mexp(np.array([-1e-12]))
-        assert np.isfinite(out[0])
-
-    def test_nonnegative_raises(self):
-        with pytest.raises(ValueError):
-            log1mexp(np.array([0.0]))
