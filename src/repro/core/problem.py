@@ -49,10 +49,6 @@ class ConfigSpace:
         if any(r <= 0 for r in self.resolutions) or any(s <= 0 for s in self.fps_values):
             raise ValueError("knob values must be positive")
 
-    @property
-    def n_configs(self) -> int:
-        return len(self.resolutions) * len(self.fps_values)
-
     def bounds(self) -> np.ndarray:
         """(2, 2) array of [(r_lo, r_hi), (s_lo, s_hi)]."""
         return np.array(

@@ -70,13 +70,6 @@ class TieredTariff:
         total = total + self.rates[-1] * np.clip(x - prev, 0.0, None)
         return total
 
-    def marginal_rate(self, consumption: float) -> float:
-        """Unit price at the current consumption level."""
-        for t, r in zip(self.thresholds, self.rates):
-            if consumption < t:
-                return r
-        return self.rates[-1]
-
 
 @dataclass(frozen=True)
 class QoSRevenue:

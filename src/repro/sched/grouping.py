@@ -64,10 +64,6 @@ class GroupingResult:
                 s.stream_id: j for j, grp in enumerate(self.groups) for s in grp
             }
 
-    @property
-    def n_nonempty(self) -> int:
-        return sum(1 for g in self.groups if g)
-
     def validate(self) -> bool:
         """Check the Theorem-3 invariant on every group."""
         return all(theorem3_conditions(g) for g in self.groups)

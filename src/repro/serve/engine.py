@@ -59,7 +59,7 @@ from repro.sched.grouping import (
 )
 from repro.sched.streams import PeriodicStream, split_count
 
-__all__ = ["IncrementalPlanner", "approx_preference"]
+__all__ = ["IncrementalPlanner", "Placement", "approx_preference"]
 
 
 def approx_preference(problem: EVAProblem, weights=None) -> LinearL1Preference:
@@ -161,6 +161,21 @@ class _Knob(NamedTuple):
         return self.ptime
 
 
+class Placement(NamedTuple):
+    """One read-out of the live schedule (:meth:`IncrementalPlanner.placement`).
+
+    Per admitted stream, in id order: its resolution, fps and physical
+    server(s), one per sub-stream (§3's decision triple), plus the
+    schedule's Eq. 2–5 outcome vector (None with no stream admitted).
+    """
+
+    stream_ids: list[int]
+    resolutions: np.ndarray
+    fps: np.ndarray
+    servers: dict[int, tuple[int, ...]]
+    outcome: np.ndarray | None
+
+
 class _Entry:
     """Per-stream decision cache entry: config plus outcome contributions.
 
@@ -229,7 +244,7 @@ class IncrementalPlanner:
         self.groups = [ZeroJitterGroup() for _ in range(n)]
         self.entries: dict[int, _Entry] = {}
         # Running Eq. 2–4 sums (acc is a sum of per-stream terms; the
-        # mean is taken in outcome()).
+        # mean is taken in placement()).
         self.acc_sum = 0.0
         self.net_sum = 0.0
         self.com_sum = 0.0
@@ -872,75 +887,52 @@ class IncrementalPlanner:
                 stats["evicted"].append(sid)
         return stats
 
-    # -- outcome accounting ------------------------------------------------
-    def assignment(self) -> dict[int, int]:
-        """Memoized Hungarian map: group index → physical server index."""
-        alive = self.alive_indices()
-        rates = np.array([g.rate for g in self.groups])
-        server_of_group = solve_group_assignment(rates, self.effective_bw())
-        return {gi: alive[si] for gi, si in enumerate(server_of_group)}
+    # -- read-out ----------------------------------------------------------
+    def placement(self) -> Placement:
+        """The live schedule read once: each stream's triple and Eq. 2–5.
 
-    def outcome(self) -> np.ndarray:
-        """Exact Eq. 2–5 outcome vector for the current schedule."""
-        if not self.entries:
-            raise ValueError("no admitted streams; outcome undefined")
-        server_of = self.assignment()
-        group_index = {id(g): i for i, g in enumerate(self.groups)}
-        eff = {
-            j: self.nominal_bw[j] * self.factor[j] * 1e6
-            for j in self.alive_indices()
-        }
-        lat_total = 0.0
-        for sid in sorted(self.entries):
-            entry = self.entries[sid]
-            inv_bw = 0.0
-            for sub in entry.subs:
-                j = server_of[group_index[id(sub.group)]]
-                inv_bw += 1.0 / eff[j]
-            lat_total += entry.ptime + entry.bits * inv_bw / len(entry.subs)
-        n = len(self.entries)
-        return np.array(
-            [
-                lat_total / n,
-                self.acc_sum / n,
-                self.net_sum,
-                self.com_sum,
-                self.eng_sum,
-            ]
-        )
-
-    def stream_assignment(self) -> dict[int, tuple[int, ...]]:
-        """Per-stream physical server(s), one per sub-stream, id-sorted."""
-        server_of = self.assignment()
-        group_index = {id(g): i for i, g in enumerate(self.groups)}
-        return {
-            sid: tuple(
-                server_of[group_index[id(sub.group)]]
-                for sub in self.entries[sid].subs
-            )
-            for sid in sorted(self.entries)
-        }
-
-    def decision_arrays(self) -> tuple[list[int], np.ndarray, np.ndarray]:
-        """(sorted stream ids, resolutions, fps) of the current schedule."""
+        One Hungarian group→server solve (the memoized
+        :func:`repro.sched.assignment.solve_group_assignment`) and one
+        id-sorted walk over every stream's sub-streams.  ``outcome`` is
+        None when no stream is admitted.
+        """
         sids = sorted(self.entries)
-        r = np.array([self.entries[s].resolution for s in sids])
-        s = np.array([self.entries[s].fps for s in sids])
-        return sids, r, s
+        entries = [self.entries[sid] for sid in sids]
+        r = np.array([e.resolution for e in entries])
+        s = np.array([e.fps for e in entries])
+        if not entries:
+            return Placement(sids, r, s, {}, None)
+        alive = self.alive_indices()
+        server_of_group = solve_group_assignment(
+            np.array([g.rate for g in self.groups]), self.effective_bw()
+        )
+        server_of = {g: alive[si] for g, si in zip(self.groups, server_of_group)}
+        inv = {j: 1.0 / (self.nominal_bw[j] * self.factor[j] * 1e6) for j in alive}
+        servers: dict[int, tuple[int, ...]] = {}
+        lat_total = 0.0
+        for sid, entry in zip(sids, entries):
+            placed = servers[sid] = tuple(server_of[sub.group] for sub in entry.subs)
+            inv_bw = 0.0
+            for j in placed:
+                inv_bw += inv[j]
+            lat_total += entry.ptime + entry.bits * inv_bw / len(placed)
+        n = len(entries)
+        outcome = np.array(
+            [lat_total / n, self.acc_sum / n, self.net_sum, self.com_sum, self.eng_sum]
+        )
+        return Placement(sids, r, s, servers, outcome)
 
     def as_periodic_streams(self) -> tuple[list[PeriodicStream], list[int]]:
         """Flatten to (split streams, assignment) for the theory predicates."""
-        server_of = self.assignment()
-        group_index = {id(g): i for i, g in enumerate(self.groups)}
+        servers = self.placement().servers
         streams: list[PeriodicStream] = []
         assignment: list[int] = []
-        next_id = 0
-        for sid in sorted(self.entries):
+        for sid, placed in servers.items():
             entry = self.entries[sid]
-            for sub in entry.subs:
+            for sub, server in zip(entry.subs, placed):
                 streams.append(
                     PeriodicStream(
-                        stream_id=next_id,
+                        stream_id=len(streams),
                         fps=1.0 / sub.period,
                         resolution=entry.resolution,
                         processing_time=sub.processing_time,
@@ -948,6 +940,5 @@ class IncrementalPlanner:
                         parent_id=sid,
                     )
                 )
-                assignment.append(server_of[group_index[id(sub.group)]])
-                next_id += 1
+                assignment.append(server)
         return streams, assignment

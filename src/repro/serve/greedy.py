@@ -60,7 +60,9 @@ class GreedyScheduler(SchedulerMixin):
             i: float(problem.textures[i]) for i in range(problem.n_streams)
         }
         stats = planner.solve_all(textures)
-        outcome = planner.outcome()
+        placed = planner.placement()
+        if placed.outcome is None:
+            raise ValueError("no admitted streams; outcome undefined")
         # Decision arrays cover every input stream; rejected streams are
         # pinned at the minimum config with a sentinel assignment of -1.
         min_r = min(problem.config_space.resolutions)
@@ -69,17 +71,16 @@ class GreedyScheduler(SchedulerMixin):
         resolutions = np.full(m, float(min_r))
         fps = np.full(m, float(min_s))
         assignment = [-1] * m
-        per_stream = planner.stream_assignment()
-        for sid, entry in planner.entries.items():
-            resolutions[sid] = entry.resolution
-            fps[sid] = entry.fps
-            assignment[sid] = int(per_stream[sid][0])
+        resolutions[placed.stream_ids] = placed.resolutions
+        fps[placed.stream_ids] = placed.fps
+        for sid in placed.stream_ids:
+            assignment[sid] = placed.servers[sid][0]
         decision = ScheduleDecision(
             resolutions=resolutions,
             fps=fps,
             assignment=assignment,
-            outcome=outcome,
-            benefit=float(self.preference.value(outcome)),
+            outcome=placed.outcome,
+            benefit=float(self.preference.value(placed.outcome)),
             method=self.method_name,
         )
         return OptimizationOutcome(

@@ -189,22 +189,10 @@ def summarize_serve_run(path) -> ServeSummary:
     if not jsonl_segments(path):
         raise FileNotFoundError(path)
     summary = ServeSummary(path=str(path))
-    push = summary.stats.push
     for rec in iter_jsonl_records(path):
         kind = rec.get("event")
         if kind == "serve.decision":
-            push(
-                latency_s=float(rec.get("latency_s", 0.0)),
-                benefit=rec.get("benefit"),
-                events=len(rec.get("events", ())),
-                full_solve=bool(rec.get("full_solve")),
-                cache_hits=int(rec.get("cache_hits", 0)),
-                solved=int(rec.get("solved", 0)),
-                rejected=len(rec.get("rejected", ())),
-                evicted=len(rec.get("evicted", ())),
-                shed=len(rec.get("shed", ())),
-                brownout=rec.get("mode") == "brownout",
-            )
+            summary.stats.push(rec)
             summary.n_streams_last = int(
                 rec.get("n_streams", summary.n_streams_last)
             )

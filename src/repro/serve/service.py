@@ -66,7 +66,7 @@ import time
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -138,15 +138,16 @@ _GAUGES = {
 class ServeStats:
     """The one tally of serve decisions: lifetime totals plus the window.
 
-    :meth:`SchedulerService._emit_decision` pushes each
-    :class:`ServeDecision` and :func:`repro.serve.report.
-    summarize_serve_run` pushes each logged ``serve.decision`` record, so
-    :meth:`SchedulerService.summary`, ``/varz``, :meth:`SchedulerService.
-    health_snapshot`, the SLO rules, every ``repro_serve_*`` series and
-    ``repro serve report`` read every decision-derived count from one
-    definition.  The lifetime latency histogram is :attr:`epochs`,
-    :attr:`latency_sum` and :attr:`latency_buckets` (per-bucket counts
-    over :data:`~repro.obs.metrics.DEFAULT_BUCKETS`).  The window parts
+    :meth:`SchedulerService._emit_decision` pushes each decision's
+    ``serve.decision`` record (the one it logs) and
+    :func:`repro.serve.report.summarize_serve_run` pushes each logged
+    one, so :meth:`SchedulerService.summary`, ``/varz``,
+    :meth:`SchedulerService.health_snapshot`, the SLO rules, every
+    ``repro_serve_*`` series and ``repro serve report`` read every
+    decision-derived count from one definition.  The lifetime latency
+    histogram is :attr:`epochs`, :attr:`latency_sum` and
+    :attr:`latency_buckets` (per-bucket counts over
+    :data:`~repro.obs.metrics.DEFAULT_BUCKETS`).  The window parts
     — decision-latency percentiles, the cache-hit ratio and the benefit
     baseline — cover the last :data:`DECISION_WINDOW` decisions through
     a :class:`~repro.obs.metrics.RollingWindow` and running sums updated
@@ -175,30 +176,25 @@ class ServeStats:
         self._benefit_sum = 0.0
         self._benefit_n = 0
 
-    def push(
-        self,
-        *,
-        latency_s: float,
-        benefit: float | None,
-        events: int,
-        full_solve: bool,
-        cache_hits: int,
-        solved: int,
-        rejected: int,
-        evicted: int,
-        shed: int,
-        brownout: bool,
-    ) -> None:
-        """Count one decision (list-valued fields as their lengths)."""
+    def push(self, record: Mapping) -> None:
+        """Count one ``serve.decision`` record (list fields by length).
+
+        The one mapping from record fields to counts; a field missing
+        from a partial log counts as zero, empty or false.
+        """
+        latency_s = float(record.get("latency_s", 0.0))
+        benefit = record.get("benefit")
+        cache_hits = int(record.get("cache_hits", 0))
+        solved = int(record.get("solved", 0))
         self.epochs += 1
-        self.events += events
-        self.full_solves += full_solve
+        self.events += len(record.get("events", ()))
+        self.full_solves += bool(record.get("full_solve"))
         self.cache_hits += cache_hits
         self.solved += solved
-        self.rejected += rejected
-        self.evicted += evicted
-        self.shed += shed
-        self.brownout_epochs += brownout
+        self.rejected += len(record.get("rejected", ()))
+        self.evicted += len(record.get("evicted", ()))
+        self.shed += len(record.get("shed", ()))
+        self.brownout_epochs += record.get("mode") == "brownout"
         self.latency_sum += latency_s
         self.latency_buckets[bisect_left(DEFAULT_BUCKETS, latency_s)] += 1
         self.latency.observe(latency_s)
@@ -408,32 +404,6 @@ class ServeDecision:
         if self.benefit is not None:
             h.update(np.float64(self.benefit).tobytes())
         return h.hexdigest()[:16]
-
-    def to_dict(self) -> dict:
-        return {
-            "epoch": int(self.epoch),
-            "time": float(self.time),
-            "events": list(self.events),
-            "n_streams": len(self.stream_ids),
-            "stream_ids": [int(s) for s in self.stream_ids],
-            "resolutions": [float(v) for v in self.resolutions],
-            "fps": [float(v) for v in self.fps],
-            "assignment": {
-                str(k): [int(q) for q in v] for k, v in self.assignment.items()
-            },
-            "outcome": None if self.outcome is None else [
-                float(v) for v in self.outcome
-            ],
-            "benefit": None if self.benefit is None else float(self.benefit),
-            "full_solve": bool(self.full_solve),
-            "cache_hits": int(self.cache_hits),
-            "solved": int(self.solved),
-            "rejected": [int(s) for s in self.rejected],
-            "evicted": [int(s) for s in self.evicted],
-            "shed": [int(s) for s in self.shed],
-            "mode": self.mode,
-            "latency_s": float(self.latency_s),
-        }
 
 
 @dataclass
@@ -1043,24 +1013,21 @@ class SchedulerService:
         """Record the epoch's decision; ``t0`` is when the epoch began.
 
         The decision latency is measured once, right after the WAL
-        append returns; the window push, the ``serve.decision`` event
-        and the SLO evaluation all run afterwards and read that value.
+        append returns; the ``serve.decision`` record is built once
+        afterwards, pushed into :attr:`stats` and, with telemetry on,
+        logged as is, and the SLO evaluation reads the same value.
         """
-        sids, r, s = self.planner.decision_arrays()
-        outcome = benefit = None
-        assignment: dict[int, tuple[int, ...]] = {}
-        if sids and self.planner.n_alive:
-            outcome = self.planner.outcome()
-            benefit = float(self.preference.value(outcome))
-            assignment = self.planner.stream_assignment()
+        placed = self.planner.placement()
+        outcome = placed.outcome
+        benefit = None if outcome is None else float(self.preference.value(outcome))
         decision = ServeDecision(
             epoch=epoch,
             time=t,
             events=events,
-            stream_ids=sids,
-            resolutions=r,
-            fps=s,
-            assignment=assignment,
+            stream_ids=placed.stream_ids,
+            resolutions=placed.resolutions,
+            fps=placed.fps,
+            assignment=placed.servers,
             outcome=outcome,
             benefit=benefit,
             full_solve=full_solve,
@@ -1080,18 +1047,24 @@ class SchedulerService:
                 sig=decision.sig_hash(),
             )
         latency_s = decision.latency_s = time.perf_counter() - t0
-        self.stats.push(
-            latency_s=latency_s,
-            benefit=benefit,
-            events=len(events),
-            full_solve=full_solve,
-            cache_hits=cache_hits,
-            solved=solved,
-            rejected=len(rejected),
-            evicted=len(evicted),
-            shed=len(decision.shed),
-            brownout=mode == "brownout",
-        )
+        record = {
+            "epoch": int(epoch),
+            "time": float(t),
+            "events": events,
+            "n_streams": len(placed.stream_ids),
+            "n_alive_servers": int(self.planner.n_alive),
+            "benefit": benefit,
+            "outcome": None if outcome is None else outcome.tolist(),
+            "full_solve": bool(full_solve),
+            "cache_hits": int(cache_hits),
+            "solved": int(solved),
+            "rejected": [int(x) for x in rejected],
+            "evicted": [int(x) for x in evicted],
+            "shed": [int(x) for x in decision.shed],
+            "mode": mode,
+            "latency_s": latency_s,
+        }
+        self.stats.push(record)
         telemetry.counter("serve.replans")
         if full_solve:
             telemetry.counter("serve.full_solves")
@@ -1099,24 +1072,7 @@ class SchedulerService:
             telemetry.counter("serve.cache_hits", cache_hits)
         telemetry.counter("serve.solved", solved)
         if telemetry.enabled:
-            telemetry.event(
-                "serve.decision",
-                epoch=int(epoch),
-                time=float(t),
-                events=events,
-                n_streams=len(sids),
-                n_alive_servers=int(self.planner.n_alive),
-                benefit=benefit,
-                outcome=None if outcome is None else [float(v) for v in outcome],
-                full_solve=bool(full_solve),
-                cache_hits=int(cache_hits),
-                solved=int(solved),
-                rejected=[int(x) for x in rejected],
-                evicted=[int(x) for x in evicted],
-                shed=[int(x) for x in decision.shed],
-                mode=mode,
-                latency_s=latency_s,
-            )
+            telemetry.event("serve.decision", **record)
         self._observe(decision)
         return decision
 
@@ -1317,17 +1273,15 @@ class SchedulerService:
         """
         if self.last_decision is not None:
             return self.last_decision
-        sids, r, s = self.planner.decision_arrays()
-        if not sids:
+        placed = self.planner.placement()
+        if placed.outcome is None:
             raise RuntimeError("no streams admitted; nothing deployed")
-        outcome = self.planner.outcome()
-        per_stream = self.planner.stream_assignment()
         return ScheduleDecision(
-            resolutions=r,
-            fps=s,
-            assignment=[int(per_stream[sid][0]) for sid in sids],
-            outcome=outcome,
-            benefit=float(self.preference.value(outcome)),
+            resolutions=placed.resolutions,
+            fps=placed.fps,
+            assignment=[placed.servers[sid][0] for sid in placed.stream_ids],
+            outcome=placed.outcome,
+            benefit=float(self.preference.value(placed.outcome)),
             method="Serve",
         )
 

@@ -69,8 +69,3 @@ class EncoderModel:
         check_positive("fps", fps)
         gain = self.inter_gain * min(fps / native_fps, 1.0)
         return self.bits_per_frame(width, texture=texture) * fps * (1.0 - gain)
-
-    def transmission_time(self, width: float, bandwidth_mbps: float, *, texture: float = 1.0) -> float:
-        """Serialization delay (s) of one frame over an uplink."""
-        check_positive("bandwidth_mbps", bandwidth_mbps)
-        return self.bits_per_frame(width, texture=texture) / (bandwidth_mbps * 1e6)

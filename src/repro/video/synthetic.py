@@ -73,15 +73,6 @@ class SyntheticClip:
     def n_frames(self) -> int:
         return len(self.frames)
 
-    @property
-    def duration(self) -> float:
-        """Clip length in seconds at the native frame rate."""
-        return self.n_frames / self.config.native_fps
-
-    def mean_object_count(self) -> float:
-        """Average visible objects per frame."""
-        return float(np.mean([f.shape[0] for f in self.frames])) if self.frames else 0.0
-
 
 def generate_clip(
     config: SceneConfig | None = None,

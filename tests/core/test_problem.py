@@ -15,7 +15,7 @@ def problem():
 class TestConfigSpace:
     def test_defaults(self):
         cs = ConfigSpace()
-        assert cs.n_configs == 36
+        assert len(cs.all_configs()) == 36
 
     def test_snap(self):
         cs = ConfigSpace()

@@ -79,11 +79,7 @@ class TestRenderPrometheus:
 
         stats = ServeStats()
         for v in (0.05, 0.5, 5.0, 50.0):
-            stats.push(
-                latency_s=v, benefit=None, events=0, full_solve=False,
-                cache_hits=0, solved=0, rejected=0, evicted=0, shed=0,
-                brownout=False,
-            )
+            stats.push({"latency_s": v})
         reg = _registry(
             h=histogram_snapshot(
                 "", stats.latency_buckets, stats.epochs, stats.latency_sum

@@ -233,11 +233,7 @@ class TestHistogram:
 
         stats = ServeStats()
         for latency in (DEFAULT_BUCKETS[1], math.nextafter(DEFAULT_BUCKETS[1], 1.0)):
-            stats.push(
-                latency_s=latency, benefit=None, events=0, full_solve=False,
-                cache_hits=0, solved=0, rejected=0, evicted=0, shed=0,
-                brownout=False,
-            )
+            stats.push({"latency_s": latency})
         snap = histogram_snapshot(
             "", stats.latency_buckets, stats.epochs, stats.latency_sum
         )

@@ -36,11 +36,6 @@ class TestTieredTariff:
         assert np.all(d1 >= 0)  # increasing
         assert np.all(np.diff(d1) >= -1e-9)  # marginal rate non-decreasing
 
-    def test_marginal_rate(self):
-        t = TieredTariff(thresholds=(10.0,), rates=(1.0, 3.0))
-        assert t.marginal_rate(5.0) == 1.0
-        assert t.marginal_rate(15.0) == 3.0
-
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
             TieredTariff(thresholds=(10.0,), rates=(1.0,))

@@ -43,25 +43,25 @@ class TestDivisorPriorities:
 class TestGroupStreams:
     def test_single_stream(self):
         res = group_streams([_stream(0, 10, 0.05)], 2)
-        assert res.n_nonempty == 1
+        assert sum(1 for g in res.groups if g) == 1
         assert res.validate()
 
     def test_harmonic_streams_share_group(self):
         streams = [_stream(0, 10, 0.03), _stream(1, 5, 0.03)]
         res = group_streams(streams, 2)
-        assert res.n_nonempty == 1
+        assert sum(1 for g in res.groups if g) == 1
 
     def test_nonharmonic_streams_separated(self):
         # periods 0.3 and 0.4 can't share a group (not harmonic)
         streams = [_stream(0, 1 / 0.3, 0.05), _stream(1, 2.5, 0.05)]
         res = group_streams(streams, 2)
-        assert res.n_nonempty == 2
+        assert sum(1 for g in res.groups if g) == 2
 
     def test_capacity_forces_second_group(self):
         # each p = 0.06, T = 0.1 -> two fit (0.12 > 0.1? no: 0.12 > 0.1, only one fits)
         streams = [_stream(0, 10, 0.06), _stream(1, 10, 0.06)]
         res = group_streams(streams, 2)
-        assert res.n_nonempty == 2
+        assert sum(1 for g in res.groups if g) == 2
 
     def test_infeasible_raises(self):
         streams = [_stream(i, 10, 0.09) for i in range(3)]

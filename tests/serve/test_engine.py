@@ -42,14 +42,13 @@ class TestSolveAll:
         problem = _problem()
         planner = _planner(problem)
         planner.solve_all({i: float(t) for i, t in enumerate(problem.textures)})
-        sids, r, s = planner.decision_arrays()
+        sids, r, s, _, got = planner.placement()
         assert sids == list(range(problem.n_streams))
         # acc/net/com/eng depend only on the knob configs, so they must
         # agree with the closed forms exactly.  Latency (index 0) also
         # depends on the planner's split/placement, which may differ
         # from the problem's own Algorithm-1 run, so just sanity-check.
         expected = problem.evaluate(r, s)
-        got = planner.outcome()
         np.testing.assert_allclose(got[1:], expected[1:], rtol=1e-9)
         assert got[0] > 0.0
 
@@ -60,9 +59,10 @@ class TestSolveAll:
         a.solve_all(textures)
         b = _planner(problem)
         b.solve_all(textures)
-        assert a.decision_arrays()[1].tolist() == b.decision_arrays()[1].tolist()
-        assert a.decision_arrays()[2].tolist() == b.decision_arrays()[2].tolist()
-        assert a.stream_assignment() == b.stream_assignment()
+        pa, pb = a.placement(), b.placement()
+        assert pa.resolutions.tolist() == pb.resolutions.tolist()
+        assert pa.fps.tolist() == pb.fps.tolist()
+        assert pa.servers == pb.servers
 
 
 class TestMutations:
@@ -108,7 +108,7 @@ class TestMutations:
     def test_server_down_repairs_or_evicts(self, planner):
         stats = planner.server_down(0)
         assert not planner.alive[0]
-        assert 0 not in [s for subs in planner.stream_assignment().values()
+        assert 0 not in [s for subs in planner.placement().servers.values()
                         for s in subs]
         assert set(stats) >= {"migrated", "degraded", "evicted"}
         assert _schedulable(planner)
@@ -184,10 +184,10 @@ class TestKnobPairValidation:
         planner.solve_all({i: float(t) for i, t in enumerate(problem.textures)})
         sid = min(planner.entries)
         before = _snapshot(planner)
-        outcome = planner.outcome()
+        outcome = planner.placement().outcome
         with pytest.raises(ValueError, match="not a knob pair"):
             planner.set_config(sid, 700.0, 3.0)
         assert _snapshot(planner) == before
         assert len(planner.entries[sid].subs) > 0
-        np.testing.assert_array_equal(planner.outcome(), outcome)
+        np.testing.assert_array_equal(planner.placement().outcome, outcome)
         assert _schedulable(planner)

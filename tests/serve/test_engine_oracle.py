@@ -10,11 +10,14 @@ per-knob tables, the vectorized ranking and the cached Theorem-3 check:
   scan starting at group 0;
 * groups (:class:`ReferenceGroup`) keyed by rounded period, with
   ``pmin`` recomputed as ``min`` over every member and ``fits`` looping
-  over every distinct period.
+  over every distinct period;
+* the schedule read out in three passes (configs, per-stream servers,
+  outcome), each solving the group→server assignment on its own.
 
 The planner must make the same decisions with bit-identical floats:
 ranked lists, configs, group sums and minimum periods, eviction scores,
-and the ``sig_hash`` sequence of a whole serve replay.
+the one-pass :meth:`~repro.serve.engine.IncrementalPlanner.placement`
+read-out, and the ``sig_hash`` sequence of a whole serve replay.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from hypothesis import strategies as st
 
 from repro.core.problem import EVAProblem
 from repro.obs import telemetry
+from repro.sched.assignment import solve_group_assignment
 from repro.sched.grouping import InfeasibleScheduleError
 from repro.sched.streams import split_count
 from repro.serve import (
@@ -40,6 +44,7 @@ from repro.serve import (
     generate_load,
 )
 from repro.serve import engine as engine_mod
+from repro.serve.engine import Placement
 from repro.serve import service as service_mod
 
 _EPS = 1e-9
@@ -377,6 +382,57 @@ class ReferencePlanner(IncrementalPlanner):
                 stats["evicted"].append(sid)
         return stats
 
+    # The read-out as three passes, each solving the assignment anew.
+    def assignment(self):
+        alive = self.alive_indices()
+        rates = np.array([g.rate for g in self.groups])
+        server_of_group = solve_group_assignment(rates, self.effective_bw())
+        return {gi: alive[si] for gi, si in enumerate(server_of_group)}
+
+    def outcome(self):
+        server_of = self.assignment()
+        group_index = {id(g): i for i, g in enumerate(self.groups)}
+        eff = {
+            j: self.nominal_bw[j] * self.factor[j] * 1e6
+            for j in self.alive_indices()
+        }
+        lat_total = 0.0
+        for sid in sorted(self.entries):
+            entry = self.entries[sid]
+            inv_bw = 0.0
+            for sub in entry.subs:
+                j = server_of[group_index[id(sub.group)]]
+                inv_bw += 1.0 / eff[j]
+            lat_total += entry.ptime + entry.bits * inv_bw / len(entry.subs)
+        n = len(self.entries)
+        return np.array(
+            [lat_total / n, self.acc_sum / n, self.net_sum, self.com_sum,
+             self.eng_sum]
+        )
+
+    def stream_assignment(self):
+        server_of = self.assignment()
+        group_index = {id(g): i for i, g in enumerate(self.groups)}
+        return {
+            sid: tuple(
+                server_of[group_index[id(sub.group)]]
+                for sub in self.entries[sid].subs
+            )
+            for sid in sorted(self.entries)
+        }
+
+    def decision_arrays(self):
+        sids = sorted(self.entries)
+        r = np.array([self.entries[s].resolution for s in sids])
+        s = np.array([self.entries[s].fps for s in sids])
+        return sids, r, s
+
+    def placement(self):
+        sids, r, s = self.decision_arrays()
+        if not sids:
+            return Placement(sids, r, s, {}, None)
+        return Placement(sids, r, s, self.stream_assignment(), self.outcome())
+
 
 # -- helpers -----------------------------------------------------------------
 def _bits(x: float) -> bytes:
@@ -411,6 +467,18 @@ def _state(planner) -> tuple:
                   planner.eng_sum, planner.ptime_sum, planner.bits_sum)
     )
     return groups, entries, sums, tuple(planner.alive), tuple(planner.factor)
+
+
+def _readout(planner) -> tuple:
+    """The planner's :meth:`placement`, floats as raw IEEE bytes."""
+    p = planner.placement()
+    return (
+        p.stream_ids,
+        tuple(_bits(v) for v in p.resolutions),
+        tuple(_bits(v) for v in p.fps),
+        p.servers,
+        None if p.outcome is None else tuple(_bits(v) for v in p.outcome),
+    )
 
 
 def _pair(n_servers: int, seed: int, n_streams: int = 4):
@@ -526,6 +594,7 @@ class TestOpSequences:
         for op in ops:
             assert _apply(fast, op, tex_fast) == _apply(ref, op, tex_ref), op
             assert _state(fast) == _state(ref), op
+            assert _readout(fast) == _readout(ref), op
             assert tex_fast == tex_ref
             assert fast.rank_configs(0.9) == ref.rank_configs(0.9)
 
@@ -535,11 +604,34 @@ class TestOpSequences:
         textures = _population(40, 7)
         assert fast.solve_all(textures) == ref.solve_all(textures)
         assert _state(fast) == _state(ref)
+        assert _readout(fast) == _readout(ref)
         for sid, entry in fast.entries.items():
             assert fast.rank_configs(entry.texture) == ref.rank_configs(entry.texture)
         assert _scores_bits(fast.eviction_scores()) == _scores_bits(
             ref.eviction_scores()
         )
+
+
+class TestSplitReadout:
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_a_split_stream_reads_out_alike(self, seed):
+        # One stream at a time, split in 3 sub-streams over drifted
+        # uplinks: the latency term is its per-sub average alone, which
+        # the replays (no split streams) never pin down.
+        fast, ref = _pair(6, seed)
+        gen = np.random.default_rng(seed)
+        for server in range(6):
+            factor = float(gen.uniform(0.3, 1.0))
+            fast.set_bandwidth_factor(server, factor)
+            ref.set_bandwidth_factor(server, factor)
+        r, s = next((r, s) for r, s in fast.config_space.all_configs()
+                    if fast._knob(r, s).k == 3)
+        for sid in range(16):
+            tex = float(gen.uniform(0.6, 1.4))
+            assert fast.add_stream(sid, tex, r, s) and ref.add_stream(sid, tex, r, s)
+            assert len(fast.entries[sid].subs) == 3
+            assert _readout(fast) == _readout(ref)
+            assert fast.remove_stream(sid) and ref.remove_stream(sid)
 
 
 class TestRankTies:

@@ -22,6 +22,7 @@ from repro.serve import (
     DECISION_WINDOW,
     SchedulerService,
     ServeEvent,
+    ServeStats,
     approx_preference,
     render_top,
     run_top,
@@ -473,7 +474,9 @@ class TestOneTally:
         return reg.to_dict()
 
     def _assert_one_tally(self, svc, path):
-        rep = summarize_serve_run(path).to_dict()
+        logged = summarize_serve_run(path)
+        assert logged.stats.to_dict() == svc.stats.to_dict()
+        rep = logged.to_dict()
         s = svc.summary()
         for key in self._DECISION_KEYS:
             assert rep[key] == s[key], key
@@ -544,6 +547,39 @@ class TestOneTally:
         killed.write_text("\n".join(kept) + "\n")
         assert summarize_serve_run(killed).counters == {}
         self._assert_one_tally(svc, killed)
+
+    def test_a_log_cut_mid_run_tallies_as_the_records_before_the_cut(self, tmp_path):
+        """The service logs the very record it pushes, so a log cut off
+        mid-run (torn last line) tallies as the live records before it."""
+        from repro.serve import AdmissionController
+
+        svc = _service(
+            admission=AdmissionController(join_rate_per_epoch=0.5),
+            reoptimize_every=3,
+        )
+        pushed = []
+        push = svc.stats.push
+        svc.stats.push = lambda record: (pushed.append(record), push(record))
+        path = tmp_path / "serve.jsonl"
+        self._logged_run(svc, _churn(8), path)
+        self._assert_one_tally(svc, path)
+        lines = path.read_text().splitlines(keepends=True)
+        records = [json.loads(ln) for ln in lines]
+        at = [i for i, r in enumerate(records) if r["event"] == "serve.decision"]
+        logged = [records[i] for i in at]
+        assert [
+            {k: v for k, v in rec.items() if k not in ("event", "ts", "pid")}
+            for rec in logged
+        ] == pushed
+        assert any(r["shed"] for r in pushed) and any(r["full_solve"] for r in pushed)
+        for k in (1, len(at) // 2, len(at) - 1):
+            cut = tmp_path / f"cut{k}.jsonl"
+            torn = lines[at[k]]
+            cut.write_text("".join(lines[: at[k]]) + torn[: len(torn) // 2])
+            fed = ServeStats()
+            for record in pushed[:k]:
+                fed.push(record)
+            assert summarize_serve_run(cut).stats.to_dict() == fed.to_dict(), k
 
     def test_registry_attached_mid_run_reads_the_whole_run(self):
         svc = _service()

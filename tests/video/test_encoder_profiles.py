@@ -34,11 +34,6 @@ class TestEncoderModel:
         rate = enc.bitrate(1920, 30)
         assert 10e6 < rate < 20e6
 
-    def test_transmission_time(self):
-        enc = EncoderModel(base_bits=1e6, overhead_bits=0.0)
-        t = enc.transmission_time(1920, 100.0)
-        assert t == pytest.approx(0.01)
-
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             EncoderModel(inter_gain=1.0)
