@@ -28,7 +28,6 @@ from repro.sched.assignment import (
     communication_latency,
     solve_group_assignment,
     clear_assignment_cache,
-    assignment_cache_size,
 )
 from repro.sched.solvers import (
     exact_grouping,
@@ -54,7 +53,6 @@ __all__ = [
     "communication_latency",
     "solve_group_assignment",
     "clear_assignment_cache",
-    "assignment_cache_size",
     "exact_grouping",
     "AnnealedScheduler",
     "AnnealResult",

@@ -38,11 +38,6 @@ def clear_assignment_cache() -> None:
     _ASSIGN_CACHE.clear()
 
 
-def assignment_cache_size() -> int:
-    """Number of memoized Hungarian solves currently held."""
-    return len(_ASSIGN_CACHE)
-
-
 def solve_group_assignment(
     group_rate: np.ndarray, bandwidths_mbps: np.ndarray
 ) -> tuple[int, ...]:

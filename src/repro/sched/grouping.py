@@ -34,6 +34,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
+import numpy as np
+
 from repro.obs.telemetry import telemetry
 from repro.sched.streams import PeriodicStream
 from repro.sched.theory import theorem3_conditions
@@ -309,6 +311,16 @@ class FitBound:
         slack = min(period - self.min_total_p, self.max_slack)
         slack = max(slack, min(period, pmin) - total_p)
         return processing_time > slack + self.margin
+
+    def excludes_all(self, periods: np.ndarray, processing_times: np.ndarray) -> bool:
+        """True only if no candidate of the arrays fits any group.
+
+        For a bound built with no open group (``open_`` outside the
+        group indices), so step 2's B is ``min(T − min t, max slack)``
+        alone; each element is :meth:`excludes`' float expression.
+        """
+        slack = np.minimum(periods - self.min_total_p, self.max_slack)
+        return bool(np.all(processing_times > slack + self.margin))
 
 
 def first_fit(groups: Sequence[ZeroJitterGroup], candidate, start: int = 0) -> int:

@@ -12,8 +12,9 @@ should keep the valuable streams and shed the cheap ones.
   may only ever displace streams of *strictly lower* priority, so a
   low class can never evict a high one no matter how its benefit
   scores (the invariant the property suite pins);
-* **benefit-aware eviction** — eviction candidates are ranked by
-  :meth:`~repro.serve.engine.IncrementalPlanner.eviction_scores`
+* **benefit-aware eviction** — eviction candidates (the strictly
+  lower classes only; a join with none is rejected unscored) are ranked
+  by :meth:`~repro.serve.engine.IncrementalPlanner.eviction_scores`
   (marginal benefit per unit utilization), lowest first within each
   priority class, and removed one at a time until the joiner fits;
   if it still doesn't fit, every victim is restored at its original
@@ -248,21 +249,26 @@ class AdmissionController:
         marginal benefit per unit utilization, then id — fully
         deterministic); after each removal the joiner retries.  If the
         budget runs out the removals are rolled back in reverse at
-        their original configs.
+        their original configs.  Only the strictly-lower-priority
+        streams are scored, and none when there are none: a score
+        depends on its own stream alone, so the victims and their
+        order are those of scoring the whole fleet.
         """
         if self.max_evictions_per_join == 0:
             return AdmissionOutcome(
                 sid, "rejected", priority=prio, reason="no_fit"
             )
-        scores = planner.eviction_scores()
-        victims = sorted(
-            (v for v in scores if self.priority_of(v) < prio),
-            key=lambda v: (self.priority_of(v), scores[v], v),
-        )
-        if not victims:
+        lower: dict[int, int] = {}
+        for v in planner.entries:
+            p = self.priority_of(v)
+            if p < prio:
+                lower[v] = p
+        if not lower:
             return AdmissionOutcome(
                 sid, "rejected", priority=prio, reason="no_lower_priority"
             )
+        scores = planner.eviction_scores(lower)
+        victims = sorted(lower, key=lambda v: (lower[v], scores[v], v))
         removed: list[tuple[int, float, float, float]] = []
         for vid in victims[: self.max_evictions_per_join]:
             entry = planner.entries[vid]

@@ -18,12 +18,17 @@ O(M²) divisor-priority pass on every join and leave.
   sums, so the outcome vector after a delta costs O(sub-streams) for
   the latency term and O(1) for the rest;
 * the group→server Hungarian solve reuses the memoized
-  :func:`repro.sched.assignment.solve_group_assignment`.
+  :func:`repro.sched.assignment.solve_group_assignment`, and the
+  read-out (:meth:`IncrementalPlanner.placement`) and the eviction
+  scores are elementwise over per-stream columns kept in id order, so
+  a decision walks no stream in Python unless it is split.
 
 Only the ordering policy is the engine's own: joins are placed at their
 benefit-ranked knob pair, first fit over the live groups.  A failed
 insertion takes back what it placed, so the service can try
-candidates best-first and fall back cleanly.  The full solve's upgrade
+candidates best-first and fall back cleanly.  A join no knob can fit
+is refused by one bound check (:meth:`IncrementalPlanner.admit`)
+before any ranking or scan.  The full solve's upgrade
 pass asks before it moves: a non-mutating query
 (:meth:`IncrementalPlanner._landing`) scans
 :class:`~repro.sched.grouping.GroupView` copies of the groups the
@@ -161,21 +166,6 @@ class _Knob(NamedTuple):
         return self.ptime
 
 
-class Placement(NamedTuple):
-    """One read-out of the live schedule (:meth:`IncrementalPlanner.placement`).
-
-    Per admitted stream, in id order: its resolution, fps and physical
-    server(s), one per sub-stream (§3's decision triple), plus the
-    schedule's Eq. 2–5 outcome vector (None with no stream admitted).
-    """
-
-    stream_ids: list[int]
-    resolutions: np.ndarray
-    fps: np.ndarray
-    servers: dict[int, tuple[int, ...]]
-    outcome: np.ndarray | None
-
-
 class _Entry:
     """Per-stream decision cache entry: config plus outcome contributions.
 
@@ -207,6 +197,89 @@ class _Entry:
         self.com, self.eng = knob.com, knob.eng
         self.ptime = knob.ptime
         self.bits = self.frame_bits[knob.res]
+
+
+class Placement(NamedTuple):
+    """One read-out of the live schedule (:meth:`IncrementalPlanner.placement`).
+
+    Per admitted stream, in id order: its resolution, fps and physical
+    server(s), one per sub-stream (§3's decision triple), plus the
+    schedule's Eq. 2–5 outcome vector (None with no stream admitted).
+    ``server_col`` holds ``servers`` as one int64 array, a server per
+    stream, when no stream is split (None otherwise): the column
+    :meth:`repro.serve.service.ServeDecision.sig_hash` hashes.
+    """
+
+    stream_ids: list[int]
+    resolutions: np.ndarray
+    fps: np.ndarray
+    servers: dict[int, tuple[int, ...]]
+    outcome: np.ndarray | None
+    server_col: np.ndarray | None = None
+
+
+# Rows of :attr:`_Columns.num`, one float per admitted stream each.
+_RES, _FPS, _PTIME, _BITS, _ACC, _NET, _COM, _ENG = range(8)
+
+
+class _Columns:
+    """The admitted streams' read-out terms as columns, in id order.
+
+    Column i of ``num`` holds stream ``sid[i]``'s resolution, fps,
+    ptime, bits and Eq. 2–4 terms (rows ``_RES`` … ``_ENG``);
+    ``slot[i]`` is the index in the planner's ``groups`` of an unsplit
+    stream's sub-stream, -1 for a split stream.  Columns ``n`` onward
+    are spare capacity, so a join costs one shift of the columns above
+    it rather than a new array.
+    """
+
+    __slots__ = ("n", "sid", "slot", "num")
+
+    def __init__(self, capacity: int = 64) -> None:
+        self.n = 0
+        self.sid = np.empty(capacity, dtype=np.int64)
+        self.slot = np.empty(capacity, dtype=np.intp)
+        self.num = np.empty((8, capacity))
+
+    @classmethod
+    def of(cls, planner: "IncrementalPlanner") -> "_Columns":
+        """The columns of ``planner``'s entries, read off the entries."""
+        cols = cls(max(64, 2 * len(planner.entries)))
+        index = {id(g): i for i, g in enumerate(planner.groups)}
+        for sid in sorted(planner.entries):
+            entry = planner.entries[sid]
+            subs = entry.subs
+            cols.put(entry, index[id(subs[0].group)] if len(subs) == 1 else -1)
+        return cols
+
+    def put(self, entry: _Entry, slot: int) -> None:
+        """Write ``entry``'s column, inserting it if the stream is new."""
+        n = self.n
+        sid = entry.sid
+        i = int(np.searchsorted(self.sid[:n], sid))
+        if i == n or self.sid[i] != sid:
+            if n == self.sid.size:
+                self.sid = np.concatenate((self.sid, np.empty_like(self.sid)))
+                self.slot = np.concatenate((self.slot, np.empty_like(self.slot)))
+                self.num = np.concatenate((self.num, np.empty_like(self.num)), axis=1)
+            if i < n:
+                self.sid[i + 1:n + 1] = self.sid[i:n]
+                self.slot[i + 1:n + 1] = self.slot[i:n]
+                self.num[:, i + 1:n + 1] = self.num[:, i:n]
+            self.sid[i] = sid
+            self.n = n + 1
+        self.slot[i] = slot
+        self.num[:, i] = (entry.resolution, entry.fps, entry.ptime, entry.bits,
+                          entry.acc, entry.net, entry.com, entry.eng)
+
+    def drop(self, sid: int) -> None:
+        """Take stream ``sid``'s column out."""
+        n = self.n
+        i = int(np.searchsorted(self.sid[:n], sid))
+        self.sid[i:n - 1] = self.sid[i + 1:n]
+        self.slot[i:n - 1] = self.slot[i + 1:n]
+        self.num[:, i:n - 1] = self.num[:, i + 1:n]
+        self.n = n - 1
 
 
 class IncrementalPlanner:
@@ -326,6 +399,25 @@ class IncrementalPlanner:
         """
         return max(max(c.period, c.ptime) for c in self._candidates)
 
+    @cached_property
+    def _cand_period(self) -> np.ndarray:
+        """Each candidate's sub-stream period, as ``_cand_ptime`` its
+        processing time (derived on first use, as :attr:`_top`)."""
+        return np.array([c.period for c in self._candidates])
+
+    #: The entries' read-out columns (:class:`_Columns`), kept by
+    #: :meth:`_place_entry`, :meth:`_drop_entry` and :meth:`server_down`.
+    #: None until a read-out derives them (:meth:`_columns`) and again
+    #: after :meth:`clear_streams`; a class-level default, so a planner
+    #: pickled before the columns existed resumes.
+    _cols: _Columns | None = None
+
+    def _columns(self) -> _Columns:
+        cols = self._cols
+        if cols is None:
+            cols = self._cols = _Columns.of(self)
+        return cols
+
     def _knob(self, r: float, s: float) -> _Knob:
         knob = self._knobs.get((float(r), float(s)))
         if knob is None:
@@ -404,6 +496,10 @@ class IncrementalPlanner:
             key=lambda i: (self.groups[i].total_p, i),
         )
         group = self.groups.pop(victim)
+        cols = self._cols
+        if cols is not None:  # the groups after the victim move down one
+            slot = cols.slot[:cols.n]
+            slot[slot > victim] -= 1
         affected = sorted({sub.owner for sub in group.members})
         if priority_of is not None:
             affected.sort(key=lambda sid: (-priority_of(sid), sid))
@@ -491,6 +587,9 @@ class IncrementalPlanner:
         entry.set_knob(knob)
         entry.subs = subs
         self._sub_sums(entry, 1.0)
+        cols = self._cols
+        if cols is not None:
+            cols.put(entry, self.groups.index(subs[0].group) if knob.k == 1 else -1)
         return True
 
     def _sub_sums(self, entry: _Entry, sign: float) -> None:
@@ -506,6 +605,8 @@ class IncrementalPlanner:
             sub.detach()
         self._sub_sums(entry, -1.0)
         del self.entries[entry.sid]
+        if self._cols is not None:
+            self._cols.drop(entry.sid)
 
     def add_stream(self, sid: int, texture: float, r: float, s: float) -> bool:
         """Admit a stream at config (r, s); False (state unchanged) if unfit."""
@@ -578,8 +679,22 @@ class IncrementalPlanner:
         """Admit a stream at the best config that fits (best-first greedy).
 
         Returns the chosen (r, s), or ``None`` if no knob pair fits —
-        the admission-control reject the service counts.
+        the admission-control reject the service counts.  A
+        :class:`FitBound` over every group (none open) is checked
+        against the whole knob table first: when it excludes every knob,
+        no first-fit scan could place even one sub-stream, so the reject
+        is proved and returned before the entry is built or the knobs
+        ranked.  The scans it skips would have left every group as it
+        was, floats and member order included.
         """
+        if self.preference is None:
+            raise ValueError("rank_configs needs a preference to score with")
+        if sid in self.entries:
+            raise ValueError(f"stream {sid} already admitted")
+        if FitBound(self.groups, -1, self._top).excludes_all(
+            self._cand_period, self._cand_ptime
+        ):
+            return None
         entry = self._new_entry(sid, texture)
         for knob in self._ranked(entry.cand_bits, self._mean_bw()):
             if self._insert(entry, knob):
@@ -597,8 +712,8 @@ class IncrementalPlanner:
         entry = self.entries[sid]
         return entry.ptime * entry.fps
 
-    def eviction_scores(self) -> dict[int, float]:
-        """Marginal benefit per unit utilization for every stream.
+    def eviction_scores(self, sids=None) -> dict[int, float]:
+        """Marginal benefit per unit utilization of admitted streams.
 
         ``score[sid]`` estimates how much *system benefit per
         server-second of capacity* stream ``sid`` contributes: the
@@ -608,16 +723,26 @@ class IncrementalPlanner:
         scores admissions with), divided by
         :meth:`utilization_of`.  The admission controller evicts
         lowest-score first, so shedding frees the most capacity per
-        unit of benefit given up.  Deterministic: pure arithmetic over
-        the entry table, no RNG, no wall clock.
+        unit of benefit given up.  ``sids`` (admitted ids, default
+        every stream) picks the streams to score; each score is an
+        elementwise function of its stream's column, so it is the same
+        float whichever others are scored with it.  Deterministic: pure
+        arithmetic over the entry table, no RNG, no wall clock.
         """
         if self.preference is None:
             raise ValueError("eviction_scores needs a preference to score with")
         if not self.entries:
             return {}
+        cols = self._columns()
+        n = cols.n
+        ids = cols.sid[:n]
+        if sids is None:
+            picked = np.arange(n)
+        else:
+            picked = np.searchsorted(ids, np.fromiter(sids, dtype=np.int64))
+            if not picked.size:
+                return {}
         mean_bw = self._mean_bw()
-        sids = sorted(self.entries)
-        n = len(sids)
         row_all = np.array(
             [
                 (self.ptime_sum + self.bits_sum / mean_bw) / n,
@@ -629,32 +754,28 @@ class IncrementalPlanner:
         )
         benefit_all = float(self.preference.value(row_all))
         if n == 1:
-            return {sids[0]: benefit_all / self.utilization_of(sids[0])}
-        entries = [self.entries[sid] for sid in sids]
-        terms = np.array(
-            [(e.ptime, e.bits, e.acc, e.net, e.com, e.eng) for e in entries]
-        )
+            sid = int(ids[0])
+            return {sid: benefit_all / self.utilization_of(sid)}
+        t = cols.num[:, picked]
         m = n - 1
-        rows = np.empty((n, 5))
+        rows = np.empty((picked.size, 5))
         rows[:, 0] = (
-            self.ptime_sum - terms[:, 0] + (self.bits_sum - terms[:, 1]) / mean_bw
+            self.ptime_sum - t[_PTIME] + (self.bits_sum - t[_BITS]) / mean_bw
         ) / m
-        rows[:, 1] = (self.acc_sum - terms[:, 2]) / m
-        rows[:, 2] = self.net_sum - terms[:, 3]
-        rows[:, 3] = self.com_sum - terms[:, 4]
-        rows[:, 4] = self.eng_sum - terms[:, 5]
+        rows[:, 1] = (self.acc_sum - t[_ACC]) / m
+        rows[:, 2] = self.net_sum - t[_NET]
+        rows[:, 3] = self.com_sum - t[_COM]
+        rows[:, 4] = self.eng_sum - t[_ENG]
         benefit_without = np.asarray(self.preference.value(rows), dtype=float)
-        return {
-            sid: (benefit_all - float(benefit_without[i]))
-            / self.utilization_of(sid)
-            for i, sid in enumerate(sids)
-        }
+        scores = (benefit_all - benefit_without) / (t[_PTIME] * t[_FPS])
+        return dict(zip(ids[picked].tolist(), scores.tolist()))
 
     # -- full solves -------------------------------------------------------
     def clear_streams(self) -> None:
         """Drop every stream (server state and caches survive)."""
         self.groups = [ZeroJitterGroup() for _ in range(self.n_alive)]
         self.entries = {}
+        self._cols = None
         self.acc_sum = self.net_sum = self.com_sum = self.eng_sum = 0.0
         self.ptime_sum = self.bits_sum = 0.0
 
@@ -892,35 +1013,48 @@ class IncrementalPlanner:
         """The live schedule read once: each stream's triple and Eq. 2–5.
 
         One Hungarian group→server solve (the memoized
-        :func:`repro.sched.assignment.solve_group_assignment`) and one
-        id-sorted walk over every stream's sub-streams.  ``outcome`` is
-        None when no stream is admitted.
+        :func:`repro.sched.assignment.solve_group_assignment`), then
+        the entry columns (:class:`_Columns`) elementwise.  An unsplit
+        stream's latency ``ptime + bits * inv_bw`` is the scalar form's
+        float: its ``inv_bw`` loop adds one term to 0.0 and divides by
+        1.  A split stream takes the scalar per-sub walk.  ``lat_total``
+        is the sequential id-order sum (``np.cumsum``, never the
+        compensated builtin ``sum``).  ``outcome`` is None when no
+        stream is admitted.
         """
-        sids = sorted(self.entries)
-        entries = [self.entries[sid] for sid in sids]
-        r = np.array([e.resolution for e in entries])
-        s = np.array([e.fps for e in entries])
-        if not entries:
-            return Placement(sids, r, s, {}, None)
-        alive = self.alive_indices()
-        server_of_group = solve_group_assignment(
-            np.array([g.rate for g in self.groups]), self.effective_bw()
-        )
-        server_of = {g: alive[si] for g, si in zip(self.groups, server_of_group)}
-        inv = {j: 1.0 / (self.nominal_bw[j] * self.factor[j] * 1e6) for j in alive}
-        servers: dict[int, tuple[int, ...]] = {}
-        lat_total = 0.0
-        for sid, entry in zip(sids, entries):
-            placed = servers[sid] = tuple(server_of[sub.group] for sub in entry.subs)
-            inv_bw = 0.0
-            for j in placed:
-                inv_bw += inv[j]
-            lat_total += entry.ptime + entry.bits * inv_bw / len(placed)
-        n = len(entries)
+        cols = self._columns()
+        n = cols.n
+        sids = sorted(self.entries)  # the entries' own keys, not new ints
+        r = cols.num[_RES, :n].copy()
+        s = cols.num[_FPS, :n].copy()
+        if not n:
+            return Placement(sids, r, s, {}, None, None)
+        rates = np.array([g.rate for g in self.groups])
+        server_of_group = np.array(self.alive_indices())[
+            list(solve_group_assignment(rates, self.effective_bw()))
+        ]
+        inv = 1.0 / (self.nominal_bw * np.array(self.factor) * 1e6)
+        slot = cols.slot[:n]
+        server = server_of_group[slot]
+        lat = cols.num[_PTIME, :n] + cols.num[_BITS, :n] * inv[server]
+        servers = dict(zip(sids, zip(server.tolist())))
+        split = np.flatnonzero(slot < 0)
+        if split.size:
+            server_of = dict(zip(self.groups, server_of_group.tolist()))
+            for i in split.tolist():
+                entry = self.entries[sids[i]]
+                placed = tuple(server_of[sub.group] for sub in entry.subs)
+                servers[sids[i]] = placed
+                inv_bw = 0.0
+                for j in placed:
+                    inv_bw += inv[j]
+                lat[i] = entry.ptime + entry.bits * inv_bw / len(placed)
+            server = None
         outcome = np.array(
-            [lat_total / n, self.acc_sum / n, self.net_sum, self.com_sum, self.eng_sum]
+            [np.cumsum(lat)[-1] / n, self.acc_sum / n, self.net_sum,
+             self.com_sum, self.eng_sum]
         )
-        return Placement(sids, r, s, servers, outcome)
+        return Placement(sids, r, s, servers, outcome, server)
 
     def as_periodic_streams(self) -> tuple[list[PeriodicStream], list[int]]:
         """Flatten to (split streams, assignment) for the theory predicates."""

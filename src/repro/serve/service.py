@@ -352,6 +352,10 @@ class ServeDecision:
     latency_s: float = 0.0
     shed: list[int] = field(default_factory=list)
     mode: str = "normal"
+    #: ``assignment`` as the read-out's server column (one server per
+    #: stream, :attr:`repro.serve.engine.Placement.server_col`), None when
+    #: a stream is split or the decision predates the field.
+    server_col: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def signature(self) -> tuple:
         """Bit-exact replay fingerprint (excludes wall-clock latency)."""
@@ -380,7 +384,10 @@ class ServeDecision:
         arrays go into the digest as raw little-endian IEEE-754 bytes
         instead of ``repr`` text — identical determinism (bit-equal
         floats hash bit-identically across processes), an order of
-        magnitude cheaper on the journaled per-epoch hot path.
+        magnitude cheaper on the journaled per-epoch hot path.  With
+        ``server_col`` the assignment's ints are the bytes of one
+        ``(sid, 1, server)`` row per stream, equal to packing them one by
+        one.
         """
         h = hashlib.sha256()
         h.update(f"{self.mode}#{len(self.events)}|".encode("utf-8"))
@@ -391,12 +398,20 @@ class ServeDecision:
         for seq in (self.stream_ids, self.rejected, self.evicted, self.shed):
             ints.append(len(seq))
             ints.extend(seq)
-        ints.extend(
-            x
-            for sid, servers in sorted(self.assignment.items())
-            for x in (sid, len(servers), *servers)
-        )
+        col = self.server_col
+        if col is None:
+            ints.extend(
+                x
+                for sid, servers in sorted(self.assignment.items())
+                for x in (sid, len(servers), *servers)
+            )
         h.update(struct.pack(f"<{len(ints)}q", *ints))
+        if col is not None:
+            rows = np.empty((col.size, 3), dtype="<i8")
+            rows[:, 0] = self.stream_ids
+            rows[:, 1] = 1
+            rows[:, 2] = col
+            h.update(rows.tobytes())
         h.update(np.asarray(self.resolutions, dtype="<f8").tobytes())
         h.update(np.asarray(self.fps, dtype="<f8").tobytes())
         if self.outcome is not None:
@@ -1028,6 +1043,7 @@ class SchedulerService:
             resolutions=placed.resolutions,
             fps=placed.fps,
             assignment=placed.servers,
+            server_col=placed.server_col,
             outcome=outcome,
             benefit=benefit,
             full_solve=full_solve,

@@ -8,7 +8,6 @@ from repro.obs import telemetry
 from repro.sched import PeriodicStream, group_streams
 from repro.sched import assignment
 from repro.sched.assignment import (
-    assignment_cache_size,
     clear_assignment_cache,
     resolve_assignment,
     solve_group_assignment,
@@ -78,16 +77,16 @@ class TestSolveGroupAssignment:
         bw = np.array([10.0, 20.0])
         solve_group_assignment(np.array([1e6, 2e6]), bw)
         solve_group_assignment(np.array([2e6, 1e6]), bw)
-        assert assignment_cache_size() == 2
+        assert len(assignment._ASSIGN_CACHE) == 2
         clear_assignment_cache()
-        assert assignment_cache_size() == 0
+        assert len(assignment._ASSIGN_CACHE) == 0
 
     def test_maxsize_evicts_oldest(self, monkeypatch):
         monkeypatch.setattr(assignment._ASSIGN_CACHE, "maxsize", 2)
         bw = np.array([10.0, 20.0, 30.0])
         for k in range(3):
             solve_group_assignment(np.array([1e6 * (k + 1), 2e6, 3e6]), bw)
-        assert assignment_cache_size() == 2
+        assert len(assignment._ASSIGN_CACHE) == 2
 
     def test_maxsize_validation(self):
         with pytest.raises(ValueError):
@@ -116,10 +115,10 @@ class TestCallerConsistency:
         grouping = group_streams(streams, 3, strict=False)
         bw = [10.0, 20.0, 30.0]
         q1 = resolve_assignment(grouping, bw, streams)
-        size_after_first = assignment_cache_size()
+        size_after_first = len(assignment._ASSIGN_CACHE)
         q2 = resolve_assignment(grouping, bw, streams)
         assert q1 == q2
-        assert assignment_cache_size() == size_after_first  # pure hit, no growth
+        assert len(assignment._ASSIGN_CACHE) == size_after_first  # pure hit, no growth
 
     def test_resolve_follows_caller_stream_order(self):
         streams = _streams(5)

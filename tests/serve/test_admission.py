@@ -9,6 +9,7 @@ from repro.core.problem import EVAProblem
 from repro.obs import telemetry
 from repro.serve import (
     AdmissionController,
+    AdmissionOutcome,
     IncrementalPlanner,
     approx_preference,
     parse_priority_map,
@@ -258,6 +259,98 @@ class TestEviction:
         }
         assert after == before
         assert out.dropped == []
+
+
+class _FullScoreController(AdmissionController):
+    """The eviction path as it was: score every stream, then filter and
+    sort the whole fleet (the oracle for the victims and their order)."""
+
+    def _admit_with_eviction(self, planner, sid, texture, prio, min_config):
+        scores = planner.eviction_scores()
+        victims = sorted(
+            (v for v in scores if self.priority_of(v) < prio),
+            key=lambda v: (self.priority_of(v), scores[v], v),
+        )
+        if not victims:
+            return AdmissionOutcome(
+                sid, "rejected", priority=prio, reason="no_lower_priority"
+            )
+        removed = []
+        for vid in victims[: self.max_evictions_per_join]:
+            entry = planner.entries[vid]
+            removed.append((vid, entry.texture, entry.resolution, entry.fps))
+            planner.remove_stream(vid)
+            config = self._try_admit(planner, sid, texture, min_config)
+            if config is not None:
+                return AdmissionOutcome(
+                    sid, "admitted", config, evicted=[v[0] for v in removed],
+                    priority=prio, reason="evicted_lower_priority",
+                )
+        dropped = [
+            vid for vid, tex, r, s in reversed(removed)
+            if not planner.add_stream(vid, tex, r, s)
+        ]
+        return AdmissionOutcome(
+            sid, "rejected", dropped=dropped, priority=prio, reason="eviction_budget"
+        )
+
+
+def _entries(planner):
+    return {
+        sid: (e.texture, e.resolution, e.fps, len(e.subs))
+        for sid, e in planner.entries.items()
+    }
+
+
+class TestEvictionCandidates:
+    def test_no_lower_class_rejects_without_scoring(self, monkeypatch):
+        planner = _planner(n_streams=2, n_servers=2, bw=[10.0, 10.0])
+        joiner = _fill(planner)
+        before = _entries(planner)
+
+        def never(*args, **kwargs):
+            raise AssertionError("eviction_scores called")
+
+        monkeypatch.setattr(planner, "eviction_scores", never)
+        ctrl = AdmissionController(default_priority=1)
+        out = ctrl.request_join(planner, joiner, 1.0)
+        assert (out.action, out.reason) == ("rejected", "no_lower_priority")
+        assert _entries(planner) == before
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("budget", [1, 2, 4])
+    def test_victims_and_order_equal_the_full_score_sort(self, seed, budget):
+        planner = _planner(n_streams=6, n_servers=3, seed=seed)
+        joiner = _fill(planner, texture=1.1)
+        # Three classes below the joiner's, the strictly lower ones
+        # interleaved with an equal class that must never be touched.
+        pmap = {sid: sid % 3 for sid in planner.entries}
+        pmap[joiner] = 2
+        old = _FullScoreController(priority_map=pmap, max_evictions_per_join=budget)
+        new = AdmissionController(priority_map=pmap, max_evictions_per_join=budget)
+        twin = pickle.loads(pickle.dumps(planner))
+        lower = sorted(v for v in planner.entries if pmap[v] < 2)
+        scored = []
+        score = planner.eviction_scores
+        planner.eviction_scores = lambda sids: scored.append(sorted(sids)) or score(sids)
+        got = new.request_join(planner, joiner, 1.1)
+        want = old.request_join(twin, joiner, 1.1)
+        assert got == want
+        assert got.evicted  # the fleet was full: eviction ran
+        assert scored == [lower]
+        assert _entries(planner) == _entries(twin)
+        assert planner.placement().servers == twin.placement().servers
+
+    def test_missing_preference_still_raises(self):
+        planner = _planner(n_streams=2, n_servers=2, bw=[10.0, 10.0])
+        joiner = _fill(planner)
+        resident = min(planner.entries)
+        planner.preference = None
+        ctrl = AdmissionController(priority_map={resident: 0, joiner: 2})
+        with pytest.raises(ValueError, match="preference"):
+            ctrl.request_join(planner, joiner, 1.0)
+        with pytest.raises(ValueError, match="preference"):
+            planner.admit(joiner, 1.0)
 
 
 class TestEvictionScores:

@@ -42,7 +42,7 @@ class TestSolveAll:
         problem = _problem()
         planner = _planner(problem)
         planner.solve_all({i: float(t) for i, t in enumerate(problem.textures)})
-        sids, r, s, _, got = planner.placement()
+        sids, r, s, _, got, _ = planner.placement()
         assert sids == list(range(problem.n_streams))
         # acc/net/com/eng depend only on the knob configs, so they must
         # agree with the closed forms exactly.  Latency (index 0) also

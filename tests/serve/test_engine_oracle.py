@@ -12,16 +12,21 @@ per-knob tables, the vectorized ranking and the cached Theorem-3 check:
   ``pmin`` recomputed as ``min`` over every member and ``fits`` looping
   over every distinct period;
 * the schedule read out in three passes (configs, per-stream servers,
-  outcome), each solving the group→server assignment on its own.
+  outcome), each solving the group→server assignment on its own;
+* ``admit`` trying every ranked knob, with no whole-table bound, and
+  eviction scores taken over the whole fleet.
 
 The planner must make the same decisions with bit-identical floats:
 ranked lists, configs, group sums and minimum periods, eviction scores,
-the one-pass :meth:`~repro.serve.engine.IncrementalPlanner.placement`
-read-out, and the ``sig_hash`` sequence of a whole serve replay.
+the columnar :meth:`~repro.serve.engine.IncrementalPlanner.placement`
+read-out, and the ``sig_hash`` sequence of a whole serve replay, whose
+bytes also equal packing every assignment int with ``struct``.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import math
 import struct
 
@@ -30,7 +35,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.problem import EVAProblem
+from repro.core.problem import ConfigSpace, EVAProblem
 from repro.obs import telemetry
 from repro.sched.assignment import solve_group_assignment
 from repro.sched.grouping import InfeasibleScheduleError
@@ -297,7 +302,8 @@ class ReferencePlanner(IncrementalPlanner):
                 return (r, s)
         return None
 
-    def eviction_scores(self):
+    def eviction_scores(self, picked=None):
+        # Scores the whole fleet, then keeps the ``picked`` ones.
         if self.preference is None:
             raise ValueError("eviction_scores needs a preference to score with")
         if not self.entries:
@@ -330,10 +336,11 @@ class ReferencePlanner(IncrementalPlanner):
             rows[i, 3] = self.com_sum - e.com
             rows[i, 4] = self.eng_sum - e.eng
         benefit_without = np.asarray(self.preference.value(rows), dtype=float)
-        return {
+        scores = {
             sid: (benefit_all - float(benefit_without[i])) / self.utilization_of(sid)
             for i, sid in enumerate(sids)
         }
+        return scores if picked is None else {sid: scores[sid] for sid in picked}
 
     def solve_all(self, textures, *, priority_of=None):
         if self.n_alive == 0:
@@ -471,7 +478,10 @@ def _state(planner) -> tuple:
 
 def _readout(planner) -> tuple:
     """The planner's :meth:`placement`, floats as raw IEEE bytes."""
-    p = planner.placement()
+    return _readout_of(planner.placement())
+
+
+def _readout_of(p) -> tuple:
     return (
         p.stream_ids,
         tuple(_bits(v) for v in p.resolutions),
@@ -501,6 +511,52 @@ def _population(n_streams: int, seed: int) -> dict[int, float]:
 
 def _scores_bits(scores: dict) -> dict:
     return {sid: _bits(v) for sid, v in scores.items()}
+
+
+def _struct_sig_hash(d) -> str:
+    """``ServeDecision.sig_hash`` with the assignment packed int by int."""
+    h = hashlib.sha256()
+    h.update(f"{d.mode}#{len(d.events)}|".encode("utf-8"))
+    h.update("|".join(d.events).encode("utf-8"))
+    ints = [d.epoch, int(d.full_solve), d.cache_hits, d.solved]
+    for seq in (d.stream_ids, d.rejected, d.evicted, d.shed):
+        ints.append(len(seq))
+        ints.extend(seq)
+    ints.extend(
+        x
+        for sid, servers in sorted(d.assignment.items())
+        for x in (sid, len(servers), *servers)
+    )
+    h.update(struct.pack(f"<{len(ints)}q", *ints))
+    h.update(np.asarray(d.resolutions, dtype="<f8").tobytes())
+    h.update(np.asarray(d.fps, dtype="<f8").tobytes())
+    if d.outcome is not None:
+        h.update(np.asarray(d.outcome, dtype="<f8").tobytes())
+    if d.benefit is not None:
+        h.update(np.float64(d.benefit).tobytes())
+    return h.hexdigest()[:16]
+
+
+def _decision(planner, **overrides) -> service_mod.ServeDecision:
+    """A decision record over ``planner``'s read-out, as the service makes."""
+    p = planner.placement()
+    fields = dict(
+        epoch=3, time=3.0, events=["join:1", "leave:2"], stream_ids=p.stream_ids,
+        resolutions=p.resolutions, fps=p.fps, assignment=p.servers,
+        server_col=p.server_col, outcome=p.outcome,
+        benefit=None if p.outcome is None else float(planner.preference.value(p.outcome)),
+        full_solve=False, cache_hits=2, solved=1, rejected=[7], evicted=[], shed=[9, 11],
+    )
+    fields.update(overrides)
+    return service_mod.ServeDecision(**fields)
+
+
+def _scalar_view(planner) -> ReferencePlanner:
+    """``planner``'s own state under the oracle's read-only methods (the
+    three-pass read-out), sharing its attributes rather than copying them."""
+    view = object.__new__(ReferencePlanner)
+    view.__dict__ = planner.__dict__
+    return view
 
 
 # -- op-sequence differential suite -----------------------------------------
@@ -612,6 +668,77 @@ class TestOpSequences:
         )
 
 
+class TestProvedReject:
+    """``admit``'s whole-table bound against the oracle's unguarded scan."""
+
+    @staticmethod
+    def _spy_ranked(planner):
+        calls = []
+        ranked = planner._ranked
+        planner._ranked = lambda *a: calls.append(1) or ranked(*a)
+        return calls
+
+    @pytest.mark.parametrize(("n_servers", "seed"), [(1, 0), (2, 1), (3, 2), (4, 3)])
+    def test_filling_the_fleet_reaches_the_proved_reject(self, n_servers, seed):
+        fast, ref = _pair(n_servers, seed, n_streams=12)
+        calls = self._spy_ranked(fast)
+        gen = np.random.default_rng(seed)
+        proved = 0
+        for sid in range(120):
+            tex = float(gen.uniform(0.5, 1.5))
+            before = len(calls)
+            got = fast.admit(sid, tex)
+            assert got == ref.admit(sid, tex), sid
+            assert _state(fast) == _state(ref), sid
+            if got is None and len(calls) == before:
+                proved += 1
+            if sid % 7 == 3 and sid - 3 in fast.entries:  # churn a little
+                assert fast.remove_stream(sid - 3) and ref.remove_stream(sid - 3)
+        assert _readout(fast) == _readout(ref)
+        assert proved > 0
+        # Full now: the bound rules out every knob and nothing is ranked.
+        full = len(calls)
+        assert fast.admit(999, 1.0) is ref.admit(999, 1.0) is None
+        assert len(calls) == full
+        assert _state(fast) == _state(ref)
+
+    def test_a_bound_that_admits_still_scans_and_misses_on_alignment(self):
+        # One group holding a 15 fps stream (period 1/15) with room to
+        # spare: the bound excludes no 10 fps knob (period 0.1), but
+        # 0.1 / (1/15) = 1.5, so the scan misses each of them and admit
+        # falls through the ranking as the unguarded form does.  A
+        # compute-only preference ranks the cheaper 10 fps knobs first.
+        problem = EVAProblem(
+            4, [30.0], config_space=ConfigSpace((300.0, 600.0), (10.0, 15.0))
+        )
+        pref = approx_preference(problem, weights=[0.0, 0.0, 0.0, 1.0, 0.0])
+        fast = IncrementalPlanner.for_problem(problem, preference=pref)
+        ref = ReferencePlanner.for_problem(problem, preference=pref)
+        assert fast.add_stream(0, 1.0, 300.0, 15.0) and ref.add_stream(0, 1.0, 300.0, 15.0)
+        group = fast.groups[0]
+        # 10 fps knobs whose processing time fits under the group's minimum
+        misaligned = [
+            k for k in fast._candidates
+            if k.s == 10.0 and k.k == 1 and group.total_p + k.ptime < group.pmin
+        ]
+        assert misaligned
+        bound = engine_mod.FitBound(fast.groups, -1, fast._top)
+        assert not bound.excludes_all(fast._cand_period, fast._cand_ptime)
+        for knob in misaligned:
+            assert not bound.excludes(knob.period, knob.ptime, math.inf, math.inf)
+            assert not group.fits(knob)
+        ranked = fast.rank_configs(1.0)
+        calls = self._spy_ranked(fast)
+        got = fast.admit(1, 1.0)
+        assert got == ref.admit(1, 1.0)
+        assert calls == [1]
+        # the scan passed over a misaligned knob ranked above the landing
+        assert got[1] != 10.0
+        assert min(ranked.index((k.r, k.s)) for k in misaligned) < ranked.index(got)
+        assert _state(fast) == _state(ref)
+        assert _readout(fast) == _readout(ref)
+
+
 class TestSplitReadout:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_a_split_stream_reads_out_alike(self, seed):
@@ -632,6 +759,92 @@ class TestSplitReadout:
             assert len(fast.entries[sid].subs) == 3
             assert _readout(fast) == _readout(ref)
             assert fast.remove_stream(sid) and ref.remove_stream(sid)
+
+
+class TestSigHashBytes:
+    """The hashed ``(sid, 1, server)`` rows are the bytes of packing the
+    assignment int by int, whatever the decision holds."""
+
+    @staticmethod
+    def _same(decision):
+        want = _struct_sig_hash(decision)
+        assert decision.sig_hash() == want
+        assert dataclasses.replace(decision, server_col=None).sig_hash() == want
+
+    def test_unsplit_empty_and_split_fleets(self):
+        fast, _ = _pair(6, 0)
+        self._same(_decision(fast))  # no stream
+        assert fast.placement().server_col is None
+        for sid in range(5):
+            assert fast.add_stream(sid, 0.8 + 0.1 * sid, 600.0, 10.0)
+        col = fast.placement().server_col
+        assert col is not None and col.dtype == np.int64
+        self._same(_decision(fast))
+        self._same(_decision(fast, full_solve=True, rejected=[], shed=[], evicted=[3, 1]))
+        r, s = next((r, s) for r, s in fast.config_space.all_configs()
+                    if fast._knob(r, s).k == 3)
+        assert fast.add_stream(40, 1.1, r, s)
+        assert fast.placement().server_col is None
+        self._same(_decision(fast))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_the_split_readout_fleet(self, seed):
+        fast, _ = _pair(6, seed)
+        gen = np.random.default_rng(seed)
+        for server in range(6):
+            fast.set_bandwidth_factor(server, float(gen.uniform(0.3, 1.0)))
+        r, s = next((r, s) for r, s in fast.config_space.all_configs()
+                    if fast._knob(r, s).k == 3)
+        for sid in range(16):
+            assert fast.add_stream(sid, float(gen.uniform(0.6, 1.4)), r, s)
+            self._same(_decision(fast))
+            assert fast.remove_stream(sid)
+
+
+class TestReplayReadout:
+    """``placement()`` on a churned serve replay against the scalar walk."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_every_decision_reads_out_as_the_scalar_walk(self, seed):
+        rng = np.random.default_rng(seed)
+        problem = EVAProblem(
+            40, rng.choice([5.0, 10.0, 20.0, 30.0], size=6),
+            textures=rng.uniform(0.7, 1.3, size=40),
+        )
+        log = generate_load(
+            40, 6, seed=seed,
+            profile=ChurnProfile(hours=0.05, arrivals_per_hour=1200,
+                                 departures_per_hour=900, drifts_per_hour=60,
+                                 flaps_per_hour=30, burst_start_s=60.0,
+                                 burst_duration_s=60.0, burst_multiplier=8.0),
+        )
+        service = SchedulerService(
+            problem, preference=approx_preference(problem), reoptimize_every=6,
+            admission=AdmissionController(
+                priority_map={sid: 2 for sid in range(0, 400, 5)},
+                default_priority=1, join_rate_per_epoch=1.0,
+            ),
+        )
+        planner = service.planner
+        placement = planner.placement
+        checked = []
+
+        def compared():
+            got = placement()
+            want = ReferencePlanner.placement(_scalar_view(planner))
+            assert _readout_of(got) == _readout_of(want)
+            checked.append(got.outcome is not None)
+            return got
+
+        planner.placement = compared
+        service.start()
+        service.submit(log.events)
+        service.run()
+        assert sum(checked) > 20
+        decisions = service.decisions
+        assert any(d.evicted for d in decisions) and any(d.shed for d in decisions)
+        for d in decisions:
+            assert d.sig_hash() == _struct_sig_hash(d)
 
 
 class TestRankTies:

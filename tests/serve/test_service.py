@@ -145,9 +145,10 @@ class TestDeterminism:
 
     def test_resumes_a_checkpoint_without_the_derived_caches(self, tmp_path):
         """A checkpoint written before the planner's per-texture θ_bit
-        cache, its fit-bound scale and the preference's cached
-        normalization existed holds none of them; each derives on first
-        use, bit-identically."""
+        cache, its fit-bound scale, its knob-period array and read-out
+        columns, the decisions' server column and the preference's
+        cached normalization existed holds none of them; each derives
+        on first use, bit-identically."""
         import pickle
 
         log = generate_load(6, 4, profile=self.PROFILE, seed=9)
@@ -157,14 +158,20 @@ class TestDeterminism:
         svc.submit(log)
         svc.run(max_epochs=3)
         assert svc.planner._terms_by_texture
-        svc.planner.__dict__.pop("_terms_by_texture")
-        svc.planner.__dict__.pop("_top")
+        derived = {"_terms_by_texture", "_top", "_cand_period", "_cols"}
+        svc.planner._cand_period  # noqa: B018 - derive it, to drop it below
+        for name in derived:
+            svc.planner.__dict__.pop(name)
+        for decision in svc.decisions:
+            assert decision.server_col is not None
+            decision.__dict__.pop("server_col")
         for pref in (svc.preference, svc.planner.preference):
             pref.__dict__.pop("_scale", None)
         path = tmp_path / "serve.ckpt"
         svc.save_checkpoint(path)
         held = pickle.loads(path.read_bytes())["scheduler"]
-        assert not {"_terms_by_texture", "_top"} & set(vars(held.planner))
+        assert not derived & set(vars(held.planner))
+        assert not any("server_col" in vars(d) for d in held.decisions)
         assert "_scale" not in vars(held.preference)
         resumed = SchedulerService.resume(path)
         resumed.run()

@@ -276,6 +276,13 @@ class TestFitBound:
         open_ = groups[0]
         if bound.excludes(period, ptime, open_.pmin, open_.total_p):
             assert not fits
+        # No open group: the whole-table check admit makes, elementwise
+        # the scalar test.
+        whole = FitBound(groups, -1, max(period, ptime))
+        excluded = whole.excludes_all(np.array([period]), np.array([ptime]))
+        assert excluded == whole.excludes(period, ptime, math.inf, math.inf)
+        if excluded:
+            assert not fits
 
     def test_excludes_far_over_capacity(self):
         group = ZeroJitterGroup()
