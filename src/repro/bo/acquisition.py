@@ -6,11 +6,12 @@ BoTorch.  An acquisition consumes a *benefit sampler* — a callable
 drawing joint posterior samples of the (latent, noisy) benefit
 z = g(f(x)) at arbitrary configuration sets — so it is agnostic to how
 the outcome and preference models compose underneath.  Batch
-selection (:meth:`AcquisitionFunction.select_batch`) scores the whole
-candidate pool per greedy round in one NumPy batch over a single shared
-sample matrix; subclasses customize it through a few hooks
-(``_joint_with_observed``, ``_clip_at_baseline``, ``_transform_samples``,
-``_baseline_values``).
+selection (:meth:`AcquisitionFunction.select_batch`) is each
+acquisition's one entry point: it scores the whole candidate pool per
+greedy round in one NumPy batch over a single shared sample matrix, and
+leaves the MC value of the batch it picked in ``last_batch_value``.
+Subclasses customize it through a few hooks (``_joint_with_observed``,
+``_clip_at_baseline``, ``_transform_samples``, ``_baseline_values``).
 
 * **qNEI** (Eq. 12, the paper's choice): improvement over the *noisy*
   best — the incumbent is re-sampled jointly with the candidates each
@@ -23,8 +24,7 @@ sample matrix; subclasses customize it through a few hooks
 
 from __future__ import annotations
 
-import abc
-from typing import Callable, Protocol, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from repro.utils.rng import RngLike
 BenefitSampler = Callable[[np.ndarray, int, np.random.Generator], np.ndarray]
 
 
-class AcquisitionFunction(abc.ABC):
+class AcquisitionFunction:
     """Batch acquisition over a joint benefit sampler."""
 
     name: str = "base"
@@ -49,18 +49,6 @@ class AcquisitionFunction(abc.ABC):
         if n_samples < 2:
             raise ValueError(f"n_samples must be >= 2, got {n_samples}")
         self.n_samples = int(n_samples)
-
-    @abc.abstractmethod
-    def evaluate(
-        self,
-        sampler: BenefitSampler,
-        candidates: np.ndarray,
-        *,
-        observed_x: np.ndarray | None = None,
-        observed_z: np.ndarray | None = None,
-        rng: RngLike = None,
-    ) -> float:
-        """Acquisition value of the candidate *batch* (joint, not summed)."""
 
     # -- hooks customizing the pooled greedy selection -------------------
     #: join the observed configurations into the joint sample (qNEI)
@@ -165,26 +153,6 @@ class QNEI(AcquisitionFunction):
             return np.full(n_samples, -np.inf)
         return z_obs.max(axis=1)
 
-    def evaluate(self, sampler, candidates, *, observed_x=None, observed_z=None, rng=None):
-        candidates = np.atleast_2d(np.asarray(candidates, dtype=float))
-        gen = as_generator(rng)
-        b = candidates.shape[0]
-        if observed_x is not None and len(observed_x) > 0:
-            observed_x = np.atleast_2d(np.asarray(observed_x, dtype=float))
-            joint = np.vstack([candidates, observed_x])
-            z = sampler(joint, self.n_samples, gen)
-            z_cand = z[:, :b]
-            z_obs = z[:, b:]
-            baseline = z_obs.max(axis=1)
-        else:
-            z_cand = sampler(candidates, self.n_samples, gen)
-            baseline = np.full(self.n_samples, -np.inf)
-        improvement = np.clip(z_cand.max(axis=1) - baseline, 0.0, None)
-        finite = np.isfinite(improvement)
-        if not np.any(finite):  # no incumbent at all -> pure exploration
-            return float(z_cand.max(axis=1).mean())
-        return float(improvement[finite].mean())
-
 
 class QEI(AcquisitionFunction):
     """Batch expected improvement over the best *observed* value."""
@@ -196,17 +164,6 @@ class QEI(AcquisitionFunction):
         if observed_z is None or len(observed_z) == 0:
             return np.full(n_samples, -np.inf)
         return np.full(n_samples, float(np.max(observed_z)))
-
-    def evaluate(self, sampler, candidates, *, observed_x=None, observed_z=None, rng=None):
-        candidates = np.atleast_2d(np.asarray(candidates, dtype=float))
-        gen = as_generator(rng)
-        z_cand = sampler(candidates, self.n_samples, gen)
-        best_f = -np.inf
-        if observed_z is not None and len(observed_z) > 0:
-            best_f = float(np.max(observed_z))
-        if not np.isfinite(best_f):
-            return float(z_cand.max(axis=1).mean())
-        return float(np.clip(z_cand.max(axis=1) - best_f, 0.0, None).mean())
 
 
 class QUCB(AcquisitionFunction):
@@ -222,26 +179,11 @@ class QUCB(AcquisitionFunction):
         mu = z.mean(axis=0, keepdims=True)
         return mu + np.sqrt(self.beta * np.pi / 2.0) * np.abs(z - mu)
 
-    def evaluate(self, sampler, candidates, *, observed_x=None, observed_z=None, rng=None):
-        candidates = np.atleast_2d(np.asarray(candidates, dtype=float))
-        gen = as_generator(rng)
-        z = sampler(candidates, self.n_samples, gen)
-        mu = z.mean(axis=0, keepdims=True)
-        dev = np.abs(z - mu)
-        ucb = mu + np.sqrt(self.beta * np.pi / 2.0) * dev
-        return float(ucb.max(axis=1).mean())
-
 
 class QSR(AcquisitionFunction):
     """Batch simple regret: expected best benefit in the batch."""
 
     name = "qSR"
-
-    def evaluate(self, sampler, candidates, *, observed_x=None, observed_z=None, rng=None):
-        candidates = np.atleast_2d(np.asarray(candidates, dtype=float))
-        gen = as_generator(rng)
-        z = sampler(candidates, self.n_samples, gen)
-        return float(z.max(axis=1).mean())
 
 
 class ThompsonSampling(AcquisitionFunction):
@@ -249,17 +191,9 @@ class ThompsonSampling(AcquisitionFunction):
 
     For batch construction, slot j is the argmax of an independent joint
     posterior sample over the pool — the classic parallel-TS scheme.
-    ``evaluate`` scores a candidate batch as the expected max (same as
-    qSR) since TS has no standalone batch value.
     """
 
     name = "TS"
-
-    def evaluate(self, sampler, candidates, *, observed_x=None, observed_z=None, rng=None):
-        candidates = np.atleast_2d(np.asarray(candidates, dtype=float))
-        gen = as_generator(rng)
-        z = sampler(candidates, self.n_samples, gen)
-        return float(z.max(axis=1).mean())
 
     def select_batch(
         self,
@@ -304,9 +238,6 @@ class RandomDesignAcquisition(AcquisitionFunction):
 
     def __init__(self, n_samples: int = 2) -> None:
         super().__init__(n_samples)
-
-    def evaluate(self, sampler, candidates, *, observed_x=None, observed_z=None, rng=None):
-        return 0.0
 
     def select_batch(
         self,
@@ -365,20 +296,6 @@ class FallbackAcquisition(AcquisitionFunction):
         self.rungs: tuple[AcquisitionFunction, ...] = tuple(ladder)
         self.n_samples = max(getattr(r, "n_samples", 2) for r in self.rungs)
         self.active_rung: str = self.rungs[0].name
-
-    def evaluate(self, sampler, candidates, *, observed_x=None, observed_z=None, rng=None):
-        for rung in self.rungs:
-            try:
-                return rung.evaluate(
-                    sampler,
-                    candidates,
-                    observed_x=observed_x,
-                    observed_z=observed_z,
-                    rng=rng,
-                )
-            except _RECOVERABLE:
-                continue
-        return 0.0
 
     def select_batch(
         self,

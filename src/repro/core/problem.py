@@ -303,7 +303,6 @@ class EVAProblem:
         *,
         measured: bool = False,
         horizon: float = 5.0,
-        stagger: bool = False,
     ) -> np.ndarray:
         """Outcome vector for an *explicit* parent-level assignment.
 
@@ -331,7 +330,7 @@ class EVAProblem:
                 profile=self.profile,
                 encoder=self.encoder,
                 textures=self.textures,
-                stagger=stagger,
+                stagger=False,
             )
             return np.array(
                 [

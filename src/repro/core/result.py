@@ -1,8 +1,9 @@
 """Decision and optimization result containers.
 
-Both containers round-trip through JSON-safe dicts (``to_dict`` /
-``from_dict``) so result persistence (:mod:`repro.bench.io`) and the
-telemetry event log (:mod:`repro.obs`) share one serialization format.
+Both containers encode to JSON-safe dicts (``to_dict``), so result
+persistence (:mod:`repro.bench.io`, which reads them back as plain
+dicts) and the telemetry event log (:mod:`repro.obs`) share one
+serialization format.
 """
 
 from __future__ import annotations
@@ -51,18 +52,6 @@ class ScheduleDecision:
             "method": self.method,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ScheduleDecision":
-        """Rebuild a decision from :meth:`to_dict` output."""
-        return cls(
-            resolutions=d["resolutions"],
-            fps=d["fps"],
-            assignment=[int(q) for q in d["assignment"]],
-            outcome=d["outcome"],
-            benefit=float(d["benefit"]),
-            method=d.get("method", ""),
-        )
-
 
 @dataclass
 class OptimizationOutcome:
@@ -89,16 +78,3 @@ class OptimizationOutcome:
             "n_dm_queries": int(self.n_dm_queries),
             "extras": to_jsonable(self.extras),
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "OptimizationOutcome":
-        """Rebuild an outcome record from :meth:`to_dict` output."""
-        return cls(
-            decision=ScheduleDecision.from_dict(d["decision"]),
-            true_benefit=d.get("true_benefit"),
-            n_iterations=int(d.get("n_iterations", 0)),
-            converged=bool(d.get("converged", False)),
-            history=[float(z) for z in d.get("history", [])],
-            n_dm_queries=int(d.get("n_dm_queries", 0)),
-            extras=dict(d.get("extras", {})),
-        )

@@ -17,7 +17,7 @@ from repro.gp.cache import chol_cache
 from repro.gp.kernels import Kernel, RBFKernel, Matern52Kernel
 from repro.gp.regression import GPRegressor
 from repro.gp.preference import PreferenceGP, ComparisonData
-from repro.gp.sampling import sample_mvn, sample_posterior
+from repro.gp.sampling import sample_mvn
 
 __all__ = [
     "cache",
@@ -29,5 +29,4 @@ __all__ = [
     "PreferenceGP",
     "ComparisonData",
     "sample_mvn",
-    "sample_posterior",
 ]

@@ -220,12 +220,6 @@ class PreferenceGP:
         return self
 
     # ------------------------------------------------------------------
-    def utilities(self) -> np.ndarray:
-        """MAP latent utility ĝ at the training items."""
-        if self._g_map is None:
-            raise RuntimeError("model is not fitted")
-        return self._g_map.copy()
-
     def predict(self, y_new, *, return_cov: bool = False):
         """Posterior mean (and variance/covariance) of g at ``y_new``.
 
@@ -272,10 +266,3 @@ class PreferenceGP:
             None,
         )
         return ndtr(mu_d / np.sqrt(2 * self.noise_scale**2 + var_d))
-
-    def sample_posterior(self, y_new, n_samples: int = 1, *, rng=None) -> np.ndarray:
-        """Joint posterior samples of g at ``y_new``; (n_samples, m)."""
-        from repro.gp.sampling import sample_mvn
-
-        mean, cov = self.predict(y_new, return_cov=True)
-        return sample_mvn(mean, cov, n_samples, rng=rng)

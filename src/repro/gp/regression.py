@@ -71,6 +71,9 @@ class _FitState:
 class GPRegressor:
     """Exact GP regression model.
 
+    Targets are standardized internally; predictions come back on the
+    raw scale.
+
     Parameters
     ----------
     kernel:
@@ -79,8 +82,6 @@ class GPRegressor:
     noise:
         Initial observation-noise variance (fitted unless
         ``optimize=False`` at fit time).
-    normalize_y:
-        Standardize targets internally (recommended).
     """
 
     def __init__(
@@ -88,13 +89,11 @@ class GPRegressor:
         kernel: Kernel | None = None,
         *,
         noise: float = 1e-2,
-        normalize_y: bool = True,
     ) -> None:
         self.kernel = kernel
         self.noise = float(noise)
         if self.noise <= 0:
             raise ValueError(f"noise must be > 0, got {noise}")
-        self.normalize_y = normalize_y
         self._x: np.ndarray | None = None
         self._y_raw: np.ndarray | None = None
         self._y: np.ndarray | None = None
@@ -183,11 +182,8 @@ class GPRegressor:
             )
         self._x = x
         self._y_raw = y
-        if self.normalize_y:
-            self._y_mean = float(np.mean(y))
-            self._y_std = float(np.std(y)) or 1.0
-        else:
-            self._y_mean, self._y_std = 0.0, 1.0
+        self._y_mean = float(np.mean(y))
+        self._y_std = float(np.std(y)) or 1.0
         self._y = (y - self._y_mean) / self._y_std
 
         if optimize and x.shape[0] >= 3:
@@ -338,24 +334,6 @@ class GPRegressor:
             out["log_marginal_likelihood"] = float(self.log_marginal_likelihood())
         return out
 
-    def log_predictive_density(self, x_test, y_test) -> float:
-        """Mean log p(y_test | x_test, data) under the predictive marginals.
-
-        The proper scoring rule for probabilistic regression — unlike
-        R² it punishes over/under-confident variance, not just mean
-        error.  Uses the noisy predictive (observation) distribution.
-        """
-        self._require_fitted()
-        x_test = check_array_2d("x_test", x_test)
-        y_test = check_array_1d("y_test", y_test, min_len=1)
-        if x_test.shape[0] != y_test.shape[0]:
-            raise ValueError(
-                f"x_test has {x_test.shape[0]} rows but y_test has {y_test.shape[0]}"
-            )
-        mean, var = self.predict(x_test, include_noise=True)
-        ll = -0.5 * (np.log(2 * np.pi * var) + (y_test - mean) ** 2 / var)
-        return float(np.mean(ll))
-
     def update(self, x_new, y_new) -> "GPRegressor":
         """Condition on appended observations in place (no re-optimize).
 
@@ -402,9 +380,8 @@ class GPRegressor:
 
         self._x = x_all
         self._y_raw = y_all
-        if self.normalize_y:
-            self._y_mean = float(np.mean(y_all))
-            self._y_std = float(np.std(y_all)) or 1.0
+        self._y_mean = float(np.mean(y_all))
+        self._y_std = float(np.std(y_all)) or 1.0
         self._y = (y_all - self._y_mean) / self._y_std
         alpha = cho_solve_lower(ell, self._y)
         self._state = _FitState(chol=ell, alpha=alpha)

@@ -26,11 +26,3 @@ def sample_mvn(
     ell = safe_cholesky(cov)
     z = gen.standard_normal((n_samples, mean.size))
     return mean[None, :] + z @ ell.T
-
-
-def sample_posterior(
-    model, x, n_samples: int, *, rng: RngLike = None
-) -> np.ndarray:
-    """Joint posterior samples from any model exposing predict(return_cov)."""
-    mean, cov = model.predict(x, return_cov=True)
-    return sample_mvn(mean, cov, n_samples, rng=rng)

@@ -34,8 +34,7 @@ Concepts
   :class:`~repro.obs.sinks.EventSink` (JSONL on disk for CLI runs).
 * **Profiling** is opt-in per registry: with ``profile=True`` each
   *outermost* span runs under :mod:`cProfile` and the aggregate top
-  functions appear in :meth:`report`; with ``trace_malloc=True`` spans
-  additionally record their peak traced-memory delta.
+  functions appear in :meth:`report`.
 """
 
 from __future__ import annotations
@@ -90,7 +89,6 @@ class _Span:
         "parent_id",
         "_t0",
         "_wall0",
-        "_mem0",
         "_profiler",
     )
 
@@ -102,7 +100,6 @@ class _Span:
         self.parent_id: str | None = None
         self._t0 = 0.0
         self._wall0 = 0.0
-        self._mem0 = 0
         self._profiler: cProfile.Profile | None = None
 
     def __enter__(self) -> "_Span":
@@ -133,7 +130,6 @@ class Telemetry:
         self._enabled = False
         self._sink: EventSink = NullSink()
         self._profile = False
-        self._trace_malloc = False
         self._lock = threading.Lock()
         self._local = threading.local()
         self._counters: dict[str, float] = {}
@@ -142,7 +138,6 @@ class Telemetry:
         self._windows: dict[str, RollingWindow] = {}
         self._pstats: pstats.Stats | None = None
         self._profiler_depth = 0
-        self._started_tracemalloc = False
         self._trace_id: str | None = None
         self._pid = os.getpid()
 
@@ -165,14 +160,12 @@ class Telemetry:
         sink: EventSink | str | None = None,
         *,
         profile: bool = False,
-        trace_malloc: bool = False,
     ) -> "Telemetry":
         """Turn recording on.
 
         ``sink`` may be an :class:`EventSink`, a path (JSONL file), or
         ``None`` to record spans/counters without an event log.
-        ``profile=True`` wraps outermost spans in :mod:`cProfile`;
-        ``trace_malloc=True`` records per-span peak memory deltas.
+        ``profile=True`` wraps outermost spans in :mod:`cProfile`.
 
         Every enabled run belongs to a *trace* with a fresh ``trace_id``.
         """
@@ -180,13 +173,6 @@ class Telemetry:
             sink = JsonlSink(sink)
         self._sink = sink if sink is not None else NullSink()
         self._profile = bool(profile)
-        self._trace_malloc = bool(trace_malloc)
-        if self._trace_malloc:
-            import tracemalloc
-
-            if not tracemalloc.is_tracing():
-                tracemalloc.start()
-                self._started_tracemalloc = True
         self._trace_id = new_trace_id()
         self._pid = os.getpid()
         self._enabled = True
@@ -199,11 +185,6 @@ class Telemetry:
         self._sink.flush()
         self._sink.close()
         self._sink = NullSink()
-        if self._started_tracemalloc:
-            import tracemalloc
-
-            tracemalloc.stop()
-            self._started_tracemalloc = False
         return self
 
     def reset(self) -> "Telemetry":
@@ -239,10 +220,6 @@ class Telemetry:
         else:
             span.path = span.name
         stack.append((span.name, span.span_id))
-        if self._trace_malloc:
-            import tracemalloc
-
-            span._mem0 = tracemalloc.get_traced_memory()[1]
         if self._profile:
             with self._lock:
                 outermost = self._profiler_depth == 0
@@ -254,11 +231,6 @@ class Telemetry:
     def _span_exit(self, span: _Span, elapsed: float) -> None:
         if span._profiler is not None:
             span._profiler.disable()
-        mem_peak = 0
-        if self._trace_malloc:
-            import tracemalloc
-
-            mem_peak = max(0, tracemalloc.get_traced_memory()[1] - span._mem0)
         with self._lock:
             if self._profile:
                 self._profiler_depth -= 1
@@ -273,8 +245,6 @@ class Telemetry:
             st["total_s"] += elapsed
             st["min_s"] = min(st["min_s"], elapsed)
             st["max_s"] = max(st["max_s"], elapsed)
-            if mem_peak:
-                st["mem_peak_bytes"] = max(st.get("mem_peak_bytes", 0), mem_peak)
             window = self._windows.get(span.path)
             if window is None:
                 window = self._windows[span.path] = RollingWindow()
@@ -282,19 +252,17 @@ class Telemetry:
         stack = self._stack()
         if stack and stack[-1][0] == span.name:
             stack.pop()
-        record: dict[str, Any] = {
-            "span": span.path,
-            "name": span.name,
-            "duration_s": elapsed,
-            "start_ts": span._wall0,
-            "trace_id": self._trace_id,
-            "span_id": span.span_id,
-            "parent_id": span.parent_id,
-            "tid": threading.get_ident(),
-        }
-        if mem_peak:
-            record["mem_peak_bytes"] = mem_peak
-        self.event("span", **record)
+        self.event(
+            "span",
+            span=span.path,
+            name=span.name,
+            duration_s=elapsed,
+            start_ts=span._wall0,
+            trace_id=self._trace_id,
+            span_id=span.span_id,
+            parent_id=span.parent_id,
+            tid=threading.get_ident(),
+        )
 
     # -- counters / gauges ----------------------------------------------
     def counter(self, name: str, inc: float = 1) -> None:

@@ -2,8 +2,8 @@
 
 * :mod:`repro.outcomes.functions` — closed-form outcome functions over
   decision vectors (the θ(·)·ε(·) forms of the paper);
-* :mod:`repro.outcomes.fitting` — polynomial-surface and separable
-  θ(r)·ε(s) regression used by the traditional baselines;
+* :mod:`repro.outcomes.fitting` — separable θ(r)·ε(s) regression
+  (the paper's parametric outcome form) and R²;
 * :mod:`repro.outcomes.profiler` — grid profiling of the video/detector
   simulator (the source of Fig. 2's measured surfaces and of training
   data for the models);
@@ -12,11 +12,7 @@
 """
 
 from repro.outcomes.functions import OutcomeFunctions, default_accuracy_fn, OBJECTIVES
-from repro.outcomes.fitting import (
-    PolynomialSurface,
-    SeparableProduct,
-    r2_score,
-)
+from repro.outcomes.fitting import SeparableProduct, r2_score
 from repro.outcomes.profiler import OutcomeSample, profile_configuration, profile_grid
 from repro.outcomes.surrogate import OutcomeSurrogateBank
 
@@ -24,7 +20,6 @@ __all__ = [
     "OutcomeFunctions",
     "default_accuracy_fn",
     "OBJECTIVES",
-    "PolynomialSurface",
     "SeparableProduct",
     "r2_score",
     "OutcomeSample",

@@ -1,17 +1,11 @@
-"""Regression models for outcome surfaces.
+"""Regression model for outcome surfaces.
 
 The paper's §3 models each objective "through either multivariable
 linear regression or polynomial regression" as a product θ(r)·ε(s) with
-θ linear-or-quadratic and ε linear.  Two fitters are provided:
-
-* :class:`PolynomialSurface` — full tensor-product polynomial basis in
-  (r, s) solved by least squares (the general form; contains the
-  paper's products as a subspace);
-* :class:`SeparableProduct` — the paper's exact θ(r)·ε(s) rank-1 form,
-  fitted by alternating least squares.
-
-Both operate on normalized inputs internally so polynomial
-conditioning stays sane across the (300..2000) × (1..30) raw ranges.
+θ linear-or-quadratic and ε linear.  :class:`SeparableProduct` fits that
+exact rank-1 form by alternating least squares, on normalized inputs so
+polynomial conditioning stays sane across the (300..2000) × (1..30) raw
+ranges; :func:`r2_score` is the §5.3 fit metric.
 """
 
 from __future__ import annotations
@@ -49,53 +43,6 @@ class _Scaler:
     def __call__(self, t: np.ndarray) -> np.ndarray:
         span = self.hi - self.lo
         return (np.asarray(t, dtype=float) - self.lo) / (span if span > 0 else 1.0)
-
-
-class PolynomialSurface:
-    """Least-squares tensor-product polynomial y ≈ Σ c_ab r^a s^b."""
-
-    def __init__(self, deg_r: int = 2, deg_s: int = 1) -> None:
-        if deg_r < 0 or deg_s < 0:
-            raise ValueError("degrees must be >= 0")
-        self.deg_r = int(deg_r)
-        self.deg_s = int(deg_s)
-        self.coef_: np.ndarray | None = None
-        self._scale_r: _Scaler | None = None
-        self._scale_s: _Scaler | None = None
-
-    def _features(self, r: np.ndarray, s: np.ndarray) -> np.ndarray:
-        assert self._scale_r is not None and self._scale_s is not None
-        br = _poly_basis(self._scale_r(r), self.deg_r)  # (n, dr+1)
-        bs = _poly_basis(self._scale_s(s), self.deg_s)  # (n, ds+1)
-        # tensor product per row, flattened: (n, (dr+1)(ds+1))
-        return (br[:, :, None] * bs[:, None, :]).reshape(r.size, -1)
-
-    def fit(self, r, s, y) -> "PolynomialSurface":
-        """Least-squares fit of the tensor-product basis to (r, s) → y."""
-        r = check_array_1d("r", r, min_len=1)
-        s = check_array_1d("s", s, min_len=1)
-        y = check_array_1d("y", y, min_len=1)
-        if not (r.size == s.size == y.size):
-            raise ValueError("r, s, y must have equal length")
-        self._scale_r = _Scaler(float(r.min()), float(r.max()))
-        self._scale_s = _Scaler(float(s.min()), float(s.max()))
-        feats = self._features(r, s)
-        self.coef_, *_ = np.linalg.lstsq(feats, y, rcond=None)
-        return self
-
-    def predict(self, r, s) -> np.ndarray:
-        """Evaluate the fitted surface at (r, s)."""
-        if self.coef_ is None:
-            raise RuntimeError("model is not fitted")
-        r = check_array_1d("r", r, min_len=1)
-        s = check_array_1d("s", s, min_len=1)
-        if r.size != s.size:
-            raise ValueError("r and s must have equal length")
-        return self._features(r, s) @ self.coef_
-
-    def score(self, r, s, y) -> float:
-        """R² of the fitted surface on (r, s, y)."""
-        return r2_score(y, self.predict(r, s))
 
 
 class SeparableProduct:
@@ -164,7 +111,3 @@ class SeparableProduct:
     def predict(self, r, s) -> np.ndarray:
         """Evaluate θ(r)·ε(s) at the given points."""
         return self.theta(r) * self.epsilon(s)
-
-    def score(self, r, s, y) -> float:
-        """R² of the fitted product on (r, s, y)."""
-        return r2_score(y, self.predict(r, s))

@@ -16,7 +16,7 @@ linear in the sampling rate.  γ = 0.5e-5 J/bit follows the paper
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -137,22 +137,3 @@ class OutcomeFunctions:
         if not lats:
             raise ValueError("all streams dropped; latency undefined")
         return float(np.mean(lats))
-
-    # -- aggregate ----------------------------------------------------------
-    def vector(
-        self,
-        resolutions,
-        fps,
-        assignment: Sequence[int],
-        bandwidths_mbps,
-    ) -> np.ndarray:
-        """Outcome vector y = [ltc, acc, net, com, eng] for one decision."""
-        return np.array(
-            [
-                self.latency(resolutions, fps, assignment, bandwidths_mbps),
-                self.accuracy(resolutions, fps),
-                self.network_mbps(resolutions, fps),
-                self.computation_tflops(resolutions, fps),
-                self.energy_watts(resolutions, fps),
-            ]
-        )

@@ -151,9 +151,3 @@ class DecisionMaker:
             return u1 >= u2
         p = ndtr((u1 - u2) / (np.sqrt(2.0) * self.noise_scale))
         return bool(self._rng.random() < p)
-
-    def rank_pair(self, y1, y2) -> tuple[np.ndarray, np.ndarray]:
-        """Return (winner, loser) arrays."""
-        if self.compare(y1, y2):
-            return np.asarray(y1), np.asarray(y2)
-        return np.asarray(y2), np.asarray(y1)

@@ -241,11 +241,3 @@ class PreferenceLearner:
         if not self.model.is_fitted:
             raise RuntimeError("learner is not fitted")
         return self.model.predict(self._normalize(np.atleast_2d(y)))
-
-    def sample_utility(self, y, n_samples: int, *, rng: RngLike = None) -> np.ndarray:
-        """Joint posterior samples of ĝ at raw outcome vectors."""
-        if not self.model.is_fitted:
-            raise RuntimeError("learner is not fitted")
-        return self.model.sample_posterior(
-            self._normalize(np.atleast_2d(y)), n_samples, rng=rng
-        )

@@ -25,8 +25,6 @@ events and matching ``breaker.opens``/``breaker.half_opens``/
 
 from __future__ import annotations
 
-from typing import Any
-
 from repro.obs import telemetry
 
 __all__ = ["BREAKER_STATES", "CircuitBreaker"]
@@ -160,19 +158,3 @@ class CircuitBreaker:
         if self.failures:
             self.failures = 0
         return None
-
-    def snapshot(self) -> dict[str, Any]:
-        """JSON-safe state dump (``/varz``, summaries, WAL meta)."""
-        return {
-            "state": self.state,
-            "rank": self.rank,
-            "failures": self.failures,
-            "successes": self.successes,
-            "opened_epoch": self.opened_epoch,
-            "opens": self.opens,
-            "closes": self.closes,
-            "failure_threshold": self.failure_threshold,
-            "cooldown_epochs": self.cooldown_epochs,
-            "probe_successes": self.probe_successes,
-            "deadline_s": self.deadline_s,
-        }

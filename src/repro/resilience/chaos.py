@@ -1,9 +1,8 @@
 """Chaos harness: run a scheduler through a fault plan, measure the damage.
 
-The discrete-event simulator replays faults *within* one schedule
-(:meth:`repro.sim.cluster.EdgeCluster.run`); this module replays them
-*across* scheduling decisions.  A :class:`ChaosRunner` first optimizes
-on the pristine topology (the baseline), then walks the
+Faults replay *across* scheduling decisions, at topology level.  A
+:class:`ChaosRunner` first optimizes on the pristine topology (the
+baseline), then walks the
 :class:`~repro.resilience.faults.FaultPlan` in time order: each batch
 of same-time events yields a new *epoch* — a degraded
 :class:`~repro.core.problem.EVAProblem` with crashed servers removed,

@@ -1,27 +1,21 @@
 """Deterministic fault plans.
 
 A :class:`FaultPlan` is an ordered, immutable list of
-:class:`FaultEvent` records.  The same plan can be replayed at two
-levels:
+:class:`FaultEvent` records, replayed at topology level:
+:class:`repro.resilience.chaos.ChaosRunner` folds each event into the
+surviving servers, uplink factors and active streams, and asks the
+scheduler to replan on that cluster (``repro chaos``).
 
-* **simulator level** — :meth:`repro.sim.cluster.EdgeCluster.run`
-  accepts ``fault_plan=...`` and schedules the events into its
-  :class:`~repro.sim.events.EventQueue`, so crashes drop in-flight
-  frames and bandwidth collapses stretch uplink serialization;
-* **topology level** — :class:`repro.resilience.chaos.ChaosRunner`
-  folds each event into a :class:`TopologyState` and asks the
-  scheduler to replan on the surviving cluster.
-
-Plans are plain data: JSON round-trip via :meth:`FaultPlan.to_dict` /
-:meth:`FaultPlan.from_dict`, a compact CLI spec syntax via
-:func:`parse_fault_spec` (``crash:1@0.5``, ``bw:0@2.0x0.25``, …), and
-seeded random generation via :meth:`FaultPlan.random` — the same seed
-always yields the same plan, which the determinism tests rely on.
+Plans are plain data: a JSON dict via :meth:`FaultPlan.to_dict`, a
+compact CLI spec syntax via :func:`parse_fault_spec` (``crash:1@0.5``,
+``bw:0@2.0x0.25``, …), and seeded random generation via
+:meth:`FaultPlan.random` — the same seed always yields the same plan,
+which the determinism tests rely on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -62,8 +56,8 @@ class FaultEvent:
     Parameters
     ----------
     time:
-        Seconds (simulation level) or fractional run progress in [0, 1]
-        (topology level — the chaos runner scales it onto epochs).
+        Seconds on the plan's timeline; the chaos runner replans once
+        per distinct time.
     kind:
         One of :data:`FAULT_KINDS`.
     target:
@@ -99,15 +93,6 @@ class FaultEvent:
         if self.value is not None:
             out["value"] = float(self.value)
         return out
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FaultEvent":
-        return cls(
-            time=float(d["time"]),
-            kind=str(d["kind"]),
-            target=int(d["target"]),
-            value=d.get("value"),
-        )
 
 
 def parse_fault_spec(spec: str) -> FaultEvent:
@@ -161,23 +146,11 @@ class FaultPlan:
     def __iter__(self):
         return iter(self.events)
 
-    @property
-    def horizon(self) -> float:
-        """Time of the last event (0.0 for an empty plan)."""
-        return self.events[-1].time if self.events else 0.0
-
     def to_dict(self) -> dict:
         return {
             "seed": self.seed,
             "events": [e.to_dict() for e in self.events],
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FaultPlan":
-        return cls(
-            events=tuple(FaultEvent.from_dict(e) for e in d.get("events", ())),
-            seed=d.get("seed"),
-        )
 
     @classmethod
     def from_specs(cls, specs: Iterable[str]) -> "FaultPlan":

@@ -69,11 +69,6 @@ class PeriodicStream:
         """Encoded bit-rate θ_bit(r_i) · s_i (bits/s)."""
         return self.bits_per_frame * self.fps
 
-    @property
-    def is_high_rate(self) -> bool:
-        """True when p_i > T_i, i.e. the stream self-contends on one server."""
-        return self.processing_time > self.period + 1e-12
-
 
 def split_count(fps: float, processing_time: float) -> int:
     """Sub-streams ⌈s·p⌉ a stream splits into (1 when it does not self-contend)."""

@@ -315,13 +315,6 @@ class RemediationPolicy:
                     f"got {value!r}"
                 )
 
-    def to_dict(self) -> dict:
-        return {
-            "brownout_severity": self.brownout_severity,
-            "shed_severity": self.shed_severity,
-            "checkpoint_severity": self.checkpoint_severity,
-        }
-
 
 @dataclass
 class ServeDecision:
@@ -589,6 +582,8 @@ class SchedulerService:
         self._next_sid = problem.n_streams
         self.epoch = 0
         self.started = False
+        # The batch decision run_epochs deployed verbatim; None in the
+        # event loop, where the engine state is what is deployed.
         self.last_decision: ScheduleDecision | None = None
         # Becomes True once churn events mutate the topology, after
         # which full solves rebuild the problem from live state instead
@@ -964,23 +959,26 @@ class SchedulerService:
             label += f"x{e.value:g}"
         return label
 
+    def _solve_engine(self) -> dict:
+        """Greedy full solve; the engine state it leaves is deployed."""
+        stats = self.planner.solve_all(dict(self.textures))
+        for sid in stats.get("rejected", []):
+            self.textures.pop(sid, None)
+        return stats
+
     def _deploy_batch(
         self, *, reason: str, epoch: int, fresh: bool = False
-    ) -> dict | None:
-        """Solve the full problem and deploy; no engine re-embedding.
+    ) -> ScheduleDecision | None:
+        """Solve the full problem; no engine re-embedding.
 
         The batch scheduler is built by the factory when ``fresh`` or
-        none exists yet, and replanned otherwise.  Returns engine stats
-        on the factory-less path (the greedy solve IS the engine
-        state); ``None`` on the batch-scheduler path, where only
-        ``last_decision`` is updated.
+        none exists yet, and replanned otherwise; its decision is
+        returned.  Without a factory the greedy engine solve is what is
+        deployed, and ``None`` is returned.
         """
         if self.scheduler_factory is None:
-            stats = self.planner.solve_all(dict(self.textures))
-            for sid in stats.get("rejected", []):
-                self.textures.pop(sid, None)
-            self.last_decision = None
-            return stats
+            self._solve_engine()
+            return None
         prob = self.current_problem() if self._topology_dirty else self.problem
         if prob is None:
             raise InfeasibleScheduleError(
@@ -991,15 +989,13 @@ class SchedulerService:
             out = self.scheduler.optimize()
         else:
             out = self.scheduler.replan(prob, reason=reason)
-        self.last_decision = out.decision
-        return None
+        return out.decision
 
     def _full_solve(self, *, reason: str, epoch: int) -> dict:
         """Re-solve and re-embed into the engine (event-loop full solve)."""
-        stats = self._deploy_batch(reason=reason, epoch=epoch)
-        if stats is not None:
-            return stats
-        decision = self.last_decision
+        if self.scheduler_factory is None:
+            return self._solve_engine()
+        decision = self._deploy_batch(reason=reason, epoch=epoch)
         sids = sorted(self.textures)
         configs = {
             sid: (float(decision.resolutions[i]), float(decision.fps[i]))
@@ -1258,7 +1254,9 @@ class SchedulerService:
             detector = DriftDetector()
         if not self.started:
             self.started = True
-            self._deploy_batch(reason="warmup", epoch=0, fresh=True)
+            self.last_decision = self._deploy_batch(
+                reason="warmup", epoch=0, fresh=True
+            )
         ticks: list[ServeEpochTick] = []
         for epoch in range(n_epochs):
             decision = self.deployed_decision()
@@ -1267,7 +1265,9 @@ class SchedulerService:
             dev = detector.deviation(expected, observed)
             drifted = detector.update(expected, observed)
             if drifted:
-                self._deploy_batch(reason="drift", epoch=epoch, fresh=True)
+                self.last_decision = self._deploy_batch(
+                    reason="drift", epoch=epoch, fresh=True
+                )
                 detector.reset()
                 telemetry.counter("serve.drift_reoptimizations")
             ticks.append(
@@ -1284,8 +1284,9 @@ class SchedulerService:
     def deployed_decision(self) -> ScheduleDecision:
         """The live decision as a :class:`ScheduleDecision`.
 
-        From the last batch solve when one exists; synthesized from the
-        engine state otherwise (greedy/incremental mode).
+        The batch decision :meth:`run_epochs` deployed verbatim, when it
+        deployed one; otherwise synthesized from the engine state, which
+        is what the event loop deploys.
         """
         if self.last_decision is not None:
             return self.last_decision

@@ -8,7 +8,7 @@ yields a :class:`~repro.sim.metrics.SimulationReport`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -86,79 +86,17 @@ class EdgeCluster:
     def n_servers(self) -> int:
         return len(self.servers)
 
-    def _install_fault_plan(
-        self, fault_plan, active: dict[int, bool], horizon: float
-    ) -> None:
-        """Schedule a :class:`~repro.resilience.faults.FaultPlan` replay.
-
-        Events run at negative priority so a fault taking effect at
-        time t applies before any frame emitted at t.  Each application
-        emits a ``fault.inject`` telemetry event and bumps the
-        ``fault.injected`` counter.
-        """
-
-        def apply(event) -> None:
-            kind = event.kind
-            target = int(event.target)
-            if kind in ("server_crash", "server_recover", "bandwidth_drop",
-                        "bandwidth_restore"):
-                if not (0 <= target < self.n_servers):
-                    raise ValueError(
-                        f"fault target {target} out of range for "
-                        f"{self.n_servers} servers"
-                    )
-            elif target not in active:
-                raise ValueError(f"fault targets unknown stream {target}")
-            dropped = 0
-            if kind == "server_crash":
-                dropped = self.servers[target].crash()
-            elif kind == "server_recover":
-                self.servers[target].recover()
-            elif kind == "bandwidth_drop":
-                self.links[target].set_bandwidth(
-                    self.links[target].nominal_mbps * float(event.value)
-                )
-            elif kind == "bandwidth_restore":
-                self.links[target].restore_bandwidth()
-            elif kind == "stream_leave":
-                active[target] = False
-            elif kind == "stream_join":
-                active[target] = True
-            telemetry.counter("fault.injected")
-            telemetry.event(
-                "fault.inject",
-                kind=kind,
-                target=target,
-                value=event.value,
-                time=self.queue.now,
-                frames_dropped=dropped,
-            )
-
-        for event in fault_plan:
-            if event.time <= horizon:
-                self.queue.schedule(
-                    event.time, lambda e=event: apply(e), priority=-5
-                )
-
     def run(
         self,
         streams: Sequence[StreamSpec],
         assignment: Sequence[int],
         horizon: float,
-        *,
-        fault_plan=None,
     ) -> SimulationReport:
         """Simulate ``streams`` mapped by ``assignment`` for ``horizon`` s.
 
         ``assignment[i]`` is the 0-based server index for ``streams[i]``;
         ``-1`` drops the stream (it emits nothing).  Frames still in
         flight at the horizon are not counted as completed.
-
-        ``fault_plan`` (a :class:`~repro.resilience.faults.FaultPlan`
-        or any iterable of fault events) replays deterministic faults
-        into the run: server crashes drop queued/in-flight frames,
-        bandwidth drops stretch uplink serialization, and stream
-        leave/join events gate frame emission.
         """
         check_positive("horizon", horizon)
         if len(assignment) != len(streams):
@@ -171,34 +109,30 @@ class EdgeCluster:
 
         emitted = {s.stream_id: 0 for s in streams}
         completed: dict[int, list[QueuedFrame]] = {s.stream_id: [] for s in streams}
-        active = {s.stream_id: True for s in streams}
         total_flops = 0.0
 
         def make_emitter(spec: StreamSpec, server: EdgeServer, link: UplinkLink):
             def emit() -> None:
                 nonlocal total_flops
                 emit_time = self.queue.now
-                # An inactive (left) stream keeps its emission chain
-                # ticking silently so a later join resumes in phase.
-                if active[spec.stream_id]:
-                    emitted[spec.stream_id] += 1
-                    frame_id = emitted[spec.stream_id]
+                emitted[spec.stream_id] += 1
+                frame_id = emitted[spec.stream_id]
 
-                    def on_delivered(arrival: float) -> None:
-                        nonlocal total_flops
-                        total_flops += spec.flops_per_frame
-                        server.submit(
-                            QueuedFrame(
-                                stream_id=spec.stream_id,
-                                frame_id=frame_id,
-                                emit_time=emit_time,
-                                arrival_time=arrival,
-                                processing_time=spec.processing_time,
-                                on_done=lambda fr, t: completed[spec.stream_id].append(fr),
-                            )
+                def on_delivered(arrival: float) -> None:
+                    nonlocal total_flops
+                    total_flops += spec.flops_per_frame
+                    server.submit(
+                        QueuedFrame(
+                            stream_id=spec.stream_id,
+                            frame_id=frame_id,
+                            emit_time=emit_time,
+                            arrival_time=arrival,
+                            processing_time=spec.processing_time,
+                            on_done=lambda fr, t: completed[spec.stream_id].append(fr),
                         )
+                    )
 
-                    link.send(spec.bits_per_frame, on_delivered)
+                link.send(spec.bits_per_frame, on_delivered)
                 nxt = emit_time + spec.period
                 if nxt <= horizon:
                     self.queue.schedule(nxt, emit)
@@ -212,17 +146,11 @@ class EdgeCluster:
             if start <= horizon:
                 self.queue.schedule(start, make_emitter(spec, self.servers[q], self.links[q]))
 
-        if fault_plan is not None:
-            self._install_fault_plan(fault_plan, active, horizon)
-
         with telemetry.span("sim.run"):
             self.queue.run(until=horizon)
         telemetry.counter("sim.frames_emitted", sum(emitted.values()))
         telemetry.counter(
             "sim.frames_completed", sum(len(v) for v in completed.values())
-        )
-        telemetry.counter(
-            "sim.frames_dropped", sum(srv.frames_dropped for srv in self.servers)
         )
         telemetry.counter("sim.runs")
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
 
 
 @dataclass(order=True)
@@ -23,11 +23,6 @@ class Event:
     priority: int
     seq: int
     action: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-
-    def cancel(self) -> None:
-        """Mark the event so the queue skips it when popped."""
-        self.cancelled = True
 
 
 class EventQueue:
@@ -53,22 +48,14 @@ class EventQueue:
         heapq.heappush(self._heap, ev)
         return ev
 
-    def schedule_in(self, delay: float, action: Callable[[], None], *, priority: int = 0) -> Event:
-        """Enqueue ``action`` after relative ``delay`` seconds."""
-        if delay < 0:
-            raise ValueError(f"delay must be >= 0, got {delay}")
-        return self.schedule(self._now + delay, action, priority=priority)
-
     def step(self) -> bool:
         """Pop and run the next event.  Returns False when the heap is empty."""
-        while self._heap:
-            ev = heapq.heappop(self._heap)
-            if ev.cancelled:
-                continue
-            self._now = ev.time
-            ev.action()
-            return True
-        return False
+        if not self._heap:
+            return False
+        ev = heapq.heappop(self._heap)
+        self._now = ev.time
+        ev.action()
+        return True
 
     def run(self, until: Optional[float] = None, *, max_events: int = 10_000_000) -> int:
         """Run events until the horizon (inclusive) or exhaustion.
@@ -78,11 +65,7 @@ class EventQueue:
         """
         executed = 0
         while self._heap and executed < max_events:
-            nxt = self._heap[0]
-            if nxt.cancelled:
-                heapq.heappop(self._heap)
-                continue
-            if until is not None and nxt.time > until:
+            if until is not None and self._heap[0].time > until:
                 break
             self.step()
             executed += 1

@@ -22,7 +22,6 @@ class UplinkLink:
         check_positive("bandwidth_mbps", bandwidth_mbps)
         self.server_id = int(server_id)
         self.bandwidth_mbps = float(bandwidth_mbps)
-        self.nominal_mbps = float(bandwidth_mbps)
         self._queue = queue
         self._free_at = 0.0
         self.bits_sent = 0.0
@@ -35,21 +34,6 @@ class UplinkLink:
         """Pure serialization delay for ``bits`` (no queueing)."""
         check_positive("bits", bits)
         return bits / self.bandwidth_bps
-
-    def set_bandwidth(self, bandwidth_mbps: float) -> None:
-        """Fault injection: change the link rate for *future* sends.
-
-        Frames already accepted keep their scheduled arrival; only new
-        :meth:`send` calls see the updated rate.  Use
-        :meth:`restore_bandwidth` to return to the construction-time
-        nominal value.
-        """
-        check_positive("bandwidth_mbps", bandwidth_mbps)
-        self.bandwidth_mbps = float(bandwidth_mbps)
-
-    def restore_bandwidth(self) -> None:
-        """Reset the link to its nominal (construction-time) bandwidth."""
-        self.bandwidth_mbps = self.nominal_mbps
 
     def send(self, bits: float, on_delivered: Callable[[float], None]) -> float:
         """Enqueue ``bits`` now; invoke ``on_delivered(arrival_time)``.

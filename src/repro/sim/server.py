@@ -10,7 +10,7 @@ integrates busy time into energy via the device profile.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.sim.events import EventQueue
@@ -54,64 +54,14 @@ class EdgeServer:
         self._busy = False
         self.busy_time = 0.0
         self.frames_processed = 0
-        self.frames_dropped = 0
         self.completed: list[QueuedFrame] = []
-        self._speed_factor = 1.0
-        self._crashed = False
-        self._crash_epoch = 0
-
-    def crash(self) -> int:
-        """Fail the server: drop queued and in-flight frames.
-
-        The pending queue empties (each frame counted in
-        :attr:`frames_dropped`), the frame currently on the accelerator
-        is discarded when its completion event fires, and frames
-        submitted while crashed are dropped on arrival.  Returns the
-        number of frames dropped immediately.
-        """
-        dropped = len(self._pending) + (1 if self._busy else 0)
-        self.frames_dropped += dropped
-        self._pending.clear()
-        self._crashed = True
-        self._crash_epoch += 1
-        self._busy = False
-        return dropped
-
-    def recover(self) -> None:
-        """Bring a crashed server back; it resumes from an empty queue."""
-        self._crashed = False
-        if self._pending and not self._busy:
-            self._start_next()
 
     def submit(self, frame: QueuedFrame) -> None:
         """Accept a frame at the current simulation time."""
         check_positive("processing_time", frame.processing_time)
-        if self._crashed:
-            self.frames_dropped += 1
-            return
         self._pending.append(frame)
         if not self._busy:
             self._start_next()
-
-    @property
-    def speed_factor(self) -> float:
-        """Current throughput multiplier (1.0 = nominal)."""
-        return self._speed_factor
-
-    def set_speed_factor(self, factor: float) -> None:
-        """Failure/degradation injection: scale future processing speed.
-
-        ``factor < 1`` models thermal throttling or co-tenant
-        interference; ``factor > 1`` a faster replacement node.  Applies
-        to frames *starting* after the call (the current frame's finish
-        event is already scheduled).
-        """
-        check_positive("factor", factor)
-        self._speed_factor = float(factor)
-
-    def schedule_slowdown(self, at_time: float, factor: float) -> None:
-        """Arrange a speed change at a future simulation time."""
-        self._queue.schedule(at_time, lambda: self.set_speed_factor(factor))
 
     def _start_next(self) -> None:
         if not self._pending:
@@ -120,19 +70,11 @@ class EdgeServer:
         frame = self._pending.popleft()
         self._busy = True
         frame.start_time = self._queue.now
-        effective = frame.processing_time / self._speed_factor
-        finish = self._queue.now + effective
-        epoch = self._crash_epoch
+        finish = self._queue.now + frame.processing_time
 
-        def _complete(
-            fr: QueuedFrame = frame, t: float = finish, dt: float = effective
-        ) -> None:
-            if self._crashed or epoch != self._crash_epoch:
-                # the server died while this frame was on the accelerator;
-                # crash() already counted it as dropped
-                return
+        def _complete(fr: QueuedFrame = frame, t: float = finish) -> None:
             fr.finish_time = t
-            self.busy_time += dt
+            self.busy_time += fr.processing_time
             self.frames_processed += 1
             self.completed.append(fr)
             if fr.on_done is not None:

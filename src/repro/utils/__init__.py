@@ -4,7 +4,7 @@ Everything here is dependency-free (numpy only) so every other subpackage
 may import it without cycles.
 """
 
-from repro.utils.rng import as_generator, spawn, derive_seed
+from repro.utils.rng import as_generator, spawn
 from repro.utils.validation import (
     check_positive,
     check_in_range,
@@ -22,7 +22,6 @@ from repro.utils.serialization import to_jsonable
 __all__ = [
     "as_generator",
     "spawn",
-    "derive_seed",
     "check_positive",
     "check_in_range",
     "check_array_1d",

@@ -46,8 +46,3 @@ def spawn(rng: RngLike, n: int) -> list[np.random.Generator]:
     gen = as_generator(rng)
     seeds = gen.integers(0, 2**63 - 1, size=n, dtype=np.int64)
     return [np.random.default_rng(np.random.SeedSequence(int(s))) for s in seeds]
-
-
-def derive_seed(rng: RngLike) -> int:
-    """Draw a single 63-bit seed from ``rng`` (for labelling / re-seeding)."""
-    return int(as_generator(rng).integers(0, 2**63 - 1, dtype=np.int64))

@@ -28,19 +28,29 @@ STDS = np.array([0.1, 0.1, 0.1, 2.0])
 POOL = np.arange(4, dtype=float).reshape(-1, 1)
 
 
+def _value(acq, sampler, pool, batch_size=1, **kw):
+    """MC value of the batch ``select_batch`` picks from ``pool``.
+
+    On a pool of exactly ``batch_size`` points the batch is the whole
+    pool, so this is the acquisition value of that batch.
+    """
+    acq.select_batch(sampler, pool, batch_size, **kw)
+    return acq.last_batch_value
+
+
 class TestQNEI:
     def test_prefers_high_mean_candidate(self):
         s = _gaussian_sampler(MEANS, STDS)
         acq = QNEI(n_samples=256)
         obs_x = np.array([[0.0]])
-        v_low = acq.evaluate(s, POOL[:1], observed_x=obs_x, rng=0)
-        v_high = acq.evaluate(s, POOL[2:3], observed_x=obs_x, rng=0)
+        v_low = _value(acq, s, POOL[:1], observed_x=obs_x, rng=0)
+        v_high = _value(acq, s, POOL[2:3], observed_x=obs_x, rng=0)
         assert v_high > v_low
 
     def test_no_incumbent_falls_back_to_mean(self):
         s = _gaussian_sampler(MEANS, STDS)
         acq = QNEI(n_samples=512)
-        v = acq.evaluate(s, POOL[2:3], rng=0)
+        v = _value(acq, s, POOL[2:3], rng=0)
         assert v == pytest.approx(2.0, abs=0.1)
 
     def test_incumbent_resampled_each_draw(self):
@@ -48,35 +58,43 @@ class TestQNEI:
         s = _gaussian_sampler(MEANS, STDS)
         acq = QNEI(n_samples=512)
         obs_x = POOL[2:3]
-        v = acq.evaluate(s, POOL[2:3], observed_x=obs_x, rng=0)
+        v = _value(acq, s, POOL[2:3], observed_x=obs_x, rng=0)
         assert 0 < v < 0.3
 
     def test_batch_value_geq_single(self):
         s = _gaussian_sampler(MEANS, STDS)
         acq = QNEI(n_samples=512)
         obs_x = POOL[:1]
-        v1 = acq.evaluate(s, POOL[1:2], observed_x=obs_x, rng=7)
-        v2 = acq.evaluate(s, POOL[1:3], observed_x=obs_x, rng=7)
+        v1 = _value(acq, s, POOL[1:2], observed_x=obs_x, rng=7)
+        v2 = _value(acq, s, POOL[1:3], 2, observed_x=obs_x, rng=7)
         assert v2 >= v1 - 0.05
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_picks_best_mean_over_incumbent(self, seed):
+        s = _gaussian_sampler(MEANS, STDS)
+        idx = QNEI(n_samples=256).select_batch(
+            s, POOL, 1, observed_x=POOL[:1], rng=seed
+        )
+        assert idx.tolist() == [2]
 
 
 class TestQEI:
     def test_improvement_over_best_observed(self):
         s = _gaussian_sampler(MEANS, STDS)
         acq = QEI(n_samples=512)
-        v = acq.evaluate(s, POOL[2:3], observed_z=np.array([1.0]), rng=0)
+        v = _value(acq, s, POOL[2:3], observed_z=np.array([1.0]), rng=0)
         assert v == pytest.approx(1.0, abs=0.1)
 
     def test_no_improvement_when_best_unbeatable(self):
         s = _gaussian_sampler(MEANS, STDS)
         acq = QEI(n_samples=512)
-        v = acq.evaluate(s, POOL[:1], observed_z=np.array([10.0]), rng=0)
+        v = _value(acq, s, POOL[:1], observed_z=np.array([10.0]), rng=0)
         assert v == pytest.approx(0.0, abs=1e-6)
 
     def test_missing_observed_values(self):
         s = _gaussian_sampler(MEANS, STDS)
         acq = QEI(n_samples=256)
-        v = acq.evaluate(s, POOL[1:2], rng=0)
+        v = _value(acq, s, POOL[1:2], rng=0)
         assert v == pytest.approx(1.0, abs=0.15)
 
 
@@ -85,9 +103,15 @@ class TestQUCB:
         s = _gaussian_sampler(MEANS, STDS)
         acq = QUCB(n_samples=1024, beta=2.0)
         # index 3 has mean 0.5 but huge std; should beat index 1 (mean 1.0, tiny std)
-        v_uncertain = acq.evaluate(s, POOL[3:4], rng=0)
-        v_certain = acq.evaluate(s, POOL[1:2], rng=0)
+        v_uncertain = _value(acq, s, POOL[3:4], rng=0)
+        v_certain = _value(acq, s, POOL[1:2], rng=0)
         assert v_uncertain > v_certain
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_picks_uncertain_candidate(self, seed):
+        s = _gaussian_sampler(MEANS, STDS)
+        idx = QUCB(n_samples=1024, beta=2.0).select_batch(s, POOL, 1, rng=seed)
+        assert idx.tolist() == [3]
 
     def test_beta_zero_invalid(self):
         with pytest.raises(ValueError):
@@ -98,7 +122,7 @@ class TestQSR:
     def test_equals_expected_max(self):
         s = _gaussian_sampler(MEANS, STDS)
         acq = QSR(n_samples=2048)
-        v = acq.evaluate(s, POOL[:2], rng=0)
+        v = _value(acq, s, POOL[:2], 2, rng=0)
         # max of N(0,.1) and N(1,.1) ~ 1.0
         assert v == pytest.approx(1.0, abs=0.05)
 

@@ -64,7 +64,7 @@ class TestEuboForPairs:
 
     def test_pair_with_high_utility_item_scores_higher(self):
         items, model = _fitted_model(seed=1)
-        g = model.utilities()
+        g, _ = model.predict(items)
         best = int(np.argmax(g))
         worst = int(np.argmin(g))
         others = [i for i in range(len(items)) if i not in (best, worst)]

@@ -48,11 +48,6 @@ class TestThompsonSampling:
         ]
         assert 0 < sum(p == 1 for p in picks) < 40
 
-    def test_evaluate_is_expected_max(self):
-        s = _gaussian_sampler(MEANS, STDS)
-        v = ThompsonSampling(n_samples=2048).evaluate(s, POOL[2:3], rng=0)
-        assert v == pytest.approx(3.0, abs=0.05)
-
     def test_batch_size_validation(self):
         s = _gaussian_sampler(MEANS, STDS)
         with pytest.raises(ValueError):

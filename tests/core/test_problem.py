@@ -53,7 +53,7 @@ class TestEVAProblem:
         p = EVAProblem(n_streams=1, bandwidths_mbps=[100.0])
         streams = p.make_streams([2000.0], [30.0])
         assert len(streams) > 1
-        assert all(not s.is_high_rate for s in streams)
+        assert all(s.processing_time <= s.period + 1e-12 for s in streams)
 
     def test_schedule_satisfies_constraints(self, problem):
         r = np.array([600.0, 600.0, 900.0, 300.0])

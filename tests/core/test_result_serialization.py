@@ -1,10 +1,15 @@
-"""Round-trip tests for ScheduleDecision / OptimizationOutcome dicts."""
+"""Round-trip tests for ScheduleDecision / OptimizationOutcome dicts.
+
+Results persist through :func:`repro.bench.save_results`, and
+:func:`repro.bench.load_results` reads them back as plain dicts.
+"""
 
 import json
 
 import numpy as np
 import pytest
 
+from repro.bench import load_results, save_results
 from repro.core import OptimizationOutcome, ScheduleDecision
 from repro.utils import to_jsonable
 
@@ -40,16 +45,15 @@ class TestScheduleDecisionDict:
         assert all(isinstance(q, int) for q in d["assignment"])
         assert isinstance(d["benefit"], float)
 
-    def test_round_trip(self):
+    def test_round_trip(self, tmp_path):
         orig = _decision()
-        back = ScheduleDecision.from_dict(orig.to_dict())
-        np.testing.assert_allclose(back.resolutions, orig.resolutions)
-        np.testing.assert_allclose(back.fps, orig.fps)
-        np.testing.assert_allclose(back.outcome, orig.outcome)
-        assert back.assignment == [0, 1]
-        assert back.benefit == pytest.approx(0.73)
-        assert back.method == "PaMO"
-        assert back.n_streams == orig.n_streams
+        back = load_results(save_results(orig, tmp_path / "d.json"))
+        np.testing.assert_allclose(back["resolutions"], orig.resolutions)
+        np.testing.assert_allclose(back["fps"], orig.fps)
+        np.testing.assert_allclose(back["outcome"], orig.outcome)
+        assert back["assignment"] == [0, 1]
+        assert back["benefit"] == pytest.approx(0.73)
+        assert back["method"] == "PaMO"
 
 
 class TestOptimizationOutcomeDict:
@@ -59,24 +63,22 @@ class TestOptimizationOutcomeDict:
         assert d["extras"]["resolutions"] == [600.0, 900.0]
         assert d["extras"]["seed"] == 3
 
-    def test_round_trip(self):
+    def test_round_trip(self, tmp_path):
         orig = _outcome()
-        back = OptimizationOutcome.from_dict(orig.to_dict())
-        assert back.true_benefit == pytest.approx(0.7)
-        assert back.n_iterations == 5
-        assert back.converged is True
-        assert back.history == pytest.approx([0.1, 0.5, 0.7])
-        assert back.n_dm_queries == 18
-        np.testing.assert_allclose(back.decision.outcome, orig.decision.outcome)
+        back = load_results(save_results(orig, tmp_path / "o.json"))
+        assert back["true_benefit"] == pytest.approx(0.7)
+        assert back["n_iterations"] == 5
+        assert back["converged"] is True
+        assert back["history"] == pytest.approx([0.1, 0.5, 0.7])
+        assert back["n_dm_queries"] == 18
+        np.testing.assert_allclose(back["decision"]["outcome"], orig.decision.outcome)
 
-    def test_none_true_benefit_survives(self):
+    def test_none_true_benefit_survives(self, tmp_path):
         out = OptimizationOutcome(decision=_decision())
-        back = OptimizationOutcome.from_dict(out.to_dict())
-        assert back.true_benefit is None
+        back = load_results(save_results(out, tmp_path / "o.json"))
+        assert back["true_benefit"] is None
 
     def test_save_load_results_uses_to_dict(self, tmp_path):
-        from repro.bench import load_results, save_results
-
         path = save_results({"run": _outcome()}, tmp_path / "out.json")
         data = load_results(path)
         assert data["run"]["decision"]["method"] == "PaMO"

@@ -118,35 +118,3 @@ class TestPosteriorSampling:
         s = gp.sample_posterior(xt, n_samples=4000, rng=0)
         mean, var = gp.predict(xt)
         assert np.mean(s) == pytest.approx(mean[0], abs=4 * np.sqrt(var[0] / 4000) + 1e-3)
-
-
-class TestLogPredictiveDensity:
-    def test_good_model_scores_higher_than_bad(self):
-        x, y = _toy_1d(n=40)
-        x_test = np.linspace(0.2, 4.8, 15).reshape(-1, 1)
-        y_test = np.sin(x_test[:, 0])
-        good = GPRegressor().fit(x, y)
-        bad = GPRegressor().fit(x[:4], y[:4], optimize=False)
-        assert good.log_predictive_density(x_test, y_test) > bad.log_predictive_density(
-            x_test, y_test
-        )
-
-    def test_penalizes_wrong_targets(self):
-        x, y = _toy_1d(n=30)
-        gp = GPRegressor().fit(x, y)
-        xt = np.array([[2.0], [3.0]])
-        yt_true = np.sin(xt[:, 0])
-        yt_wrong = yt_true + 5.0
-        assert gp.log_predictive_density(xt, yt_true) > gp.log_predictive_density(
-            xt, yt_wrong
-        )
-
-    def test_length_mismatch_raises(self):
-        x, y = _toy_1d()
-        gp = GPRegressor().fit(x, y)
-        with pytest.raises(ValueError):
-            gp.log_predictive_density(np.zeros((2, 1)), np.zeros(3))
-
-    def test_unfitted_raises(self):
-        with pytest.raises(RuntimeError):
-            GPRegressor().log_predictive_density(np.zeros((1, 1)), np.zeros(1))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.gp import GPRegressor, sample_mvn, sample_posterior
+from repro.gp import sample_mvn
 
 
 class TestSampleMvn:
@@ -35,16 +35,3 @@ class TestSampleMvn:
             sample_mvn(np.zeros(2), np.eye(3), 5)
         with pytest.raises(ValueError):
             sample_mvn(np.zeros(2), np.eye(2), 0)
-
-
-class TestSamplePosterior:
-    def test_wraps_model(self):
-        gen = np.random.default_rng(0)
-        x = gen.uniform(0, 5, (20, 1))
-        y = np.sin(x[:, 0])
-        gp = GPRegressor().fit(x, y)
-        xt = np.array([[1.0], [2.0]])
-        s = sample_posterior(gp, xt, 50, rng=0)
-        assert s.shape == (50, 2)
-        mean, _ = gp.predict(xt)
-        np.testing.assert_allclose(s.mean(axis=0), mean, atol=0.2)

@@ -1,9 +1,9 @@
-"""Tests for polynomial / separable-product regression."""
+"""Tests for separable-product regression and R²."""
 
 import numpy as np
 import pytest
 
-from repro.outcomes import PolynomialSurface, SeparableProduct, r2_score
+from repro.outcomes import SeparableProduct, r2_score
 
 
 def _grid(seed=0, n=120):
@@ -38,41 +38,6 @@ class TestR2Score:
             r2_score(np.ones(3), np.ones(4))
 
 
-class TestPolynomialSurface:
-    def test_recovers_quadratic_linear_product(self):
-        r, s = _grid()
-        y = (0.5 + 0.2 * r / 2000 + 0.1 * (r / 2000) ** 2) * (1 + 2 * s / 30)
-        model = PolynomialSurface(deg_r=2, deg_s=1).fit(r, s, y)
-        assert model.score(r, s, y) > 0.999
-
-    def test_generalizes(self):
-        r, s = _grid(seed=1)
-        y = (r / 2000) ** 2 * s
-        model = PolynomialSurface(deg_r=2, deg_s=1).fit(r, s, y)
-        r2, s2 = _grid(seed=2)
-        y2 = (r2 / 2000) ** 2 * s2
-        assert model.score(r2, s2, y2) > 0.99
-
-    def test_underparameterized_fits_worse(self):
-        r, s = _grid()
-        y = (r / 2000) ** 2 * (s / 30) ** 2  # needs deg_s=2
-        lo = PolynomialSurface(deg_r=2, deg_s=1).fit(r, s, y).score(r, s, y)
-        hi = PolynomialSurface(deg_r=2, deg_s=2).fit(r, s, y).score(r, s, y)
-        assert hi > lo
-
-    def test_predict_before_fit_raises(self):
-        with pytest.raises(RuntimeError):
-            PolynomialSurface().predict([1.0], [1.0])
-
-    def test_length_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            PolynomialSurface().fit([1.0, 2.0], [1.0], [1.0, 2.0])
-
-    def test_negative_degree_raises(self):
-        with pytest.raises(ValueError):
-            PolynomialSurface(deg_r=-1)
-
-
 class TestSeparableProduct:
     def test_recovers_true_product(self):
         r, s = _grid()
@@ -80,7 +45,7 @@ class TestSeparableProduct:
         eps = 0.3 + 0.7 * s / 30
         y = theta * eps
         model = SeparableProduct(deg_r=2, deg_s=1).fit(r, s, y)
-        assert model.score(r, s, y) > 0.999
+        assert r2_score(y, model.predict(r, s)) > 0.999
 
     def test_components_multiply_to_prediction(self):
         r, s = _grid()
@@ -112,4 +77,4 @@ class TestSeparableProduct:
         r, s = _grid()
         y = np.array([enc.bitrate(ri, si) for ri, si in zip(r, s)])
         model = SeparableProduct(deg_r=2, deg_s=2).fit(r, s, y)
-        assert model.score(r, s, y) > 0.98
+        assert r2_score(y, model.predict(r, s)) > 0.98

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.problem import EVAProblem
 from repro.outcomes import OBJECTIVES, OutcomeFunctions, default_accuracy_fn
 from repro.video import DeviceProfile, EncoderModel
 
@@ -10,6 +11,12 @@ from repro.video import DeviceProfile, EncoderModel
 @pytest.fixture
 def fns():
     return OutcomeFunctions()
+
+
+def _outcome_vector(fns, resolutions, fps, assignment, bandwidths_mbps):
+    """The analytic [ltc, acc, net, com, eng] of one explicit decision."""
+    problem = EVAProblem(len(resolutions), bandwidths_mbps, outcomes=fns)
+    return problem.evaluate_decision(resolutions, fps, assignment)
 
 
 class TestDefaultAccuracyFn:
@@ -86,14 +93,14 @@ class TestOutcomeFunctions:
             fns.latency([960.0], [10.0], [4], [10.0])
 
     def test_vector_order_and_shape(self, fns):
-        v = fns.vector([960.0, 480.0], [10.0, 5.0], [0, 0], [50.0])
+        v = _outcome_vector(fns, [960.0, 480.0], [10.0, 5.0], [0, 0], [50.0])
         assert v.shape == (5,)
         assert v[0] == fns.latency([960.0, 480.0], [10.0, 5.0], [0, 0], [50.0])
         assert v[1] == fns.accuracy([960.0, 480.0], [10.0, 5.0])
 
     def test_vector_matches_fig2_magnitudes(self, fns):
         """Full config ~ Fig. 2 ceilings: ~15 Mbps, tens of TFLOPs."""
-        v = fns.vector([2000.0], [30.0], [0], [100.0])
+        v = _outcome_vector(fns, [2000.0], [30.0], [0], [100.0])
         ltc, acc, net, com, eng = v
         assert 0.05 < ltc < 1.0
         assert 0.6 < acc < 1.0
@@ -103,8 +110,8 @@ class TestOutcomeFunctions:
 
     def test_conflict_between_objectives(self, fns):
         """§2.3: accuracy and resources conflict by construction."""
-        hi = fns.vector([2000.0], [30.0], [0], [100.0])
-        lo = fns.vector([300.0], [2.0], [0], [100.0])
+        hi = _outcome_vector(fns, [2000.0], [30.0], [0], [100.0])
+        lo = _outcome_vector(fns, [300.0], [2.0], [0], [100.0])
         assert hi[1] > lo[1]  # better accuracy ...
         assert hi[2] > lo[2] and hi[3] > lo[3] and hi[4] > lo[4]  # ... costs more
 

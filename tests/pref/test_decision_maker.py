@@ -124,14 +124,6 @@ class TestDecisionMaker:
         answers = [dm.compare(best, worst) for _ in range(50)]
         assert sum(answers) >= 48
 
-    def test_rank_pair(self, pref):
-        dm = DecisionMaker(pref)
-        better = np.array([0.1, 0.9, 0.1, 0.1, 0.1])
-        worse = np.ones(5)
-        w, l = dm.rank_pair(worse, better)
-        np.testing.assert_array_equal(w, better)
-        np.testing.assert_array_equal(l, worse)
-
     def test_negative_noise_raises(self, pref):
         with pytest.raises(ValueError):
             DecisionMaker(pref, noise_scale=-0.1)

@@ -72,12 +72,6 @@ class TestPreferenceLearner:
             accs.append(pairwise_accuracy(learner.utility, pref.value, pairs))
         assert accs[1] >= accs[0]
 
-    def test_sample_utility_shape(self):
-        space, _, _, learner = _setup()
-        learner.initialize(5)
-        s = learner.sample_utility(space[:3], n_samples=10, rng=0)
-        assert s.shape == (10, 3)
-
     def test_small_space_raises(self):
         _, pref, dm, _ = _setup()
         with pytest.raises(ValueError):

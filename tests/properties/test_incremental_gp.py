@@ -40,12 +40,11 @@ def gp_update_case(draw):
     cls = draw(st.sampled_from(KERNELS))
     ell = draw(st.floats(0.1, 2.0))
     noise = draw(st.floats(1e-6, 1e-2))
-    normalize_y = draw(st.booleans())
     gen = np.random.default_rng(seed)
     x = gen.uniform(-1.0, 1.0, size=(n0 + m, d))
     y = np.sin(2.0 * x.sum(axis=1)) + 0.1 * gen.standard_normal(n0 + m)
     kernel = cls(np.full(d, ell))
-    return kernel, noise, normalize_y, x, y, n0
+    return kernel, noise, x, y, n0
 
 
 def _posterior(gp: GPRegressor, probe: np.ndarray):
@@ -57,17 +56,17 @@ class TestIncrementalUpdateEquivalence:
     @given(gp_update_case())
     @settings(max_examples=40, deadline=None)
     def test_update_matches_from_scratch_fit(self, case):
-        kernel, noise, normalize_y, x, y, n0 = case
+        kernel, noise, x, y, n0 = case
         probe = np.linspace(-1.0, 1.0, 7)[:, None] * np.ones(x.shape[1])[None, :]
 
         import copy
 
-        base = GPRegressor(copy.deepcopy(kernel), noise=noise, normalize_y=normalize_y)
+        base = GPRegressor(copy.deepcopy(kernel), noise=noise)
         base.fit(x[:n0], y[:n0], optimize=False)
         base.update(x[n0:], y[n0:])
 
         gp_cache.clear()
-        ref = GPRegressor(copy.deepcopy(kernel), noise=noise, normalize_y=normalize_y)
+        ref = GPRegressor(copy.deepcopy(kernel), noise=noise)
         ref.fit(x, y, optimize=False)
 
         m_fast, v_fast = _posterior(base, probe)
@@ -79,20 +78,18 @@ class TestIncrementalUpdateEquivalence:
     @settings(max_examples=20, deadline=None)
     def test_repeated_updates_stay_consistent(self, case):
         # appending one block at a time == appending everything at once
-        kernel, noise, normalize_y, x, y, n0 = case
+        kernel, noise, x, y, n0 = case
         probe = np.zeros((1, x.shape[1]))
 
         import copy
 
-        stepwise = GPRegressor(
-            copy.deepcopy(kernel), noise=noise, normalize_y=normalize_y
-        )
+        stepwise = GPRegressor(copy.deepcopy(kernel), noise=noise)
         stepwise.fit(x[:n0], y[:n0], optimize=False)
         for k in range(n0, x.shape[0]):
             stepwise.update(x[k : k + 1], y[k : k + 1])
 
         gp_cache.clear()
-        bulk = GPRegressor(copy.deepcopy(kernel), noise=noise, normalize_y=normalize_y)
+        bulk = GPRegressor(copy.deepcopy(kernel), noise=noise)
         bulk.fit(x, y, optimize=False)
 
         m_step, v_step = _posterior(stepwise, probe)

@@ -5,7 +5,7 @@ import pickle
 import pytest
 
 from repro.obs import telemetry
-from repro.resilience import BREAKER_STATES, CircuitBreaker
+from repro.resilience import CircuitBreaker
 
 
 @pytest.fixture(autouse=True)
@@ -110,16 +110,6 @@ class TestTelemetryAndState:
         assert counters["breaker.opens"] == 1
         assert counters["breaker.half_opens"] == 1
         assert counters["breaker.closes"] == 1
-
-    def test_snapshot_is_json_safe(self):
-        import json
-
-        b = CircuitBreaker(failure_threshold=1)
-        b.record(epoch=5, failed=True)
-        snap = json.loads(json.dumps(b.snapshot()))
-        assert snap["state"] == "open"
-        assert snap["opened_epoch"] == 5
-        assert snap["rank"] == BREAKER_STATES.index("open")
 
     def test_pickle_round_trip(self):
         b = CircuitBreaker(failure_threshold=2, cooldown_epochs=4)

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.sched import PeriodicStream, split_high_rate_streams
+from repro.sched.streams import split_count
 
 
 def _stream(sid=0, fps=10.0, p=0.05, r=960.0):
@@ -23,12 +24,12 @@ class TestPeriodicStream:
         assert _stream(fps=10.0, p=0.05).load == pytest.approx(0.5)
 
     def test_high_rate_detection(self):
-        assert _stream(fps=10.0, p=0.15).is_high_rate
-        assert not _stream(fps=10.0, p=0.05).is_high_rate
+        assert split_count(10.0, 0.15) == 2
+        assert split_count(10.0, 0.05) == 1
 
     def test_boundary_not_high_rate(self):
         # p == T exactly: one frame finishes just as the next arrives.
-        assert not _stream(fps=10.0, p=0.1).is_high_rate
+        assert split_count(10.0, 0.1) == 1
 
     def test_parent_defaults_to_self(self):
         assert _stream(sid=7).parent_id == 7
@@ -56,7 +57,7 @@ class TestSplitHighRateStreams:
     def test_substreams_not_high_rate(self):
         s = _stream(fps=30.0, p=0.21)
         out = split_high_rate_streams([s])
-        assert all(not sub.is_high_rate for sub in out)
+        assert all(split_count(sub.fps, sub.processing_time) == 1 for sub in out)
 
     def test_total_rate_preserved(self):
         s = _stream(fps=12.0, p=0.3)

@@ -326,11 +326,35 @@ class TestFactoryPath:
             scheduler_factory=factory,
         )
         svc.start()
-        assert svc.last_decision is not None
+        assert svc.deployed_decision().n_streams == problem.n_streams
         svc.submit([ServeEvent(time=0.5, kind="drift")])
         (d,) = svc.run()
         assert d.full_solve
         assert d.cache_hits == 0
+
+    def test_deployed_decision_follows_churn(self):
+        """In the event loop the engine state is what is deployed, so the
+        deployed decision tracks joins and leaves after the warm-up
+        batch solve."""
+        problem = _problem(n_streams=4)
+        svc = SchedulerService(
+            problem,
+            preference=approx_preference(problem),
+            scheduler_factory=RegistryFactory(
+                "greedy", approx_preference(problem), seed=0
+            ),
+        )
+        svc.start()
+        svc.submit(
+            [
+                ServeEvent(time=0.5, kind="stream_join", target=50, value=1.0),
+                ServeEvent(time=1.5, kind="stream_leave", target=0),
+                ServeEvent(time=2.5, kind="stream_leave", target=1),
+            ]
+        )
+        svc.run()
+        assert len(svc.planner.entries) == 3
+        assert svc.deployed_decision().n_streams == 3
 
     def test_factory_sees_churned_topology(self):
         """The event loop builds its scheduler once, at warm-up, and a

@@ -38,24 +38,12 @@ class TestEventQueue:
         q.run()
         assert seen == [5.0]
 
-    def test_schedule_in_relative(self):
-        q = EventQueue()
-        seen = []
-        q.schedule(1.0, lambda: q.schedule_in(2.0, lambda: seen.append(q.now)))
-        q.run()
-        assert seen == [3.0]
-
     def test_cannot_schedule_in_past(self):
         q = EventQueue()
         q.schedule(5.0, lambda: None)
         q.run()
         with pytest.raises(ValueError):
             q.schedule(1.0, lambda: None)
-
-    def test_negative_delay_raises(self):
-        q = EventQueue()
-        with pytest.raises(ValueError):
-            q.schedule_in(-1.0, lambda: None)
 
     def test_run_until_horizon(self):
         q = EventQueue()
@@ -67,20 +55,11 @@ class TestEventQueue:
         assert q.now == 5.0  # clock advanced to the horizon
         assert len(q) == 1  # the 10.0 event remains
 
-    def test_cancelled_events_skipped(self):
-        q = EventQueue()
-        log = []
-        ev = q.schedule(1.0, lambda: log.append("x"))
-        ev.cancel()
-        q.schedule(2.0, lambda: log.append("y"))
-        q.run()
-        assert log == ["y"]
-
     def test_self_rescheduling_with_budget(self):
         q = EventQueue()
 
         def loop():
-            q.schedule_in(0.1, loop)
+            q.schedule(q.now + 0.1, loop)
 
         q.schedule(0.0, loop)
         with pytest.raises(RuntimeError):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.utils import as_generator, derive_seed, spawn
+from repro.utils import as_generator, spawn
 
 
 class TestAsGenerator:
@@ -50,12 +50,3 @@ class TestSpawn:
     def test_negative_raises(self):
         with pytest.raises(ValueError):
             spawn(0, -1)
-
-
-class TestDeriveSeed:
-    def test_range(self):
-        s = derive_seed(3)
-        assert 0 <= s < 2**63
-
-    def test_deterministic(self):
-        assert derive_seed(9) == derive_seed(9)
