@@ -397,7 +397,7 @@ def run_benchmark(name: str, *, profile: str = "medium", seed: int = 0) -> dict:
     return result
 
 
-def save_bench(result: dict, out_dir=".") -> Path:
+def save_bench(result: dict, out_dir) -> Path:
     """Write a benchmark record to ``<out_dir>/BENCH_<name>.json``."""
     from repro.bench.io import save_results
 

@@ -518,7 +518,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.baselines import make_scheduler
     from repro.bench.reporting import format_table
     from repro.core import EVAProblem, make_preference
-    from repro.resilience import ChaosRunner, FaultPlan
+    from repro.resilience import ChaosRunner, faults
 
     try:
         bw = _parse_bandwidths(args, args.servers)
@@ -530,11 +530,11 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
     try:
         if args.faults:
-            plan = FaultPlan.from_specs(
+            plan = faults.from_specs(
                 [s for s in args.faults.split(",") if s.strip()]
             )
         else:
-            plan = FaultPlan.random(
+            plan = faults.random(
                 n_servers=args.servers,
                 n_streams=args.streams,
                 horizon=args.horizon,
@@ -1351,7 +1351,7 @@ _FLAGS = {
               "fail (exit 1) if the worst benefit drop exceeds this fraction"),
         _Flag("--output", str, "", help="write the chaos report JSON here"),
         _Flag("--telemetry", str, "", "PATH",
-              "write a JSONL telemetry event log (fault.* / chaos.* events)"),
+              "write a JSONL telemetry event log (chaos.* events)"),
     ),
     "bench": (
         _Flag("names", help="benchmark names (default: all; see repro.bench.hotpath)", nargs="*"),
@@ -1359,8 +1359,8 @@ _FLAGS = {
               help="sizing profile (default: medium — the acceptance config)",
               choices=("smoke", "medium")),
         _SEED,
-        _Flag("--output-dir", str, ".", "DIR",
-              "directory for BENCH_<name>.json records (default: .)"),
+        _Flag("--output-dir", str, ".bench_build", "DIR",
+              "directory for BENCH_<name>.json records (default: .bench_build)"),
         _Flag("--check", str, "", "DIR",
               "gate against baseline BENCH_<name>.json files in DIR; "
               "exit 1 when any work counter differs"),

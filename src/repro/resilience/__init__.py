@@ -4,10 +4,10 @@ Real edge deployments see server crashes, uplink bandwidth collapse,
 and camera churn — regimes the paper's zero-jitter theorems assume
 away.  This package makes those regimes *testable* and *survivable*:
 
-* :mod:`repro.resilience.faults` — a seeded, deterministic
-  :class:`FaultPlan` (server crash/recover, bandwidth drop/restore,
-  stream join/leave) that replays into the discrete-event simulator
-  and into topology-level chaos runs, emitting ``fault.*`` telemetry;
+* :mod:`repro.resilience.faults` — seeded, deterministic fault plans:
+  an :class:`~repro.serve.events.EventLog` of the serve loop's topology
+  events (server down/up, bandwidth drift, stream leave/join), built
+  from compact CLI specs or drawn at random;
 * :mod:`repro.resilience.chaos` — :class:`ChaosRunner` replays a plan
   against a scheduler: at every topology change PaMO replans with a
   warm-started BO loop, and the report quantifies benefit/latency
@@ -21,12 +21,7 @@ away.  This package makes those regimes *testable* and *survivable*:
 """
 
 from repro.resilience.breaker import BREAKER_STATES, CircuitBreaker
-from repro.resilience.faults import (
-    FAULT_KINDS,
-    FaultEvent,
-    FaultPlan,
-    parse_fault_spec,
-)
+from repro.resilience.faults import parse_fault_spec
 from repro.resilience.checkpoint import (
     CheckpointData,
     load_checkpoint,
@@ -37,9 +32,6 @@ from repro.resilience.chaos import ChaosReport, ChaosRunner, EpochResult
 __all__ = [
     "BREAKER_STATES",
     "CircuitBreaker",
-    "FAULT_KINDS",
-    "FaultEvent",
-    "FaultPlan",
     "parse_fault_spec",
     "CheckpointData",
     "load_checkpoint",

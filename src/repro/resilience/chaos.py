@@ -2,15 +2,14 @@
 
 Faults replay *across* scheduling decisions, at topology level.  A
 :class:`ChaosRunner` first optimizes on the pristine topology (the
-baseline), then walks the
-:class:`~repro.resilience.faults.FaultPlan` in time order: each batch
-of same-time events yields a new *epoch* — a degraded
-:class:`~repro.core.problem.EVAProblem` with crashed servers removed,
-throttled uplinks scaled, and departed streams dropped — on which the
-scheduler replans (warm-started via ``scheduler.replan`` when the
-scheduler supports it, from scratch otherwise).  The resulting
-:class:`ChaosReport` compares every epoch's benefit against the
-fault-free baseline, which is what ``repro chaos`` prints.
+baseline), then walks the fault plan — an
+:class:`~repro.serve.events.EventLog` of serve topology events — in
+time order: each batch of same-time events yields a new *epoch* — a
+degraded :class:`~repro.core.problem.EVAProblem` with downed servers
+removed, drifted uplinks scaled, and departed streams dropped — on
+which the scheduler replans, warm-started via ``scheduler.replan``.
+The resulting :class:`ChaosReport` compares every epoch's benefit
+against the fault-free baseline, which is what ``repro chaos`` prints.
 
 Benefits are comparable across epochs only under a *fixed* utility; by
 default the report scores every decision with the supplied
@@ -28,7 +27,7 @@ import numpy as np
 from repro.core.problem import EVAProblem
 from repro.core.result import OptimizationOutcome
 from repro.obs import telemetry
-from repro.resilience.faults import FaultEvent, FaultPlan
+from repro.serve.events import EventLog, ServeEvent
 from repro.utils.serialization import to_jsonable
 
 
@@ -37,32 +36,27 @@ def degraded_problem(
     *,
     alive: Sequence[bool],
     bw_factor: Sequence[float],
-    active: Sequence[bool],
+    textures: Sequence[float],
 ) -> EVAProblem | None:
-    """The EVA problem restricted to surviving servers and active streams.
+    """``problem``'s knobs, profile, encoder and outcome model over the
+    surviving servers and the live streams' ``textures``.
 
-    ``alive``/``bw_factor`` are per-server (a dead server disappears; a
-    live one keeps ``nominal * factor`` Mbps), ``active`` is per-stream.
-    Returns ``None`` when nothing survives on either side — there is no
-    problem left to schedule.
+    ``alive``/``bw_factor`` are per server of ``problem`` (a dead server
+    disappears; a live one keeps ``nominal * factor`` Mbps).  Returns
+    ``None`` when nothing survives on either side — there is no problem
+    left to schedule.  The chaos runner and the serve loop's full solve
+    both build their degraded problem here.
     """
     if len(alive) != problem.n_servers or len(bw_factor) != problem.n_servers:
         raise ValueError(
             f"alive/bw_factor must have {problem.n_servers} entries"
         )
-    if len(active) != problem.n_streams:
-        raise ValueError(f"active must have {problem.n_streams} entries")
     bw = [
         float(problem.bandwidths_mbps[j]) * float(bw_factor[j])
         for j in range(problem.n_servers)
         if alive[j]
     ]
-    textures = [
-        float(problem.textures[i])
-        for i in range(problem.n_streams)
-        if active[i]
-    ]
-    if not bw or not textures:
+    if not bw or len(textures) == 0:
         return None
     return EVAProblem(
         len(textures),
@@ -81,7 +75,7 @@ class EpochResult:
 
     index: int
     time: float
-    events: tuple[FaultEvent, ...]
+    events: tuple[ServeEvent, ...]
     n_servers: int
     n_streams: int
     feasible: bool
@@ -107,7 +101,7 @@ class EpochResult:
 class ChaosReport:
     """Baseline vs per-epoch benefit under a fault plan."""
 
-    plan: FaultPlan
+    plan: EventLog
     baseline: OptimizationOutcome
     baseline_benefit: float
     epochs: list[EpochResult] = field(default_factory=list)
@@ -165,11 +159,11 @@ class ChaosRunner:
     problem:
         The pristine (fault-free) problem instance.
     fault_plan:
-        Faults to replay; same-time events form one epoch.
+        Topology events to replay; same-time events form one epoch.  A
+        ``drift`` event, or a target out of range, raises ``ValueError``.
     scheduler_factory:
-        ``scheduler_factory(problem) -> scheduler`` — builds a fresh
-        scheduler for a topology.  Called once for the baseline and
-        again per epoch for schedulers without a ``replan`` method.
+        ``scheduler_factory(problem) -> scheduler`` — builds the
+        scheduler for the baseline; each epoch calls its ``replan``.
     preference:
         Fixed utility used to score every decision (an object with a
         ``value(outcomes) -> array`` method, e.g. the decision maker's
@@ -190,7 +184,7 @@ class ChaosRunner:
     def __init__(
         self,
         problem: EVAProblem,
-        fault_plan: FaultPlan,
+        fault_plan: EventLog,
         scheduler_factory: Callable[[EVAProblem], object],
         *,
         preference=None,
@@ -222,10 +216,10 @@ class ChaosRunner:
 
             alive = [True] * self.problem.n_servers
             factor = [1.0] * self.problem.n_servers
-            active = [True] * self.problem.n_streams
+            active = np.ones(self.problem.n_streams, dtype=bool)
 
             # Group same-time events into one epoch.
-            batches: list[tuple[float, list[FaultEvent]]] = []
+            batches: list[tuple[float, list[ServeEvent]]] = []
             for event in self.fault_plan:
                 if batches and batches[-1][0] == event.time:
                     batches[-1][1].append(event)
@@ -236,7 +230,10 @@ class ChaosRunner:
                 for e in events:
                     self._apply(e, alive, factor, active)
                 prob = degraded_problem(
-                    self.problem, alive=alive, bw_factor=factor, active=active
+                    self.problem,
+                    alive=alive,
+                    bw_factor=factor,
+                    textures=self.problem.textures[active],
                 )
                 epoch = EpochResult(
                     index=idx,
@@ -245,16 +242,12 @@ class ChaosRunner:
                     n_servers=0 if prob is None else prob.n_servers,
                     n_streams=0 if prob is None else prob.n_streams,
                     feasible=False,
+                    replanned=prob is not None,
                 )
                 if prob is not None:
                     reason = ",".join(f"{e.kind}:{e.target}" for e in events)
                     with telemetry.span("chaos.epoch"):
-                        if hasattr(scheduler, "replan"):
-                            epoch.replanned = True
-                            out = scheduler.replan(prob, reason=reason)
-                        else:
-                            scheduler = self.scheduler_factory(prob)
-                            out = scheduler.optimize()
+                        out = scheduler.replan(prob, reason=reason)
                     epoch.outcome = out
                     epoch.benefit = self._score(out)
                     epoch.feasible = prob.is_feasible(
@@ -301,35 +294,24 @@ class ChaosRunner:
 
     @staticmethod
     def _apply(
-        event: FaultEvent,
+        event: ServeEvent,
         alive: list[bool],
         factor: list[float],
-        active: list[bool],
+        active: np.ndarray,
     ) -> None:
-        t = int(event.target)
-        if event.kind in (
-            "server_crash",
-            "server_recover",
-            "bandwidth_drop",
-            "bandwidth_restore",
-        ):
-            if not (0 <= t < len(alive)):
-                raise ValueError(
-                    f"fault target {t} out of range for {len(alive)} servers"
-                )
-        elif not (0 <= t < len(active)):
+        if event.kind == "drift":
             raise ValueError(
-                f"fault target {t} out of range for {len(active)} streams"
+                "a fault plan holds topology events only; drift is not one"
             )
-        if event.kind == "server_crash":
-            alive[t] = False
-        elif event.kind == "server_recover":
-            alive[t] = True
-        elif event.kind == "bandwidth_drop":
+        t = event.target
+        servers = event.kind in ("server_down", "server_up", "bandwidth_drift")
+        n = len(alive) if servers else len(active)
+        if not 0 <= t < n:
+            noun = "servers" if servers else "streams"
+            raise ValueError(f"fault target {t} out of range for {n} {noun}")
+        if event.kind == "bandwidth_drift":
             factor[t] = float(event.value)
-        elif event.kind == "bandwidth_restore":
-            factor[t] = 1.0
-        elif event.kind == "stream_leave":
-            active[t] = False
-        elif event.kind == "stream_join":
-            active[t] = True
+        elif servers:
+            alive[t] = event.kind == "server_up"
+        else:
+            active[t] = event.kind == "stream_join"

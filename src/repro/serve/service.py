@@ -600,26 +600,6 @@ class SchedulerService:
         self._slo_probe: Callable[[], dict] | None = None
 
     # -- topology ----------------------------------------------------------
-    def current_problem(self) -> EVAProblem | None:
-        """Degraded problem over active streams and alive servers.
-
-        ``None`` when nothing survives (no stream or no server) — the
-        same contract as :func:`repro.resilience.chaos.degraded_problem`.
-        """
-        bw = self.planner.effective_bw()
-        sids = sorted(self.textures)
-        if bw.size == 0 or not sids:
-            return None
-        return EVAProblem(
-            n_streams=len(sids),
-            bandwidths_mbps=bw,
-            config_space=self.problem.config_space,
-            textures=[self.textures[s] for s in sids],
-            profile=self.problem.profile,
-            encoder=self.problem.encoder,
-            outcomes=self.problem.outcomes,
-        )
-
     def epoch_of(self, t: float) -> int:
         """Epoch index for an event time (epoch 0 is the warm-up)."""
         return int(t / self.epoch_s + 1e-9) + 1
@@ -979,7 +959,16 @@ class SchedulerService:
         if self.scheduler_factory is None:
             self._solve_engine()
             return None
-        prob = self.current_problem() if self._topology_dirty else self.problem
+        prob = self.problem
+        if self._topology_dirty:
+            from repro.resilience.chaos import degraded_problem
+
+            prob = degraded_problem(
+                self.problem,
+                alive=self.planner.alive,
+                bw_factor=self.planner.factor,
+                textures=[self.textures[s] for s in sorted(self.textures)],
+            )
         if prob is None:
             raise InfeasibleScheduleError(
                 "no surviving stream/server to solve for"

@@ -9,8 +9,9 @@ from repro.cli import main
 from repro.core import EVAProblem, PaMO, make_preference
 from repro.obs import MemorySink, telemetry
 from repro.pref import DecisionMaker
-from repro.resilience import ChaosRunner, FaultPlan
+from repro.resilience import ChaosRunner, faults
 from repro.resilience.chaos import degraded_problem
+from repro.serve import EventLog, ServeEvent
 
 
 def _problem(n_streams=4, bandwidths=(10.0, 15.0, 20.0, 30.0)):
@@ -24,7 +25,7 @@ class TestDegradedProblem:
             prob,
             alive=[True, False, True, True],
             bw_factor=[1.0, 1.0, 0.5, 1.0],
-            active=[True] * 4,
+            textures=prob.textures,
         )
         assert out.n_servers == 3
         assert out.bandwidths_mbps == pytest.approx([10.0, 10.0, 30.0])
@@ -36,21 +37,23 @@ class TestDegradedProblem:
             prob,
             alive=[True] * 4,
             bw_factor=[1.0] * 4,
-            active=[True, False, True, False],
+            textures=[0.5, 2.0],
         )
         assert out.n_streams == 2
+        assert out.textures.tolist() == [0.5, 2.0]
+        assert out.outcomes is prob.outcomes
 
     def test_none_when_nothing_survives(self):
         prob = _problem()
         assert (
             degraded_problem(
-                prob, alive=[False] * 4, bw_factor=[1.0] * 4, active=[True] * 4
+                prob, alive=[False] * 4, bw_factor=[1.0] * 4, textures=[1.0]
             )
             is None
         )
         assert (
             degraded_problem(
-                prob, alive=[True] * 4, bw_factor=[1.0] * 4, active=[False] * 4
+                prob, alive=[True] * 4, bw_factor=[1.0] * 4, textures=[]
             )
             is None
         )
@@ -59,7 +62,7 @@ class TestDegradedProblem:
         prob = _problem()
         with pytest.raises(ValueError):
             degraded_problem(
-                prob, alive=[True], bw_factor=[1.0] * 4, active=[True] * 4
+                prob, alive=[True], bw_factor=[1.0] * 4, textures=prob.textures
             )
 
 
@@ -73,7 +76,7 @@ class TestChaosAcceptance:
         """
         prob = _problem()
         pref = make_preference(prob)
-        plan = FaultPlan.from_specs(["crash:1@0.5", "recover:1@2.0"])
+        plan = faults.from_specs(["crash:1@0.5", "recover:1@2.0"])
 
         def factory(p):
             return PaMO(
@@ -115,7 +118,7 @@ class TestChaosAcceptance:
             prob,
             alive=[True, False, True, True],
             bw_factor=[1.0] * 4,
-            active=[True] * 4,
+            textures=prob.textures,
         )
         telemetry.reset()
         telemetry.enable(MemorySink())
@@ -137,7 +140,7 @@ class TestChaosAcceptance:
         """A stream leaving changes the decision dimension; replan copes."""
         prob = _problem(n_streams=3, bandwidths=(10.0, 20.0, 30.0))
         pref = make_preference(prob)
-        plan = FaultPlan.from_specs(["leave:2@0.5"])
+        plan = faults.from_specs(["leave:2@0.5"])
 
         def factory(p):
             return PaMO(
@@ -158,6 +161,46 @@ class TestChaosAcceptance:
         assert epoch.n_streams == 2
         assert epoch.feasible
         assert epoch.outcome.decision.resolutions.shape == (2,)
+
+
+class TestChaosReplay:
+    def _greedy(self, prob, pref):
+        from repro.baselines import make_scheduler
+
+        return lambda p: make_scheduler("greedy", p, preference=pref, rng=7)
+
+    def test_random_plan_benefits_are_pinned(self):
+        # the seeded plan of test_faults' draw pin, replayed with greedy
+        prob = _problem(bandwidths=(30.0, 20.0, 25.0))
+        pref = make_preference(prob)
+        plan = faults.random(n_servers=3, n_streams=4, horizon=10, n_faults=4, rng=7)
+        report = ChaosRunner(
+            prob, plan, self._greedy(prob, pref), preference=pref
+        ).run()
+        assert report.baseline_benefit == -0.819435261753265
+        assert [e.benefit for e in report.epochs] == [
+            -0.819923226004532,
+            -0.819923226004532,
+            -0.819923226004532,
+            -0.819435261753265,
+            -0.819923226004532,
+            -0.7770899211197935,
+            -0.7764393021181041,
+            -0.819435261753265,
+        ]
+        assert [(e.n_servers, e.n_streams) for e in report.epochs] == [
+            (2, 4), (2, 4), (3, 4), (3, 4), (3, 4), (3, 3), (3, 3), (3, 4)
+        ]
+        assert report.all_feasible
+        assert all(e.replanned for e in report.epochs)
+
+    def test_drift_event_is_refused(self):
+        prob = _problem()
+        pref = make_preference(prob)
+        plan = EventLog(events=(ServeEvent(1.0, "drift"),))
+        runner = ChaosRunner(prob, plan, self._greedy(prob, pref), preference=pref)
+        with pytest.raises(ValueError, match="drift"):
+            runner.run()
 
 
 class TestChaosCli:
@@ -203,7 +246,7 @@ class TestChaosAlerts:
 
         prob = _problem()
         pref = make_preference(prob)
-        plan = FaultPlan.from_specs(list(plan_specs))
+        plan = faults.from_specs(list(plan_specs))
 
         def factory(p):
             return make_scheduler("greedy", p, preference=pref, rng=0)

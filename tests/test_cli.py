@@ -298,6 +298,19 @@ class TestBench:
         assert rc == 1
         assert "FAIL assignment_cache: sched.assign_cache_hits" in capsys.readouterr().err
 
+    def test_bench_default_output_keeps_committed_records(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # a run from the repository root must not overwrite the
+        # committed BENCH_*.json records there
+        monkeypatch.chdir(tmp_path)
+        sentinel = tmp_path / "BENCH_bo_hot_path.json"
+        sentinel.write_text('{"sentinel": true}')
+        rc = main(["bench", "bo_hot_path", "--profile", "smoke"])
+        assert rc == 0
+        assert sentinel.read_text() == '{"sentinel": true}'
+        assert (tmp_path / ".bench_build" / "BENCH_bo_hot_path.json").exists()
+
     def test_bench_check_missing_baseline_fails(self, capsys, tmp_path):
         rc = main(
             ["bench", "gp_update", "--profile", "smoke",
