@@ -12,7 +12,8 @@ Each benchmark drives one hot kernel on fixed seeds and emits a
 * ``assignment_cache`` — memoized Hungarian group→server solves;
 * ``serve_full_solve`` — the serve planner's full re-solve
   (:meth:`~repro.serve.engine.IncrementalPlanner.solve_all`) over a
-  seeded stream population;
+  seeded stream population (medium: also at 4× and 8× the streams and
+  servers, with the seconds per solve of each size in ``scaling``);
 * ``alg1_grouping`` — one batch Algorithm 1 grouping pass
   (:func:`~repro.sched.grouping.group_streams`) at M = 100 up to 2000
   streams, with the wall time of each size in the record's ``scaling``.
@@ -56,7 +57,7 @@ _COUNTERS = (
 #: Per-benchmark sizing knobs.  ``medium`` is the acceptance
 #: configuration (M=16 streams, 50 BO iterations); ``smoke`` is small
 #: enough for CI and the unit tests.
-PROFILES: dict[str, dict[str, dict[str, int]]] = {
+PROFILES: dict[str, dict[str, dict[str, int | list[int]]]] = {
     "smoke": {
         "bo_hot_path": {"m": 4, "iters": 6, "n_init": 24, "pool": 4, "n_samples": 16},
         "gp_update": {"n_init": 60, "rounds": 4, "block": 8},
@@ -72,7 +73,7 @@ PROFILES: dict[str, dict[str, dict[str, int]]] = {
         "acquisition_batch": {"pool": 256, "n_samples": 128, "batch": 8, "repeats": 20},
         "eubo_pairs": {"items": 80, "pairs": 500, "repeats": 10},
         "assignment_cache": {"streams": 12, "servers": 6, "variants": 20, "repeats": 2000},
-        "serve_full_solve": {"streams": 120, "servers": 16, "repeats": 30},
+        "serve_full_solve": {"streams": 120, "servers": 16, "repeats": 30, "scales": [1, 4, 8]},
         "alg1_grouping": {"streams_min": 100, "streams_max": 2000, "sizes": 5, "repeats": 1},
     },
 }
@@ -309,29 +310,50 @@ def bench_assignment_cache(cfg: dict[str, int], seed: int) -> dict:
     return _record("assignment_cache", cfg, seed, run, repeats)
 
 
-def bench_serve_full_solve(cfg: dict[str, int], seed: int) -> dict:
+def bench_serve_full_solve(cfg: dict, seed: int) -> dict:
     """The serve planner's full re-solve over a fixed stream population.
 
     Admit-all at the minimum knob pair, then one benefit-ranked upgrade
     pass per stream — the periodic ``solve_all`` that forms the serve
     loop's latency tail.  ``serve.engine.upgrade_attempts`` counts the
     ``set_config`` attempts, so a change that skipped one would move it.
+    With ``scales`` (medium) the population and the fleet also grow to
+    each multiple, solved ``repeats // scale`` times (at least once),
+    and ``scaling`` holds the seconds per solve of each size.
     """
     from repro.bench.harness import make_problem
     from repro.serve.engine import IncrementalPlanner, approx_preference
 
-    repeats = cfg["repeats"]
-    problem = make_problem(cfg["streams"], cfg["servers"], rng=seed)
-    textures = {i: float(t) for i, t in enumerate(problem.textures)}
-    planner = IncrementalPlanner.for_problem(
-        problem, preference=approx_preference(problem)
-    )
+    cases = []
+    for scale in cfg.get("scales", (1,)):
+        problem = make_problem(cfg["streams"] * scale, cfg["servers"] * scale, rng=seed)
+        planner = IncrementalPlanner.for_problem(
+            problem, preference=approx_preference(problem)
+        )
+        textures = {i: float(t) for i, t in enumerate(problem.textures)}
+        cases.append((problem, planner, textures, max(1, cfg["repeats"] // scale)))
+    scaling: list[dict] = []
 
     def run() -> None:
-        for _ in range(repeats):
-            planner.solve_all(textures)
+        scaling.clear()
+        for problem, planner, textures, repeats in cases:
+            start = time.perf_counter()
+            for _ in range(repeats):
+                planner.solve_all(textures)
+            scaling.append(
+                {
+                    "streams": problem.n_streams,
+                    "servers": problem.n_servers,
+                    "wall_s": (time.perf_counter() - start) / repeats,
+                }
+            )
 
-    return _record("serve_full_solve", cfg, seed, run, repeats)
+    record = _record(
+        "serve_full_solve", cfg, seed, run, sum(repeats for *_, repeats in cases)
+    )
+    if len(cases) > 1:
+        record["scaling"] = list(scaling)
+    return record
 
 
 def bench_alg1_grouping(cfg: dict[str, int], seed: int) -> dict:

@@ -160,7 +160,10 @@ class ChaosRunner:
         The pristine (fault-free) problem instance.
     fault_plan:
         Topology events to replay; same-time events form one epoch.  A
-        ``drift`` event, or a target out of range, raises ``ValueError``.
+        ``stream_join`` with a value rejoins the stream with that
+        texture, as ``repro serve run --events`` does; without one it
+        keeps the texture it had.  A ``drift`` event, or a target out of
+        range, raises ``ValueError`` before the scheduler is built.
     scheduler_factory:
         ``scheduler_factory(problem) -> scheduler`` — builds the
         scheduler for the baseline; each epoch calls its ``replan``.
@@ -205,6 +208,8 @@ class ChaosRunner:
     def run(self) -> ChaosReport:
         """Baseline run plus one replan per fault epoch."""
         with telemetry.span("chaos.run"):
+            for event in self.fault_plan:
+                self._check(event, self.problem.n_servers, self.problem.n_streams)
             scheduler = self.scheduler_factory(self.problem)
             with telemetry.span("chaos.baseline"):
                 baseline = scheduler.optimize()
@@ -217,6 +222,7 @@ class ChaosRunner:
             alive = [True] * self.problem.n_servers
             factor = [1.0] * self.problem.n_servers
             active = np.ones(self.problem.n_streams, dtype=bool)
+            textures = np.array(self.problem.textures, dtype=float)
 
             # Group same-time events into one epoch.
             batches: list[tuple[float, list[ServeEvent]]] = []
@@ -228,12 +234,12 @@ class ChaosRunner:
 
             for idx, (t, events) in enumerate(batches):
                 for e in events:
-                    self._apply(e, alive, factor, active)
+                    self._apply(e, alive, factor, active, textures)
                 prob = degraded_problem(
                     self.problem,
                     alive=alive,
                     bw_factor=factor,
-                    textures=self.problem.textures[active],
+                    textures=textures[active],
                 )
                 epoch = EpochResult(
                     index=idx,
@@ -293,25 +299,32 @@ class ChaosRunner:
             telemetry.event(kind, time=epoch.time, **edge)
 
     @staticmethod
+    def _check(event: ServeEvent, n_servers: int, n_streams: int) -> None:
+        """Refuse an event the plan cannot replay."""
+        if event.kind == "drift":
+            raise ValueError(
+                "a fault plan holds topology events only; drift is not one"
+            )
+        servers = event.kind in ("server_down", "server_up", "bandwidth_drift")
+        n = n_servers if servers else n_streams
+        if not 0 <= event.target < n:
+            noun = "servers" if servers else "streams"
+            raise ValueError(f"fault target {event.target} out of range for {n} {noun}")
+
+    @staticmethod
     def _apply(
         event: ServeEvent,
         alive: list[bool],
         factor: list[float],
         active: np.ndarray,
+        textures: np.ndarray,
     ) -> None:
-        if event.kind == "drift":
-            raise ValueError(
-                "a fault plan holds topology events only; drift is not one"
-            )
         t = event.target
-        servers = event.kind in ("server_down", "server_up", "bandwidth_drift")
-        n = len(alive) if servers else len(active)
-        if not 0 <= t < n:
-            noun = "servers" if servers else "streams"
-            raise ValueError(f"fault target {t} out of range for {n} {noun}")
         if event.kind == "bandwidth_drift":
             factor[t] = float(event.value)
-        elif servers:
+        elif event.kind in ("server_down", "server_up"):
             alive[t] = event.kind == "server_up"
         else:
             active[t] = event.kind == "stream_join"
+            if event.kind == "stream_join" and event.value is not None:
+                textures[t] = float(event.value)

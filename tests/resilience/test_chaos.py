@@ -202,6 +202,44 @@ class TestChaosReplay:
         with pytest.raises(ValueError, match="drift"):
             runner.run()
 
+    @pytest.mark.parametrize(
+        ("events", "match"),
+        [
+            ((ServeEvent(1.0, "drift"),), "drift is not one"),
+            ((ServeEvent(0.5, "server_down", 1), ServeEvent(2.0, "drift")), "drift"),
+            ((ServeEvent(1.0, "server_down", 4),), "fault target 4 out of range for 4 servers"),
+            ((ServeEvent(0.5, "server_down", 1), ServeEvent(2.0, "stream_leave", 7)),
+             "fault target 7 out of range for 4 streams"),
+        ],
+    )
+    def test_a_bad_plan_fails_before_the_scheduler_is_built(self, events, match):
+        built = []
+
+        def factory(problem):
+            built.append(problem)
+            raise AssertionError("the scheduler must not be built for a bad plan")
+
+        runner = ChaosRunner(_problem(), EventLog(events=events), factory)
+        with pytest.raises(ValueError, match=match):
+            runner.run()
+        assert built == []
+
+    def test_a_join_with_a_texture_rejoins_with_it(self):
+        # the same leave and rejoin, once without a texture and once with
+        # 3.0: the epochs agree until the join and differ after it
+        prob = _problem(n_streams=3, bandwidths=(10.0, 20.0))
+        pref = make_preference(prob)
+
+        def benefits(specs):
+            plan = faults.from_specs(specs)
+            report = ChaosRunner(prob, plan, self._greedy(prob, pref), preference=pref).run()
+            return [e.benefit for e in report.epochs]
+
+        plain = benefits(["leave:2@1", "join:2@2"])
+        textured = benefits(["leave:2@1", "join:2@2x3.0"])
+        assert plain[0] == textured[0]
+        assert plain[1] != textured[1]
+
 
 class TestChaosCli:
     def test_chaos_command_random_method(self, tmp_path, capsys):
