@@ -14,6 +14,11 @@ Each benchmark drives one hot kernel on fixed seeds and emits a
   (:meth:`~repro.serve.engine.IncrementalPlanner.solve_all`) over a
   seeded stream population (medium: also at 4× and 8× the streams and
   servers, with the seconds per solve of each size in ``scaling``);
+* ``serve_epoch`` — the serve loop's incremental epoch: a seeded
+  flash-crowd churn log replayed through
+  :meth:`~repro.serve.service.SchedulerService.run` one epoch at a time
+  (medium: also at 4× and 8× the streams, servers and churn, with the
+  seconds per incremental epoch of each size in ``scaling``);
 * ``alg1_grouping`` — one batch Algorithm 1 grouping pass
   (:func:`~repro.sched.grouping.group_streams`) at M = 100 up to 2000
   streams, with the wall time of each size in the record's ``scaling``.
@@ -51,6 +56,11 @@ _COUNTERS = (
     "sched.assign_cache_misses",
     "serve.engine.solve_all_calls",
     "serve.engine.upgrade_attempts",
+    "serve.engine.readout_reuses",
+    "serve.replans",
+    "admit.rejected",
+    "admit.evicted_for",
+    "admit.shed",
     "sched.grouping.group_scans",
 )
 
@@ -65,6 +75,7 @@ PROFILES: dict[str, dict[str, dict[str, int | list[int]]]] = {
         "eubo_pairs": {"items": 24, "pairs": 80, "repeats": 4},
         "assignment_cache": {"streams": 8, "servers": 4, "variants": 5, "repeats": 100},
         "serve_full_solve": {"streams": 120, "servers": 16, "repeats": 3},
+        "serve_epoch": {"streams": 120, "servers": 16, "seconds": 900},
         "alg1_grouping": {"streams_min": 100, "streams_max": 400, "sizes": 3, "repeats": 1},
     },
     "medium": {
@@ -74,6 +85,7 @@ PROFILES: dict[str, dict[str, dict[str, int | list[int]]]] = {
         "eubo_pairs": {"items": 80, "pairs": 500, "repeats": 10},
         "assignment_cache": {"streams": 12, "servers": 6, "variants": 20, "repeats": 2000},
         "serve_full_solve": {"streams": 120, "servers": 16, "repeats": 30, "scales": [1, 4, 8]},
+        "serve_epoch": {"streams": 120, "servers": 16, "seconds": 900, "scales": [1, 4, 8]},
         "alg1_grouping": {"streams_min": 100, "streams_max": 2000, "sizes": 5, "repeats": 1},
     },
 }
@@ -356,6 +368,83 @@ def bench_serve_full_solve(cfg: dict, seed: int) -> dict:
     return record
 
 
+def bench_serve_epoch(cfg: dict, seed: int) -> dict:
+    """The serve loop's incremental epoch under a flash crowd.
+
+    A seeded churn log (1500 joins and 1500 leaves per hour for every
+    120 streams, 8× arrivals for 300 s from t = 300 s) is replayed
+    through :meth:`~repro.serve.service.SchedulerService.run`, one
+    ``max_epochs=1`` call per epoch, as the ``serve_overload``
+    end-to-end workload does (every 10th stream in protected class 2,
+    the rest class 1, 2 joins per epoch per 120 streams, a full solve
+    every 8 epochs), without its journal and metrics.  With ``scales``
+    (medium) the streams, servers, churn and join rate also grow to
+    each multiple.  ``scaling`` holds the seconds per incremental epoch
+    of each size; ``serve.engine.readout_reuses`` counts the epochs
+    whose read-out was unchanged.
+    """
+    from repro.bench.harness import make_problem
+    from repro.serve import (
+        AdmissionController,
+        ChurnProfile,
+        SchedulerService,
+        approx_preference,
+        generate_load,
+    )
+
+    cases = []
+    for scale in cfg.get("scales", (1,)):
+        n, servers = cfg["streams"] * scale, cfg["servers"] * scale
+        problem = make_problem(n, servers, rng=seed)
+        profile = ChurnProfile(
+            hours=cfg["seconds"] / 3600.0,
+            arrivals_per_hour=1500.0 * scale,
+            departures_per_hour=1500.0 * scale,
+            burst_start_s=300.0,
+            burst_duration_s=300.0,
+            burst_multiplier=8.0,
+        )
+        cases.append((problem, generate_load(n, servers, profile=profile, seed=seed), scale))
+    scaling: list[dict] = []
+
+    def replay(problem, log, scale) -> dict:
+        n_ids = problem.n_streams + len(log.events)
+        service = SchedulerService(
+            problem,
+            preference=approx_preference(problem),
+            reoptimize_every=8,
+            admission=AdmissionController(
+                priority_map={sid: 2 for sid in range(0, n_ids, 10)},
+                default_priority=1,
+                join_rate_per_epoch=2.0 * scale,
+                protect_priority=2,
+            ),
+        )
+        service.start()
+        service.submit(log.events)
+        spent, epochs = 0.0, 0
+        while service.queue:
+            start = time.perf_counter()
+            made = service.run(max_epochs=1)
+            if not made[0].full_solve:
+                spent += time.perf_counter() - start
+                epochs += 1
+        return {
+            "streams": problem.n_streams,
+            "servers": problem.n_servers,
+            "incremental_epochs": epochs,
+            "wall_s": spent / epochs,
+        }
+
+    def run() -> None:
+        scaling.clear()
+        scaling.extend(replay(*case) for case in cases)
+
+    record = _record("serve_epoch", cfg, seed, run, len(cases))
+    record["scaling"] = list(scaling)
+    return record
+
+
 def bench_alg1_grouping(cfg: dict[str, int], seed: int) -> dict:
     """Algorithm 1's grouping pass as M grows (geometric sizes).
 
@@ -404,6 +493,7 @@ BENCHMARKS: dict[str, Callable[[dict, int], dict]] = {
     "eubo_pairs": bench_eubo_pairs,
     "assignment_cache": bench_assignment_cache,
     "serve_full_solve": bench_serve_full_solve,
+    "serve_epoch": bench_serve_epoch,
     "alg1_grouping": bench_alg1_grouping,
 }
 

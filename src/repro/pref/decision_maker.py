@@ -92,7 +92,7 @@ class LinearL1Preference(TruePreference):
         out = (np.asarray(y, dtype=float) - self.lo) / safe_span
         if mask is not None:
             out = np.where(mask, 0.5, out)
-        return np.clip(out, 0.0, 1.0, out=out)
+        return out.clip(0.0, 1.0, out=out)
 
     def normalize(self, y: np.ndarray) -> np.ndarray:
         """Min-max normalize raw outcomes to [0, 1] per objective."""

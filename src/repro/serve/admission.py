@@ -36,6 +36,7 @@ bit-identically.  The service emits ``admit.rejected`` /
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Mapping
 
 from repro.obs import telemetry
@@ -189,6 +190,13 @@ class AdmissionController:
     def priority_of(self, sid: int) -> int:
         return self.priority_map.get(sid, self.default_priority)
 
+    @cached_property
+    def _floor(self) -> int:
+        """The lowest class any stream can hold: a joiner at or below it
+        has no strictly lower class to evict.  Derived on first use, so
+        a controller pickled before it existed resumes."""
+        return min([self.default_priority, *self.priority_map.values()])
+
     # -- the decision ------------------------------------------------------
     def request_join(
         self,
@@ -252,11 +260,17 @@ class AdmissionController:
         their original configs.  Only the strictly-lower-priority
         streams are scored, and none when there are none: a score
         depends on its own stream alone, so the victims and their
-        order are those of scoring the whole fleet.
+        order are those of scoring the whole fleet.  A joiner in the
+        lowest class any stream can hold (:attr:`_floor`) is refused
+        without looking at the fleet.
         """
         if self.max_evictions_per_join == 0:
             return AdmissionOutcome(
                 sid, "rejected", priority=prio, reason="no_fit"
+            )
+        if prio <= self._floor:  # no stream can hold a lower class
+            return AdmissionOutcome(
+                sid, "rejected", priority=prio, reason="no_lower_priority"
             )
         lower: dict[int, int] = {}
         for v in planner.entries:

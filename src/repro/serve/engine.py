@@ -21,7 +21,8 @@ O(M²) divisor-priority pass on every join and leave.
   :func:`repro.sched.assignment.solve_group_assignment`, and the
   read-out (:meth:`IncrementalPlanner.placement`) and the eviction
   scores are elementwise over per-stream columns kept in id order, so
-  a decision walks no stream in Python unless it is split.
+  a decision walks no stream in Python unless it is split, and a
+  read-out whose inputs are bit-equal to the last one's is that one.
 
 Only the ordering policy is the engine's own: joins are placed at their
 benefit-ranked knob pair, first fit over the live groups.  A failed
@@ -48,6 +49,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
+from operator import attrgetter
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
@@ -260,6 +262,9 @@ class Placement(NamedTuple):
     ``server_col`` holds ``servers`` as one int64 array, a server per
     stream, when no stream is split (None otherwise): the column
     :meth:`repro.serve.service.ServeDecision.sig_hash` hashes.
+    :meth:`IncrementalPlanner.placement` may hand the same read-out out
+    again, so it is shared, not owned: its arrays are read-only, and
+    its list and dict are not to be changed either.
     """
 
     stream_ids: list[int]
@@ -272,6 +277,9 @@ class Placement(NamedTuple):
 
 # Rows of :attr:`_Columns.num`, one float per admitted stream each.
 _RES, _FPS, _PTIME, _BITS, _ACC, _NET, _COM, _ENG = range(8)
+
+#: An entry's :attr:`_Columns.num` column, rows ``_RES`` … ``_ENG``.
+_terms = attrgetter("resolution", "fps", "ptime", "bits", "acc", "net", "com", "eng")
 
 
 class _Columns:
@@ -295,13 +303,20 @@ class _Columns:
 
     @classmethod
     def of(cls, planner: "IncrementalPlanner") -> "_Columns":
-        """The columns of ``planner``'s entries, read off the entries."""
-        cols = cls(max(64, 2 * len(planner.entries)))
+        """The columns of ``planner``'s entries, read off the entries in
+        one pass: the floats :meth:`put` would write, one at a time."""
+        entries = planner.entries
+        n = len(entries)
+        cols = cls(max(64, 2 * n))
         index = {id(g): i for i, g in enumerate(planner.groups)}
-        for sid in sorted(planner.entries):
-            entry = planner.entries[sid]
-            subs = entry.subs
-            cols.put(entry, index[id(subs[0].group)] if len(subs) == 1 else -1)
+        sids = sorted(entries)
+        ordered = [entries[sid] for sid in sids]
+        cols.sid[:n] = sids
+        cols.slot[:n] = [index[id(entry.subs[0].group)] if len(entry.subs) == 1 else -1
+                         for entry in ordered]
+        # reshape: with no entries the array is (0,), not (0, 8)
+        cols.num[:, :n] = np.array([_terms(entry) for entry in ordered]).reshape(n, 8).T
+        cols.n = n
         return cols
 
     def put(self, entry: _Entry, slot: int) -> None:
@@ -321,8 +336,7 @@ class _Columns:
             self.sid[i] = sid
             self.n = n + 1
         self.slot[i] = slot
-        self.num[:, i] = (entry.resolution, entry.fps, entry.ptime, entry.bits,
-                          entry.acc, entry.net, entry.com, entry.eng)
+        self.num[:, i] = _terms(entry)
 
     def drop(self, sid: int) -> None:
         """Take stream ``sid``'s column out."""
@@ -1304,6 +1318,11 @@ class IncrementalPlanner:
         return stats
 
     # -- read-out ----------------------------------------------------------
+    #: The last unsplit read-out and the key of the inputs it read
+    #: (:meth:`placement`), or None.  A class-level default, so a
+    #: planner pickled before the cache existed resumes.
+    _readout: tuple[tuple, Placement] | None = None
+
     def placement(self) -> Placement:
         """The live schedule read once: each stream's triple and Eq. 2–5.
 
@@ -1316,24 +1335,46 @@ class IncrementalPlanner:
         is the sequential id-order sum (``np.cumsum``, never the
         compensated builtin ``sum``).  ``outcome`` is None when no
         stream is admitted.
+
+        With no stream split, the last read-out is returned again, the
+        same object, when every input it read is bit-equal to last
+        time: the id-order columns (ids, group slots, resolution, fps,
+        ptime and bits), the groups' rates (the Hungarian key),
+        ``alive``, ``factor`` and the Eq. 2–4 sums.  The key lists the
+        inputs rather than tracking the mutations, so whatever changed
+        them (a join, a refused join that re-rounded a group's rate, a
+        rollback, a drift) misses.  A read-out's arrays are read-only,
+        as a reused one is shared by every decision that holds it.
         """
         cols = self._columns()
         n = cols.n
+        if not n:
+            return Placement([], np.empty(0), np.empty(0), {}, None, None)
+        slot = cols.slot[:n]
+        split = np.flatnonzero(slot < 0)
+        key = None
+        if not split.size:
+            key = (cols.sid[:n].tobytes(), slot.tobytes(), cols.num[:_ACC, :n].tobytes(),
+                   tuple(self.alive),
+                   # the groups' rates, then factor and the Eq. 2–4 sums
+                   np.array([*(g.rate for g in self.groups), *self.factor,
+                             self.acc_sum, self.net_sum, self.com_sum,
+                             self.eng_sum]).tobytes())
+            last = self._readout
+            if last is not None and last[0] == key:
+                telemetry.counter("serve.engine.readout_reuses")
+                return last[1]
         sids = sorted(self.entries)  # the entries' own keys, not new ints
         r = cols.num[_RES, :n].copy()
         s = cols.num[_FPS, :n].copy()
-        if not n:
-            return Placement(sids, r, s, {}, None, None)
         rates = np.array([g.rate for g in self.groups])
         server_of_group = np.array(self.alive_indices())[
             list(solve_group_assignment(rates, self.effective_bw()))
         ]
         inv = 1.0 / (self.nominal_bw * np.array(self.factor) * 1e6)
-        slot = cols.slot[:n]
         server = server_of_group[slot]
         lat = cols.num[_PTIME, :n] + cols.num[_BITS, :n] * inv[server]
         servers = dict(zip(sids, zip(server.tolist())))
-        split = np.flatnonzero(slot < 0)
         if split.size:
             server_of = dict(zip(self.groups, server_of_group.tolist()))
             for i in split.tolist():
@@ -1349,7 +1390,12 @@ class IncrementalPlanner:
             [np.cumsum(lat)[-1] / n, self.acc_sum / n, self.net_sum,
              self.com_sum, self.eng_sum]
         )
-        return Placement(sids, r, s, servers, outcome, server)
+        for array in (r, s, outcome, server):
+            if array is not None:
+                array.flags.writeable = False
+        readout = Placement(sids, r, s, servers, outcome, server)
+        self._readout = None if key is None else (key, readout)
+        return readout
 
     def as_periodic_streams(self) -> tuple[list[PeriodicStream], list[int]]:
         """Flatten to (split streams, assignment) for the theory predicates."""

@@ -995,6 +995,12 @@ class SchedulerService:
             self.textures.pop(sid, None)
         return stats
 
+    #: (read-out, preference, benefit) of the last decision, so a reused
+    #: read-out (:meth:`IncrementalPlanner.placement`) is not scored
+    #: again.  A class-level default, so a service pickled before it
+    #: existed resumes.
+    _scored: tuple | None = None
+
     def _emit_decision(
         self,
         *,
@@ -1019,7 +1025,12 @@ class SchedulerService:
         """
         placed = self.planner.placement()
         outcome = placed.outcome
-        benefit = None if outcome is None else float(self.preference.value(outcome))
+        scored = self._scored
+        if scored is not None and scored[0] is placed and scored[1] is self.preference:
+            benefit = scored[2]  # the read-out reused: same outcome, same preference
+        else:
+            benefit = None if outcome is None else float(self.preference.value(outcome))
+            self._scored = (placed, self.preference, benefit)
         decision = ServeDecision(
             epoch=epoch,
             time=t,

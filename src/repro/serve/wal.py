@@ -82,6 +82,9 @@ class WriteAheadLog:
         self.sync_every = int(sync_every)
         self._unsynced = 0
         self._pending: list[str] = []
+        # False until this handle's first fsync: an opened journal may
+        # hold lines another handle wrote and never synced.
+        self._fsynced = False
         self.appends = 0
         self.syncs = 0
 
@@ -146,14 +149,19 @@ class WriteAheadLog:
         )
 
     def sync(self) -> None:
-        """Flush buffered appends and fsync to stable storage."""
-        if self._fh.closed:
+        """Flush buffered appends and fsync to stable storage.
+
+        A no-op when this handle has fsynced and appended nothing since:
+        there is nothing to make durable.
+        """
+        if self._fh.closed or (self._fsynced and not self._unsynced):
             return
         if self._pending:
             self._fh.write("\n".join(self._pending) + "\n")
             self._pending.clear()
         self._fh.flush()
         os.fsync(self._fh.fileno())
+        self._fsynced = True
         if self._unsynced:
             telemetry.counter("wal.syncs")
             self.syncs += 1

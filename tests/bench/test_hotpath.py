@@ -62,6 +62,18 @@ class TestHarness:
         attempts = r["counters"]["serve.engine.upgrade_attempts"]
         assert attempts > 0 and attempts % repeats == 0
 
+    def test_serve_epoch_times_the_incremental_epochs(self):
+        r = run_benchmark("serve_epoch", profile="smoke", seed=0)
+        (row,) = r["scaling"]
+        assert (row["streams"], row["servers"]) == (120, 16)
+        counters = r["counters"]
+        # one replay: every decision but the full solves' is an incremental epoch
+        epochs = counters["serve.replans"]
+        assert row["incremental_epochs"] == epochs - counters["serve.engine.solve_all_calls"]
+        assert row["wall_s"] > 0
+        assert 0 < counters["serve.engine.readout_reuses"] < row["incremental_epochs"]
+        assert counters["admit.rejected"] > 0 and counters["admit.evicted_for"] > 0
+
     def test_alg1_grouping_records_each_size(self):
         r = run_benchmark("alg1_grouping", profile="smoke", seed=0)
         assert [row["streams"] for row in r["scaling"]] == [100, 200, 400]

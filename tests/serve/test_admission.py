@@ -341,6 +341,44 @@ class TestEvictionCandidates:
         assert _entries(planner) == _entries(twin)
         assert planner.placement().servers == twin.placement().servers
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_lowest_class_refusal_equals_the_scan(self, seed):
+        # Random maps over the fleet and the joiners, each with a class
+        # below the default; joiners of every class, the lowest included.
+        gen = np.random.default_rng(seed)
+        planner = _planner(n_streams=6, n_servers=3, seed=seed)
+        first = _fill(planner, texture=1.1)
+        default = int(gen.integers(0, 3))
+        sids = list(planner.entries) + list(range(first, first + 12))
+        pmap = {sid: int(gen.integers(default - 1, default + 2))
+                for sid in sids if gen.random() < 0.6}
+        pmap[sids[0]] = default - 1
+        pmap.update({sid: default - 1 for sid in range(first, first + 12, 3)})
+        new = AdmissionController(priority_map=pmap, default_priority=default,
+                                  max_evictions_per_join=int(gen.integers(1, 4)))
+        old = _FullScoreController(priority_map=pmap, default_priority=default,
+                                   max_evictions_per_join=new.max_evictions_per_join)
+        twin = pickle.loads(pickle.dumps(planner))
+        floor = min(default, *pmap.values())
+        refused = evicted = 0
+        for sid in range(first, first + 12):
+            calls = []
+            priority_of = new.priority_of
+            new.priority_of = lambda v: calls.append(v) or priority_of(v)
+            texture = float(gen.uniform(0.8, 1.3))
+            got = new.request_join(planner, sid, texture)
+            del new.priority_of
+            want = old.request_join(twin, sid, texture)
+            assert got == want
+            assert _entries(planner) == _entries(twin)
+            if got.priority == floor and not got.admitted:
+                assert got.reason == "no_lower_priority"
+                assert calls == [sid]  # the joiner's own class, no fleet scan
+                refused += 1
+            evicted += bool(got.evicted)
+        assert planner.placement().servers == twin.placement().servers
+        assert refused and evicted
+
     def test_missing_preference_still_raises(self):
         planner = _planner(n_streams=2, n_servers=2, bw=[10.0, 10.0])
         joiner = _fill(planner)

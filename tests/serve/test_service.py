@@ -146,9 +146,10 @@ class TestDeterminism:
     def test_resumes_a_checkpoint_without_the_derived_caches(self, tmp_path):
         """A checkpoint written before the planner's per-texture θ_bit
         cache, its fit-bound scale, its knob-period array and read-out
-        columns, the decisions' server column and the preference's
-        cached normalization existed holds none of them; each derives
-        on first use, bit-identically."""
+        columns, the last read-out, the decisions' server column, the
+        service's last scored read-out, the admission floor and the
+        preference's cached normalization existed holds none of them;
+        each derives on first use, bit-identically."""
         import pickle
 
         log = generate_load(6, 4, profile=self.PROFILE, seed=9)
@@ -158,7 +159,7 @@ class TestDeterminism:
         svc.submit(log)
         svc.run(max_epochs=3)
         assert svc.planner._terms_by_texture
-        derived = {"_terms_by_texture", "_top", "_cand_period", "_cols"}
+        derived = {"_terms_by_texture", "_top", "_cand_period", "_cols", "_readout"}
         svc.planner._cand_period  # noqa: B018 - derive it, to drop it below
         for name in derived:
             svc.planner.__dict__.pop(name)
@@ -167,12 +168,15 @@ class TestDeterminism:
             decision.__dict__.pop("server_col")
         for pref in (svc.preference, svc.planner.preference):
             pref.__dict__.pop("_scale", None)
+        svc.__dict__.pop("_scored")
+        svc.admission.__dict__.pop("_floor", None)
         path = tmp_path / "serve.ckpt"
         svc.save_checkpoint(path)
         held = pickle.loads(path.read_bytes())["scheduler"]
         assert not derived & set(vars(held.planner))
         assert not any("server_col" in vars(d) for d in held.decisions)
         assert "_scale" not in vars(held.preference)
+        assert "_scored" not in vars(held) and "_floor" not in vars(held.admission)
         resumed = SchedulerService.resume(path)
         resumed.run()
         assert _signatures(resumed) == straight

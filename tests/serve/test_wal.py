@@ -132,6 +132,32 @@ class TestFileFormat:
         finally:
             wal.close()
 
+    def test_fsync_only_what_was_written(self, tmp_path, monkeypatch):
+        from repro.serve import wal as wal_mod
+
+        fsyncs = []
+        real = wal_mod.os.fsync
+        monkeypatch.setattr(wal_mod.os, "fsync", lambda fd: fsyncs.append(fd) or real(fd))
+        p = tmp_path / "serve.wal"
+        wal = WriteAheadLog.create(p, _spec())
+        assert len(fsyncs) == 1  # the meta record
+        wal.sync()
+        assert len(fsyncs) == 1  # nothing written since
+        wal.append_event(1, _events()[0])
+        wal.sync()
+        assert len(fsyncs) == 2
+        wal.close()  # after a sync: nothing left to make durable
+        assert len(fsyncs) == 2
+        # an opened journal may hold another handle's unsynced lines:
+        # its first sync fsyncs even with nothing appended
+        resumed = WriteAheadLog.open(p)
+        resumed.sync()
+        assert len(fsyncs) == 3
+        resumed.sync()
+        resumed.close()
+        assert len(fsyncs) == 3
+        assert [seq for seq, _ in read_wal(p).events] == [1]
+
 
 class TestServiceSpec:
     def test_spec_is_json_safe(self):
